@@ -24,12 +24,12 @@ from .gibbs import (BoundaryFields, ConsistencyReport, FieldRatios,
                     finite_volume_measure, is_consistent, measure_to_csv,
                     propagate_ratios, push_forward, ratios_from_fields,
                     vertex_normalizer)
-from .poly import Poly, RationalFn, X, compose, divide_exact, real_roots
+from .poly import Poly, RationalFn, X, compose, divide_exact
 from .solver import (BoltzmannWeights, CanonicalParams, CaseIdentityReport,
                      FixedPointReport, PeriodicReport, SweepRow,
                      canonical_params, canonical_root_count, case_identity_check,
                      count_ti_roots, f_map, periodic_quadratic, sweep,
-                     sweep_to_csv, sweep_to_jsonl, ti_cubic, ti_map,
+                     sweep_to_csv, sweep_to_jsonl, ti_map,
                      ti_thresholds, two_periodic_report, weights_for_canonical,
                      weights_from)
 

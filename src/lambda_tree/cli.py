@@ -8,7 +8,6 @@ significant digits so reruns diff cleanly.
 import argparse
 import json
 import math
-import os
 import random
 import sys
 
@@ -26,6 +25,7 @@ from .tree import TreeCoord, TreeShape
 
 _PARAM_NAMES = ("a", "b", "c", "beta")
 _WEIGHT_NAMES = ("xw", "yw", "zw")
+_MAX_SWEEP_POINTS = 10 ** 6
 
 
 def _round15(obj):
@@ -145,23 +145,23 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _axis_values(axis: dict) -> list[float]:
+def _axis_count(axis: dict) -> tuple[float, float, int]:
+    """(start, step, n) for the grid values start + i*step, i < n, that do
+    not pass stop; n is worked out without building the values."""
     for key in ("name", "start", "stop", "step"):
         if key not in axis:
             raise ValueError(f"sweep axis missing {key!r}")
     start, stop, step = (float(axis["start"]), float(axis["stop"]),
                          float(axis["step"]))
-    if step <= 0:
+    if not step > 0:
         raise ValueError(f"axis {axis['name']!r} needs step > 0, got {step}")
-    values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + step * 1e-9:
-            break
-        values.append(v)
-        i += 1
-    return values
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"axis {axis['name']!r} needs a finite start and stop")
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SWEEP_POINTS:  # also an infinite span from a tiny step
+        raise CapacityError(
+            f"axis {axis['name']!r} has more than {_MAX_SWEEP_POINTS} points")
+    return start, step, max(0, math.floor(span) + 1)
 
 
 def _sweep_points(config: dict):
@@ -177,9 +177,13 @@ def _sweep_points(config: dict):
         raise ValueError(
             f"sweep variables must all come from {_PARAM_NAMES} or {_WEIGHT_NAMES}")
 
-    grids = [(ax["name"], _axis_values(ax)) for ax in axes]
-    if any(not values for _, values in grids):
+    counts = [_axis_count(ax) for ax in axes]
+    if any(n == 0 for _, _, n in counts):
         raise ValueError("sweep grid is empty (an axis produced no values)")
+    if math.prod(n for _, _, n in counts) > _MAX_SWEEP_POINTS:
+        raise CapacityError(f"sweep grid has more than {_MAX_SWEEP_POINTS} points")
+    grids = [(ax["name"], [start + i * step for i in range(n)])
+             for ax, (start, step, n) in zip(axes, counts)]
 
     def build(combo: dict):
         resolved = dict(combo)
@@ -216,9 +220,7 @@ def _sweep_points(config: dict):
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
-    points = _sweep_points(config)
-    threads = int(os.environ.get("LAMBDA_TREE_THREADS", "1") or "1")
-    rows = sweep(points, threads=max(1, threads))
+    rows = sweep(_sweep_points(config))
     text = sweep_to_csv(rows) if args.format == "csv" else sweep_to_jsonl(rows)
     _emit(text, args.out)
     return 0

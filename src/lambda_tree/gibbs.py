@@ -18,7 +18,7 @@ from .model import Configuration, LambdaParams, coupling_value
 from .tree import TreeCoord, TreeShape, successors
 
 _MAX_STATES = 3 ** 13
-_OVERFLOW_LOG = 700.0  # exp overflows just above this
+_OVERFLOW_LOG = 700.0  # exp overflows just above this, and underflows below -745
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
     """Exact enumeration of the boundary-field distribution on V_depth.
 
     Weights are direct products exp{beta*H + field sum}; a common log
-    shift is applied only if that would overflow.
+    shift is applied only if that would overflow or underflow. A partition
+    function outside the float range raises DomainError.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -118,13 +119,19 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
         log_weights.append(lw)
 
     peak = max(log_weights)
-    shift = peak if peak > _OVERFLOW_LOG else 0.0
+    shift = peak if abs(peak) > _OVERFLOW_LOG else 0.0
     weights = [math.exp(lw - shift) for lw in log_weights]
     total = math.fsum(weights)
+    try:
+        partition = total * math.exp(shift)
+    except OverflowError:
+        partition = math.inf
+    if not 0.0 < partition < math.inf:
+        raise DomainError(f"the partition function is out of float range: "
+                          f"log Z = {shift + math.log(total):.15g}")
     probabilities = {}
     for spins, w in zip(product(range(1, q + 1), repeat=nverts), weights):
         probabilities[Configuration(shape, spins)] = w / total
-    partition = total if shift == 0.0 else total * math.exp(shift)
     return FiniteVolumeMeasure(shape.depth, probabilities, partition)
 
 

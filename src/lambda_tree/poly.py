@@ -1,35 +1,16 @@
-"""Dense univariate polynomials, rational functions, and real root finding.
+"""Dense univariate polynomials and rational functions with exact
+coefficients, composition and exact division.
 
-Coefficients are plain Python numbers stored in ascending-degree order.
-With Fraction (or int) coefficients every operation is exact — that is the
-profile used to derive low-degree identities at fixed rational inputs, e.g.
-the quotient of two fixed-point numerators. With float coefficients the
-same code runs fast for parameter sweeps.
-
-Real roots are isolated by sign-variation counts on a Sturm chain, after
-splitting off the gcd(p, p') part so the working polynomial is squarefree;
-isolated roots are refined by bisection and polished with Newton steps.
-Multiplicities come from the gcd part recursively.
+Coefficients are stored in ascending-degree order; with int or Fraction
+coefficients every operation is exact. This is the derivation behind the audit of the
+printed discriminant factorizations: the 2-periodic quotient
+numerator(f∘f - id) / numerator(f - id) obtained by composing the
+invariant-line map with itself and dividing.
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateInputError, NonDivisibleError
-
-# chain remainders smaller than this (relative to a max-1 normalized chain)
-# are treated as exact zeros; this is what keeps float Euclid stable
-_CHAIN_NOISE = 1e-12
-
-_DEDUP_TOL = 1e-8        # relative distance at which near-equal roots merge
-_REFINE_TOL = 1e-13      # relative bisection width before Newton polish
-_FLOAT_REMAINDER_TOL = 1e-9  # relative remainder allowed by divide_exact on floats
-
-
-def _is_exact(*polys: "Poly") -> bool:
-    return all(isinstance(c, (int, Fraction))
-               for p in polys for c in p.coeffs)
 
 
 @dataclass(frozen=True)
@@ -51,12 +32,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -87,9 +62,6 @@ class Poly:
     def scale(self, s) -> "Poly":
         return Poly(tuple(c * s for c in self.coeffs))
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -107,30 +79,17 @@ class Poly:
                     rem[i + j] -= t * oc
         return Poly(tuple(q)), Poly(tuple(rem[:d]))
 
-    def max_abs(self):
-        return max((abs(c) for c in self.coeffs), default=0)
-
 
 X = Poly((0, 1))
 
 
 def divide_exact(num: Poly, den: Poly) -> Poly:
-    """Quotient num/den, demanding the division leave no remainder.
-
-    Exact coefficients (int/Fraction) must divide with a remainder of
-    exactly zero; float coefficients tolerate a relative remainder up to
-    1e-9 (cancellation noise). Anything larger raises NonDivisibleError.
-    """
+    """Quotient num/den; raises NonDivisibleError unless the remainder is
+    exactly zero."""
     q, r = divmod(num, den)
-    if r.is_zero():
-        return q
-    if _is_exact(num, den):
+    if not r.is_zero():
         raise NonDivisibleError(
             f"remainder of degree {r.degree()} in exact division")
-    rel = float(r.max_abs()) / max(1.0, float(num.max_abs()))
-    if rel > _FLOAT_REMAINDER_TOL:
-        raise NonDivisibleError(
-            f"relative remainder {rel:.3e} exceeds {_FLOAT_REMAINDER_TOL:.0e}")
     return q
 
 
@@ -144,17 +103,6 @@ class RationalFn:
     def __post_init__(self):
         if self.den.is_zero():
             raise DegenerateInputError("zero denominator polynomial")
-
-    def __call__(self, t):
-        return self.num(t) / self.den(t)
-
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
-
-    @classmethod
-    def identity(cls) -> "RationalFn":
-        return cls(X, Poly((1,)))
 
 
 def compose(f: RationalFn, g: RationalFn) -> RationalFn:
@@ -183,192 +131,3 @@ def compose(f: RationalFn, g: RationalFn) -> RationalFn:
     if den.is_zero():
         raise DegenerateInputError("composition produced a zero denominator")
     return RationalFn(substitute(f.num), den)
-
-
-# --- real root isolation -------------------------------------------------
-
-def _normalized(p: Poly) -> Poly:
-    m = p.max_abs()
-    if m == 0:
-        return p
-    if isinstance(m, Fraction) or isinstance(m, int):
-        return p.scale(Fraction(1, 1) / m)
-    return p.scale(1.0 / m)
-
-
-def _euclid_chain(p: Poly, exact: bool) -> list[Poly]:
-    """Sturm chain p, p', -rem(...), each normalized to max coefficient 1."""
-    chain = [_normalized(p), _normalized(p.derivative())]
-    while chain[-1].degree() > 0:
-        _, r = divmod(chain[-2], chain[-1])
-        r = -r
-        if not exact:
-            m = float(r.max_abs()) if not r.is_zero() else 0.0
-            if m <= _CHAIN_NOISE:
-                r = Poly(())
-            else:
-                r = Poly(tuple(0.0 if abs(c) < 1e-14 * m else c
-                               for c in r.coeffs))
-        if r.is_zero():
-            break
-        chain.append(_normalized(r))
-    return chain
-
-
-def _variations(chain: list[Poly], t, exact: bool) -> int:
-    arg = Fraction(t) if exact else t
-    count = 0
-    prev = 0
-    for q in chain:
-        v = q(arg)
-        s = 0 if v == 0 else (1 if v > 0 else -1)
-        if s != 0:
-            if prev != 0 and s != prev:
-                count += 1
-            prev = s
-    return count
-
-
-def _root_bound(p: Poly) -> float:
-    lead = p.coeffs[-1]
-    worst = 0.0
-    for c in p.coeffs[:-1]:
-        ratio = abs(float(Fraction(c, 1) / Fraction(lead, 1))
-                    if isinstance(c, (int, Fraction)) and isinstance(lead, (int, Fraction))
-                    else float(c) / float(lead))
-        worst = max(worst, ratio)
-    return 1.0 + worst
-
-
-def _refine_sign_bisect(p: Poly, lo: float, hi: float) -> float:
-    flo = float(p(lo))
-    width_tol = _REFINE_TOL * max(1.0, abs(lo), abs(hi))
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        fmid = float(p(mid))
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _refine_sturm_bisect(chain: list[Poly], lo: float, hi: float,
-                         vlo: int, vhi: int, exact: bool) -> float:
-    width_tol = _REFINE_TOL * max(1.0, abs(lo), abs(hi))
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        vmid = _variations(chain, mid, exact)
-        if vlo - vmid >= 1:
-            hi, vhi = mid, vmid
-        else:
-            lo, vlo = mid, vmid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(p: Poly, x: float, lo: float, hi: float) -> float:
-    dp = p.derivative()
-    pad = max(hi - lo, 1e-15 * max(1.0, abs(x)))
-    for _ in range(12):
-        fx = float(p(x))
-        dfx = float(dp(x))
-        if dfx == 0.0 or not math.isfinite(dfx):
-            break
-        step = fx / dfx
-        xn = x - step
-        if not (lo - pad <= xn <= hi + pad) or not math.isfinite(xn):
-            break
-        x = xn
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
-
-
-def _float_poly(p: Poly) -> Poly:
-    return Poly(tuple(float(c) for c in p.coeffs))
-
-
-def real_roots(p: Poly, dedup_tol: float = _DEDUP_TOL) -> list[tuple[float, int]]:
-    """All real roots of p with multiplicities, ascending.
-
-    Roots closer than dedup_tol (relative) are merged with multiplicities
-    summed. Raises ValueError for degree < 1.
-    """
-    if p.degree() < 1:
-        raise ValueError("root finding requires degree >= 1")
-    exact = _is_exact(p)
-    chain = _euclid_chain(p, exact)
-    gcd_part = chain[-1] if chain[-1].degree() > 0 else None
-
-    if gcd_part is None:
-        work, work_chain = chain[0], chain
-        extra: list[tuple[float, int]] = []
-    else:
-        # p has repeated roots: work on the squarefree quotient and pull
-        # the extra multiplicities from the gcd recursively
-        q, r = divmod(chain[0], gcd_part)
-        if not exact and float(r.max_abs()) > 1e-6:
-            work, work_chain, extra = chain[0], chain, []
-        else:
-            work = _normalized(q)
-            work_chain = _euclid_chain(work, exact)
-            extra = real_roots(gcd_part, dedup_tol)
-
-    bound = _root_bound(work)
-    lo, hi = -bound, bound
-    vlo = _variations(work_chain, lo, exact)
-    vhi = _variations(work_chain, hi, exact)
-
-    found: list[tuple[float, int]] = []
-    stack = [(lo, hi, vlo, vhi)]
-    while stack:
-        a, b, va, vb = stack.pop()
-        count = va - vb
-        if count <= 0:
-            continue
-        if count == 1:
-            found.append((_locate_one(work, work_chain, a, b, va, vb, exact), 1))
-            continue
-        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
-            found.append((0.5 * (a + b), count))
-            continue
-        mid = 0.5 * (a + b)
-        vmid = _variations(work_chain, mid, exact)
-        stack.append((a, mid, va, vmid))
-        stack.append((mid, b, vmid, vb))
-
-    # fold the gcd multiplicities into the nearest located root
-    for rg, mg in extra:
-        best = None
-        for i, (r, _) in enumerate(found):
-            d = abs(r - rg) / max(1.0, abs(r))
-            if best is None or d < best[1]:
-                best = (i, d)
-        if best is not None and best[1] <= 1e-5:
-            i = best[0]
-            found[i] = (found[i][0], found[i][1] + mg)
-        else:
-            found.append((rg, mg + 1))
-
-    found.sort()
-    merged: list[tuple[float, int]] = []
-    for r, m in found:
-        if merged and abs(r - merged[-1][0]) <= dedup_tol * max(1.0, abs(r)):
-            prev_r, prev_m = merged[-1]
-            merged[-1] = (prev_r, prev_m + m)
-        else:
-            merged.append((r, m))
-    return merged
-
-
-def _locate_one(work: Poly, chain: list[Poly], a: float, b: float,
-                va: int, vb: int, exact: bool) -> float:
-    pf = _float_poly(work)
-    fa, fb = float(pf(a)), float(pf(b))
-    if fa != 0.0 and fb != 0.0 and (fa < 0) != (fb < 0):
-        x = _refine_sign_bisect(pf, a, b)
-    else:
-        x = _refine_sturm_bisect(chain, a, b, va, vb, exact)
-    return _newton_polish(pf, x, a, b)

@@ -10,28 +10,39 @@ the one-dimensional map is
 
 Translation-invariant measures correspond to u = f(u); reducing by
 x = u*xw/(2*yw) turns that into the cubic a*x*(b+x)^2 = (1+x)^2 in the
-canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2), whose
-positive-root count is decided by the thresholds eps_1, eps_2 when b > 9.
-Proper 2-periodic measures solve u = f(f(u)) but not u = f(u); dividing
-the fixed-point numerators exactly gives a quadratic A*u^2 + B*u + C whose
-discriminant sign decides existence.
+canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2). For b <= 9
+it has one positive root. For b > 9 the tangency points x1 < x2 and their
+thresholds eps_1 < eps_2 decide the count, and they also split (0, inf)
+into the brackets (0, x1), (x1, x2), (x2, inf), each holding at most one
+root; every root is found by sign bisection inside its bracket and then
+polished by Newton steps on f(u) - u.
+
+Proper 2-periodic measures solve u = f(f(u)) but not u = f(u). The exact
+quotient num(f∘f - id) / num(f - id) is a quadratic A*u^2 + B*u + C with
+the closed form
+
+    A = (x^2 + xy + yz)^2,   C = (x^2 + 2xy + 2xz + z^2)^2,
+    B = x^4 + 6x^3y + 2x^3z + 8x^2y^2 + 6x^2yz + x^2z^2 + 8xy^2z
+        + 6xyz^2 - 4y^4 + 2yz^3
+
+in (x, y, z) = (xw, yw, zw), evaluated exactly; the sign of its
+discriminant decides existence. The division itself is kept for the audit
+of the printed discriminant factorizations.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalConsistencyError, NonDivisibleError
 from .model import LambdaParams
-from .poly import Poly, RationalFn, X, compose, divide_exact, real_roots
+from .poly import Poly, RationalFn, X, compose, divide_exact
 
 K_CHILDREN = 2  # branching order baked into the squared map
 
-_ROOT_DEDUP_TOL = 1e-8       # relative; decides "two solutions" boundary cases
-_THRESHOLD_EQ_TOL = 1e-10    # |a_can - eps| below this counts as on-boundary
-_FIXED_POINT_RESIDUAL = 1e-9
+_THRESHOLD_EQ_TOL = 1e-10    # |a_can - eps| below this times eps is on-boundary
+_FIXED_POINT_RESIDUAL = 1e-9  # relative to max(1, u)
 _PROPERNESS_GAP = 1e-6
 
 INVARIANT_LINE_NOTE = ("invariant-line analysis only: first ratio component "
@@ -113,8 +124,12 @@ class CaseIdentityReport:
 
 
 def weights_from(p: LambdaParams) -> BoltzmannWeights:
-    return BoltzmannWeights(math.exp(p.beta * p.c), math.exp(p.beta * p.b),
-                            math.exp(p.beta * p.a))
+    try:
+        return BoltzmannWeights(math.exp(p.beta * p.c), math.exp(p.beta * p.b),
+                                math.exp(p.beta * p.a))
+    except OverflowError:
+        raise DomainError(
+            f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
 
 
 def ti_map(u: tuple[float, float], w: BoltzmannWeights) -> tuple[float, float]:
@@ -140,8 +155,15 @@ def f_map(u: float, w: BoltzmannWeights) -> float:
 
 
 def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
-    return CanonicalParams(2.0 * w.yw ** 3 / w.xw ** 3,
-                           w.xw * (w.xw + w.zw) / (2.0 * w.yw ** 2))
+    try:
+        a_can = 2.0 * w.yw ** 3 / w.xw ** 3
+        b_can = w.xw * (w.xw + w.zw) / (2.0 * w.yw ** 2)
+    except (OverflowError, ZeroDivisionError):
+        a_can = b_can = math.nan  # rejected below
+    if not (0.0 < a_can < math.inf and 0.0 < b_can < math.inf):
+        raise DomainError(
+            f"canonical parameters of {w} are not positive finite floats")
+    return CanonicalParams(a_can, b_can)
 
 
 def weights_for_canonical(a_can: float, b_can: float,
@@ -161,13 +183,6 @@ def weights_for_canonical(a_can: float, b_can: float,
     return BoltzmannWeights(xw, yw, zw)
 
 
-def ti_cubic(a_can: float, b_can: float) -> Poly:
-    """a*x*(b+x)^2 - (1+x)^2 expanded: the positive roots are the
-    translation-invariant solutions in the reduced variable x."""
-    a, b = a_can, b_can
-    return Poly((-1.0, a * b * b - 2.0, 2.0 * a * b - 1.0, a))
-
-
 def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
     """(x1, x2, eps1, eps2) for b_can > 9: x_i are the roots of
     x^2 + (3-b)x + b = 0 and eps_i = (1/x_i)*((1+x_i)/(b+x_i))^2."""
@@ -175,6 +190,8 @@ def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
     if b <= 9:
         raise DomainError(f"thresholds exist only for b_can > 9, got {b}")
     disc = (b - 1.0) * (b - 9.0)
+    if disc == math.inf:  # b_can above about 1e154, where eps1 ~ 4/b^2 underflows
+        raise DomainError(f"thresholds at b_can={b} are out of float range")
     s = math.sqrt(disc)
     x2 = ((b - 3.0) + s) / 2.0
     x1 = b / x2  # product of the quadratic's roots is b; this form is stable
@@ -185,29 +202,62 @@ def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
     return x1, x2, eps(x1), eps(x2)
 
 
-def canonical_root_count(a_can: float, b_can: float,
-                         dedup_tol: float = _ROOT_DEDUP_TOL):
+def _bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
+    """The root of a*x*(b+x)^2 - (1+x)^2 in (lo, hi), where its sign changes.
+
+    The sign is read as a*x*((b+x)/(1+x))^2 against 1, which stays in
+    range wherever the comparison is close. Midpoints are geometric while
+    the bracket spans more than a factor of two, so roots anywhere in the
+    float range take a few dozen steps; the bracket shrinks to adjacent
+    floats.
+    """
+    def above(x: float) -> bool:
+        r = (b + x) / (1.0 + x)
+        return a * x * r * r > 1.0
+
+    lo_above = above(lo)
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if above(mid) == lo_above:
+            lo = mid
+        else:
+            hi = mid
+
+
+def canonical_root_count(a_can: float, b_can: float):
     """Positive roots of the reduced cubic plus the regime verdict.
 
     Returns (roots_x, regime, thresholds): regime follows the threshold
     case analysis — unique for b <= 9, three strictly inside (eps1, eps2),
-    two on the boundary (within 1e-10), unique otherwise.
+    two within 1e-10 relative of eps1 or eps2 (the tangency point there is
+    reported as the double root), unique otherwise. The same comparisons
+    choose the brackets searched, so the root count matches the regime.
     """
-    if a_can <= 0 or b_can <= 0:
+    a, b = a_can, b_can
+    if a <= 0 or b <= 0:
         raise DomainError("canonical parameters must be positive")
-    roots = [r for r, _ in real_roots(ti_cubic(a_can, b_can), dedup_tol=dedup_tol)
-             if r > 0]
-    if b_can <= 9:
-        return tuple(roots), "unique", None
-    x1, x2, eps1, eps2 = ti_thresholds(b_can)
-    if (abs(a_can - eps1) <= _THRESHOLD_EQ_TOL
-            or abs(a_can - eps2) <= _THRESHOLD_EQ_TOL):
-        regime = "two"
-    elif eps1 < a_can < eps2:
+    # a*x*(b+x)^2 < (1+x)^2 below lo and > above hi (bounds on (1+x)^2 and
+    # (b+x)^2 for x <= 1 and x >= 1)
+    lo = 0.5 * min(1.0, 1.0 / a / (b + 1.0) / (b + 1.0))
+    hi = 2.0 * max(1.0, 4.0 / a)
+    if b <= 9:
+        return (_bisect_cubic_root(a, b, lo, hi),), "unique", None
+    x1, x2, eps1, eps2 = ti_thresholds(b)
+    if abs(a - eps1) <= _THRESHOLD_EQ_TOL * eps1:
+        roots, regime = (x1, _bisect_cubic_root(a, b, x2, hi)), "two"
+    elif abs(a - eps2) <= _THRESHOLD_EQ_TOL * eps2:
+        roots, regime = (_bisect_cubic_root(a, b, lo, x1), x2), "two"
+    elif eps1 < a < eps2:
+        roots = tuple(_bisect_cubic_root(a, b, *bracket)
+                      for bracket in ((lo, x1), (x1, x2), (x2, hi)))
         regime = "three"
     else:
-        regime = "unique"
-    return tuple(roots), regime, (eps1, eps2)
+        # one root, past x2 below eps1 and short of x1 above eps2
+        bracket = (x2, hi) if a < eps1 else (lo, x1)
+        roots, regime = (_bisect_cubic_root(a, b, *bracket),), "unique"
+    return roots, regime, (eps1, eps2)
 
 
 def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
@@ -218,7 +268,7 @@ def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
     u_roots = []
     for x in roots_x:
         u = _polish_fixed_point(x * scale, w)
-        if abs(u - f_map(u, w)) > _FIXED_POINT_RESIDUAL:
+        if not abs(u - f_map(u, w)) <= _FIXED_POINT_RESIDUAL * max(1.0, u):
             raise InternalConsistencyError(
                 f"fixed-point residual {abs(u - f_map(u, w)):.3e} at u={u}")
         u_roots.append(u)
@@ -245,6 +295,76 @@ def _polish_fixed_point(u: float, w: BoltzmannWeights) -> float:
     return u
 
 
+def _quadratic_numerators(w: BoltzmannWeights) -> tuple[int, int, int, int]:
+    """Integers (a, b, c, scale) with (A, B, C) = (a, b, c) / scale.
+
+    A, B and C (closed form in the module docstring) are homogeneous of
+    degree 4 in the weights, and floats are integers over powers of two,
+    so they are evaluated on integers over the largest of the three
+    denominators, whose fourth power is the scale.
+    """
+    ratios = [v.as_integer_ratio() for v in (w.xw, w.yw, w.zw)]
+    d = max(den for _, den in ratios)  # powers of two: a common multiple
+    x, y, z = (num * (d // den) for num, den in ratios)
+    xx, yy, zz = x * x, y * y, z * z
+    a = (xx + x * y + y * z) ** 2
+    c = (xx + 2 * x * (y + z) + zz) ** 2
+    b = (xx * (xx + 6 * x * y + 2 * x * z + 8 * yy + 6 * y * z + zz)
+         + 2 * x * y * z * (4 * y + 3 * z) - 4 * yy * yy + 2 * y * z * zz)
+    return a, b, c, d ** 4
+
+
+def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
+    """(A, B, C) of the exact quotient numerator(f∘f - id)/numerator(f - id)."""
+    a, b, c, scale = _quadratic_numerators(w)
+    return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
+
+
+def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
+    """Proper 2-periodic solutions on the invariant line.
+
+    Existence is decided exactly: B < 0 and D > 0 in integer arithmetic
+    (A and C are positive for all positive weights, so this is equivalent
+    to the quadratic having two positive roots). Near D = 0 the root pair
+    degenerates toward a translation-invariant point and the properness
+    gap |r - f(r)| > 1e-6 empties the list.
+    """
+    a, b, c, scale = _quadratic_numerators(w)
+    disc = b * b - 4 * a * c  # D times scale^2
+    exists = b < 0 and disc > 0
+
+    try:  # int / int rounds correctly, as float(Fraction) does
+        quad = (a / scale, b / scale, c / scale)
+        disc_f = disc / (scale * scale)
+    except OverflowError:
+        raise DomainError(
+            f"the 2-periodic quadratic at {w} overflows a float") from None
+
+    roots: list[float] = []
+    if disc > 0:
+        # the roots are the same for any common factor of a, b and c; a
+        # power of two near their size keeps the floats in range and,
+        # where quad is in range, gives the same roots bit for bit
+        norm = 2 ** max(a, abs(b), c).bit_length()
+        af, bf, cf = a / norm, b / norm, c / norm
+        s = math.sqrt(disc / (norm * norm))
+        q = -(bf + math.copysign(s, bf)) / 2.0
+        roots = [q / af, cf / q]
+    elif disc == 0:
+        roots = [-b / (2 * a)]
+
+    proper = []
+    for r in roots:
+        if r <= 0:
+            continue
+        if not abs(r - f_map(f_map(r, w), w)) < _FIXED_POINT_RESIDUAL * max(1.0, r):
+            raise InternalConsistencyError(
+                f"2-periodic residual too large at root {r}")
+        if abs(r - f_map(r, w)) > _PROPERNESS_GAP:
+            proper.append(r)
+    return PeriodicReport(quad, disc_f, tuple(sorted(proper)), exists)
+
+
 def _exact_line_map(w: BoltzmannWeights) -> RationalFn:
     """f as a rational function with exact Fraction coefficients."""
     xf, yf, zf = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
@@ -253,13 +373,10 @@ def _exact_line_map(w: BoltzmannWeights) -> RationalFn:
     return RationalFn(num * num, den * den)
 
 
-def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
-    """(A, B, C) of the exact quotient numerator(f∘f - id)/numerator(f - id).
-
-    Computed entirely in rational arithmetic (floats are exact binary
-    rationals), so the division is exact and the coefficients carry the
-    same normalization as the printed expansion they are audited against.
-    """
+def _quadratic_by_division(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
+    """(A, B, C) derived by composing f with itself and dividing the
+    fixed-point numerators exactly: the derivation the closed form in
+    periodic_quadratic is audited and tested against."""
     f = _exact_line_map(w)
     ff = compose(f, f)
     p_fix = f.num - X * f.den
@@ -274,41 +391,6 @@ def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fractio
             f"expected a quadratic quotient, got degree {quad.degree()}")
     c0, c1, c2 = quad.coeffs
     return Fraction(c2), Fraction(c1), Fraction(c0)
-
-
-def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
-    """Proper 2-periodic solutions on the invariant line.
-
-    Existence is decided exactly: B < 0 and D > 0 in rational arithmetic
-    (A and C are positive for all positive weights, so this is equivalent
-    to the quadratic having two positive roots). Near D = 0 the root pair
-    degenerates toward a translation-invariant point and the properness
-    gap |r - f(r)| > 1e-6 empties the list.
-    """
-    a_f, b_f, c_f = periodic_quadratic(w)
-    disc = b_f * b_f - 4 * a_f * c_f
-    exists = b_f < 0 and disc > 0
-
-    roots: list[float] = []
-    if disc > 0:
-        af, bf, cf = float(a_f), float(b_f), float(c_f)
-        s = math.sqrt(float(disc))
-        q = -(bf + math.copysign(s, bf)) / 2.0
-        roots = [q / af, cf / q]
-    elif disc == 0:
-        roots = [float(-b_f / (2 * a_f))]
-
-    proper = []
-    for r in roots:
-        if r <= 0:
-            continue
-        if abs(r - f_map(f_map(r, w), w)) >= _FIXED_POINT_RESIDUAL:
-            raise InternalConsistencyError(
-                f"2-periodic residual too large at root {r}")
-        if abs(r - f_map(r, w)) > _PROPERNESS_GAP:
-            proper.append(r)
-    return PeriodicReport((float(a_f), float(b_f), float(c_f)), float(disc),
-                          tuple(sorted(proper)), exists)
 
 
 # printed factorized discriminants, evaluated exactly per case
@@ -345,7 +427,7 @@ def case_identity_check(case: str, samples) -> CaseIdentityReport:
     worst = 0.0
     for sample in samples:
         printed, w = _printed_case_d(case, sample)
-        a_f, b_f, c_f = periodic_quadratic(w)
+        a_f, b_f, c_f = _quadratic_by_division(w)
         computed = b_f * b_f - 4 * a_f * c_f
         denom = max(abs(computed), abs(printed))
         rel = 0.0 if denom == 0 else float(abs(computed - printed) / denom)
@@ -393,12 +475,8 @@ def _sweep_point(point) -> SweepRow:
                     fp.phase_transition or pr.two_periodic_exists)
 
 
-def sweep(points, threads: int = 1) -> list[SweepRow]:
-    """One row per grid point, in the given order regardless of threading."""
-    points = list(points)
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(points))) as pool:
-            return list(pool.map(_sweep_point, points))
+def sweep(points) -> list[SweepRow]:
+    """One row per grid point, in the given order."""
     return [_sweep_point(pt) for pt in points]
 
 

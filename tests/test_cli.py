@@ -113,6 +113,27 @@ def test_solve_rejects_nonpositive_weight(capsys):
     assert main(["solve", "--xw", "0", "--yw", "1", "--zw", "1"]) == 2
 
 
+def test_solve_cycle_far_from_one(capsys):
+    # the 2-cycle runs between u ~ 1e-12 and u ~ 1e12, so residuals are
+    # judged relative to the root's size
+    payload = _run_json(capsys, ["solve", "--xw", "1e-3", "--yw", "1e3",
+                                 "--zw", "1e-3"])
+    assert len(payload["translation_invariant"]["roots"]) == 1
+    per = payload["two_periodic"]
+    assert per["exists"] is True
+    r1, r2 = per["proper_roots"]
+    assert r1 == pytest.approx(1e-12, rel=1e-5)
+    assert r2 == pytest.approx(1e12, rel=1e-5)
+
+
+def test_solve_rejects_weights_out_of_float_range(capsys):
+    for argv in (["--a", "0", "--b", "0", "--c", "1000"],
+                 ["--xw", "1e-300", "--yw", "1", "--zw", "1"],
+                 ["--xw", "1e300", "--yw", "1", "--zw", "1"]):
+        assert main(["solve", *argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_csv_roundtrip(tmp_path, capsys):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({
@@ -147,19 +168,6 @@ def test_sweep_weight_alias(tmp_path, capsys):
     assert rows[0]["two_periodic"] is True
 
 
-def test_sweep_threading_env_is_transparent(tmp_path, capsys, monkeypatch):
-    config = tmp_path / "grid.json"
-    config.write_text(json.dumps({
-        "axes": [{"name": "b", "start": -1.0, "stop": 0.0, "step": 0.25}],
-        "fixed": {"a": 0.0, "c": 0.5},
-    }))
-    assert main(["sweep", "--config", str(config)]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("LAMBDA_TREE_THREADS", "4")
-    assert main(["sweep", "--config", str(config)]) == 0
-    assert capsys.readouterr().out == serial
-
-
 def test_sweep_empty_grid(tmp_path, capsys):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({
@@ -168,6 +176,23 @@ def test_sweep_empty_grid(tmp_path, capsys):
     }))
     assert main(["sweep", "--config", str(config)]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+def test_sweep_grid_cap(tmp_path, capsys):
+    # both grids are refused from their point counts alone
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "axes": [{"name": "c", "start": 0.0, "stop": 1.0, "step": 1e-300}],
+        "fixed": {"a": 0.0, "b": 0.0},
+    }))
+    assert main(["sweep", "--config", str(config)]) == 3
+    config.write_text(json.dumps({
+        "axes": [{"name": "b", "start": 0.0, "stop": 1000.0, "step": 1.0},
+                 {"name": "c", "start": 0.0, "stop": 1000.0, "step": 1.0}],
+        "fixed": {"a": 0.0},
+    }))
+    assert main(["sweep", "--config", str(config)]) == 3
+    assert "points" in capsys.readouterr().err
 
 
 def test_sweep_rejects_mixed_families(tmp_path, capsys):
@@ -222,6 +247,14 @@ def test_measure_with_field_file(tmp_path, capsys):
 def test_measure_capacity(capsys):
     assert main(["measure", "--a", "0", "--b", "0", "--c", "0",
                  "--depth", "5"]) == 3
+
+
+def test_measure_partition_out_of_float_range(capsys):
+    # log Z is about +-2e6: the partition function overflows, or underflows
+    for couplings in (["--a", "0", "--b", "0", "--c", "1"],
+                      ["--a", "-1", "--b", "-1", "--c", "-1"]):
+        assert main(["measure", *couplings, "--beta", "1e6", "--depth", "1"]) == 2
+        assert "partition" in capsys.readouterr().err
 
 
 def test_unknown_command(capsys):

@@ -10,6 +10,7 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                push_forward, ratios_from_fields,
                                vertex_normalizer)
 from lambda_tree.model import LambdaParams
+from lambda_tree.solver import ti_map, weights_from
 from lambda_tree.tree import TreeShape, successors
 
 
@@ -71,6 +72,19 @@ def test_push_forward_fixes_first_component():
     # vanishing couplings keep every ratio at 1
     flat = LambdaParams(0.0, 0.0, 0.0)
     assert push_forward([(1.0, 1.0), (1.0, 1.0)], flat) == (1.0, 1.0)
+
+
+def test_push_forward_on_equal_children_is_ti_map():
+    # the general recursion with two equal children is the translation-
+    # invariant map; the two group their three-term sums differently, so
+    # they agree to a few ulps rather than bit for bit
+    rng = random.Random(13)
+    for _ in range(200):
+        p = LambdaParams(rng.uniform(-2, 2), rng.uniform(-2, 2),
+                         rng.uniform(-2, 2), beta=rng.uniform(0.1, 2.0))
+        u = (math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
+        assert push_forward([u, u], p) == pytest.approx(
+            ti_map(u, weights_from(p)), rel=4e-15)
 
 
 def test_push_forward_rejects_bad_input():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lambda_tree.errors import DegenerateInputError, NonDivisibleError
-from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact, real_roots
+from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
 
 
 def _rand_poly(rng: random.Random, degree: int) -> Poly:
@@ -14,6 +14,15 @@ def _rand_poly(rng: random.Random, degree: int) -> Poly:
     return Poly(tuple(coeffs))
 
 
+def _value(fn: RationalFn, t):
+    def horner(p: Poly):
+        acc = 0
+        for c in reversed(p.coeffs):
+            acc = acc * t + c
+        return acc
+    return horner(fn.num) / horner(fn.den)
+
+
 def test_poly_basics():
     assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
     assert Poly(()).is_zero()
@@ -21,14 +30,11 @@ def test_poly_basics():
     assert Poly(()).degree() == -1
     assert X.coeffs == (0, 1)
     p = Poly((1, 2, 3))
-    assert p(2) == 17
-    assert p.derivative().coeffs == (2, 6)
     assert (-p).coeffs == (-1, -2, -3)
     assert (p - p).is_zero()
     assert (p * Poly(())).is_zero()
     assert (X * X + Poly((1,))).coeffs == (1, 0, 1)
     assert p.scale(2).coeffs == (2, 4, 6)
-    assert p.max_abs() == 3
 
 
 def test_divmod_reconstructs():
@@ -59,30 +65,18 @@ def test_divide_exact_random_products():
         assert divide_exact(a * b, a).coeffs == b.coeffs
 
 
-def test_divide_exact_float_tolerance():
-    noisy = Poly((-1.0 + 1e-12, 0.0, 1.0))
-    q = divide_exact(noisy, Poly((-1.0, 1.0)))
-    assert q(0.5) == pytest.approx(1.5, rel=1e-9)
-    too_noisy = Poly((-1.0 + 1e-6, 0.0, 1.0))
-    with pytest.raises(NonDivisibleError):
-        divide_exact(too_noisy, Poly((-1.0, 1.0)))
-
-
 def test_rational_fn_guards():
     with pytest.raises(DegenerateInputError):
         RationalFn(X, Poly(()))
-    ident = RationalFn.identity()
-    assert ident(Fraction(3, 7)) == Fraction(3, 7)
-    diff = ident - ident
-    assert diff.num.is_zero()
 
 
 def test_compose_with_identity():
+    identity = RationalFn(X, Poly((1,)))
     g = RationalFn(Poly((1, 0, 2)), Poly((3, 1)))
-    left = compose(RationalFn.identity(), g)
+    left = compose(identity, g)
     assert left.num.coeffs == g.num.coeffs
     assert left.den.coeffs == g.den.coeffs
-    right = compose(g, RationalFn.identity())
+    right = compose(g, identity)
     assert right.num.coeffs == g.num.coeffs
     assert right.den.coeffs == g.den.coeffs
 
@@ -102,67 +96,4 @@ def test_compose_evaluates_pointwise():
     fg = compose(f, g)
     for _ in range(10):
         t = rng.uniform(0.1, 4.0)
-        assert fg(t) == pytest.approx(f(g(t)), rel=1e-10)
-
-
-def test_roots_of_factored_quadratic():
-    roots = real_roots(Poly((10, -7, 1)))
-    assert len(roots) == 2
-    assert roots[0][0] == pytest.approx(2.0, abs=1e-9) and roots[0][1] == 1
-    assert roots[1][0] == pytest.approx(5.0, abs=1e-9) and roots[1][1] == 1
-
-
-def test_no_real_roots():
-    assert real_roots(Poly((1, 0, 1))) == []
-
-
-def test_quartic_positive_root():
-    # 3t^4 + 10t^3 + 6t^2 - 1 has exactly one positive real root
-    roots = real_roots(Poly((-1, 0, 6, 10, 3)))
-    positive = [r for r, _ in roots if r > 0]
-    assert len(positive) == 1
-    assert positive[0] == pytest.approx(0.32359155348807621, abs=1e-12)
-
-
-def test_repeated_roots_get_multiplicities():
-    assert_roots = real_roots(Poly((2, -3, 0, 1)))  # (t-1)^2 (t+2)
-    assert [(round(r, 9), m) for r, m in assert_roots] == [(-2.0, 1), (1.0, 2)]
-    triple = real_roots(Poly((-1, 3, -3, 1)))       # (t-1)^3
-    assert len(triple) == 1
-    assert triple[0][0] == pytest.approx(1.0, abs=1e-9)
-    assert triple[0][1] == 3
-
-
-def test_float_near_double_merges():
-    eps = 5e-9
-    p = Poly((1.0 + eps, -(2.0 + eps), 1.0))  # (t-1)(t-1-eps)
-    roots = real_roots(p)
-    assert len(roots) == 1
-    root, mult = roots[0]
-    assert mult == 2
-    assert root == pytest.approx(1.0, abs=1e-6)
-
-
-def test_planted_integer_roots_recovered():
-    rng = random.Random(41)
-    for _ in range(10):
-        planted = rng.sample(range(-6, 7), rng.randint(1, 3))
-        mults = [rng.randint(1, 2) for _ in planted]
-        p = Poly((1,))
-        for r, m in zip(planted, mults):
-            for _ in range(m):
-                p = p * Poly((-r, 1))
-        got = real_roots(p)
-        assert sum(m for _, m in got) == sum(mults) == p.degree()
-        assert len(got) == len(planted)
-        for (r_got, m_got), (r_want, m_want) in zip(
-                got, sorted(zip(planted, mults))):
-            assert r_got == pytest.approx(r_want, abs=1e-7)
-            assert m_got == m_want
-
-
-def test_root_finding_rejects_constants():
-    with pytest.raises(ValueError):
-        real_roots(Poly((5,)))
-    with pytest.raises(ValueError):
-        real_roots(Poly(()))
+        assert _value(fg, t) == pytest.approx(_value(f, _value(g, t)), rel=1e-10)

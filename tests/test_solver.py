@@ -8,10 +8,10 @@ import pytest
 from lambda_tree.errors import DomainError
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
-                                canonical_params, canonical_root_count,
-                                case_identity_check, count_ti_roots, f_map,
-                                periodic_quadratic, sweep, sweep_to_csv,
-                                sweep_to_jsonl, ti_cubic, ti_map,
+                                _quadratic_by_division, canonical_params,
+                                canonical_root_count, case_identity_check,
+                                count_ti_roots, f_map, periodic_quadratic,
+                                sweep, sweep_to_csv, sweep_to_jsonl, ti_map,
                                 ti_thresholds, two_periodic_report,
                                 weights_for_canonical, weights_from)
 
@@ -80,9 +80,10 @@ def test_cubic_roots_are_map_fixed_points():
             u = x * scale
             assert f_map(u, w) == pytest.approx(u, rel=1e-6)
         # and back: reported fixed points satisfy the cubic
-        cubic = ti_cubic(can.a_can, can.b_can)
+        a, b = can.a_can, can.b_can
         for u in count_ti_roots(w).ti_roots:
-            assert abs(cubic(u / scale)) < 1e-7 * max(1.0, cubic.max_abs())
+            x = u / scale
+            assert a * x * (b + x) ** 2 == pytest.approx((1 + x) ** 2, rel=1e-9)
 
 
 def test_thresholds_at_b_ten():
@@ -116,7 +117,8 @@ def test_root_count_regimes():
     assert regime == "three" and len(roots) == 3
 
     roots, regime, _ = canonical_root_count(0.032, 10.0)
-    assert regime == "two" and len(roots) in (1, 2)
+    assert regime == "two" and len(roots) == 2
+    assert roots[1] == 5.0  # the tangency point x2 is the double root
 
     roots, regime, thr = canonical_root_count(0.5, 4.0)
     assert regime == "unique" and thr is None and len(roots) == 1
@@ -197,6 +199,14 @@ def test_equal_edge_weights_two_cycle():
     assert len(fp.ti_roots) == 1
 
 
+def test_periodic_quadratic_closed_form_is_the_quotient():
+    # the runtime closed form against the exact division it replaces
+    rng = random.Random(0)
+    for _ in range(200):
+        w = BoltzmannWeights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
+        assert periodic_quadratic(w) == _quadratic_by_division(w)
+
+
 def test_equal_edge_weights_degenerate_at_one():
     # xw = zw = 1 collapses the discriminant to exactly zero
     a, b, c = periodic_quadratic(BoltzmannWeights(1.0, 1.0, 1.0))
@@ -209,6 +219,70 @@ def test_shifted_edge_weights_never_cycle():
     a, b, c = periodic_quadratic(w)
     assert b * b - 4 * a * c == Fraction(-175)
     assert not two_periodic_report(w).two_periodic_exists
+
+
+def _exact_ti_count(w: BoltzmannWeights) -> int:
+    """Distinct positive roots of u*(yw*u + xw + zw)^2 - (xw*u + 2*yw)^2,
+    counted by Sturm's theorem in exact rationals."""
+    x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
+    s = x + z
+    p = [-4 * y * y, s * s - 4 * x * y, 2 * y * s - x * x, y * y]  # ascending
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        rem, den = list(chain[-2]), chain[-1]
+        while len(rem) >= len(den):
+            t = rem[-1] / den[-1]
+            for i, c in enumerate(den):
+                rem[len(rem) - len(den) + i] -= t * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(values) -> int:
+        signs = [v > 0 for v in values if v != 0]
+        return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+
+    return variations(q[0] for q in chain) - variations(q[-1] for q in chain)
+
+
+def test_log_uniform_weights_fuzz():
+    # regime and root count against an exact count, over twelve e-folds of
+    # each weight; the three fixed points were misjudged by absolute
+    # tolerances and the float Sturm chain (regime "two" with three roots,
+    # no root found, a false 2-periodic residual failure)
+    rng = random.Random(0)
+    points = [(7.522, 0.002513, 0.9258), (0.00255, 48.08, 1.405),
+              (1e-3, 1e3, 1e-3)]
+    points += [tuple(math.exp(rng.uniform(-12, 12)) for _ in range(3))
+               for _ in range(1000)]
+    regimes = {1: "unique", 2: "two", 3: "three"}
+    for point in points:
+        w = BoltzmannWeights(*point)
+        report = count_ti_roots(w)
+        two_periodic_report(w)
+        count = _exact_ti_count(w)
+        assert len(report.ti_roots) == count, point
+        assert report.regime == regimes[count], point
+
+
+def test_out_of_float_range_is_a_domain_error():
+    with pytest.raises(DomainError):
+        weights_from(LambdaParams(0.0, 0.0, 1000.0))
+    for w in ((1e-300, 1.0, 1.0), (1e300, 1.0, 1.0)):
+        with pytest.raises(DomainError):
+            canonical_params(BoltzmannWeights(*w))
+    with pytest.raises(DomainError):
+        ti_thresholds(1e200)
+    with pytest.raises(DomainError):  # A is about 9e400
+        two_periodic_report(BoltzmannWeights(1e100, 1e100, 1e100))
+    # A, B, C and D underflow a float here, yet the roots come out
+    report = two_periodic_report(
+        BoltzmannWeights(4.5093636089681495e-91, 5.811444690637966e-88,
+                         1.130011808956121e-123))
+    assert report.quad[0] == 0.0
 
 
 def test_case_identity_audit():
@@ -272,13 +346,6 @@ def test_sweep_accepts_raw_weights():
     row = sweep([BoltzmannWeights(0.2, 1.0, 0.2)])[0]
     assert row.a is None and row.beta is None
     assert row.two_periodic and row.phase_transition
-
-
-def test_sweep_threading_preserves_order():
-    points = [LambdaParams(0.0, 0.0, 0.1 * i) for i in range(8)]
-    serial = sweep(points, threads=1)
-    parallel = sweep(points, threads=4)
-    assert serial == parallel
 
 
 def test_sweep_csv_and_jsonl_layout():
