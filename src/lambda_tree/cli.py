@@ -6,6 +6,7 @@ significant digits so reruns diff cleanly.
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -335,10 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so one instance serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -11,10 +11,10 @@ in its multiplicative form.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, product
 
 from .errors import CapacityError, DomainError
-from .model import Configuration, LambdaParams, coupling_value
+from .model import LambdaParams, coupling_value
 from .tree import TreeCoord, TreeShape, successors
 
 _MAX_STATES = 3 ** 13
@@ -65,8 +65,10 @@ class FieldRatios:
 
 @dataclass(frozen=True)
 class FiniteVolumeMeasure:
+    """Probabilities keyed by spin tuples in the canonical vertex order."""
+
     n: int
-    probabilities: dict[Configuration, float]
+    probabilities: dict[tuple[int, ...], float]
     partition: float
 
 
@@ -86,13 +88,14 @@ def boltzmann_matrix(p: LambdaParams, q: int) -> tuple[tuple[float, ...], ...]:
                  for i in range(1, q + 1))
 
 
-def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
-                          h: BoundaryFields) -> FiniteVolumeMeasure:
-    """Exact enumeration of the boundary-field distribution on V_depth.
+def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
+                 field_at) -> list[float]:
+    """beta*H + sum over W_depth of field_at(x)[spin] for each configuration
+    of V_depth, in product order over the canonical vertex order.
 
-    Weights are direct products exp{beta*H + field sum}; a common log
-    shift is applied only if that would overflow or underflow. A partition
-    function outside the float range raises DomainError.
+    Prefixes grow one vertex at a time, yet each state sees a per-state
+    loop's additions in its order (edges by child index, times beta, then
+    fields by vertex index), so the floats are the same as that loop's.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -102,22 +105,33 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
         raise CapacityError(
             f"{q}^{nverts} = {states} states exceeds the enumeration bound {_MAX_STATES}")
 
+    def by_spin(values, v: int, length: int):
+        # values[spin of vertex v] for each configuration of `length` vertices
+        stride = q ** (length - 1 - v)
+        return cycle([x for x in values for _ in range(stride)])
+
     lam = [[coupling_value(i, j, p) for j in range(1, q + 1)]
            for i in range(1, q + 1)]
-    edge_ix = [(shape.index_of(x), shape.index_of(y)) for x, y in shape.edges()]
-    boundary = [(shape.index_of(x), h.at(x)) for x in shape.level_vertices(shape.depth)]
+    energies = [0.0] * q
+    for j, x in enumerate(shape.vertices()[1:], start=1):
+        rows = by_spin(lam, shape.index_of(x.parent()), j)
+        energies = [e + c for e, row in zip(energies, rows) for c in row]
+    log_weights = [p.beta * e for e in energies]
+    for x in shape.level_vertices(shape.depth):
+        hs = by_spin(field_at(x), shape.index_of(x), nverts)
+        log_weights = [lw + hv for lw, hv in zip(log_weights, hs)]
+    return log_weights
 
-    beta = p.beta
-    log_weights = []
-    for spins in product(range(1, q + 1), repeat=nverts):
-        energy = 0.0
-        for i, j in edge_ix:
-            energy += lam[spins[i] - 1][spins[j] - 1]
-        lw = beta * energy
-        for i, hv in boundary:
-            lw += hv[spins[i] - 1]
-        log_weights.append(lw)
 
+def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
+                          h: BoundaryFields) -> FiniteVolumeMeasure:
+    """Exact enumeration of the boundary-field distribution on V_depth.
+
+    Weights are direct products exp{beta*H + field sum}; a common log
+    shift is applied only if that would overflow or underflow. A partition
+    function outside the float range raises DomainError.
+    """
+    log_weights = _log_weights(p, q, shape, h.at)
     peak = max(log_weights)
     shift = peak if abs(peak) > _OVERFLOW_LOG else 0.0
     weights = [math.exp(lw - shift) for lw in log_weights]
@@ -129,31 +143,50 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
     if not 0.0 < partition < math.inf:
         raise DomainError(f"the partition function is out of float range: "
                           f"log Z = {shift + math.log(total):.15g}")
-    probabilities = {}
-    for spins, w in zip(product(range(1, q + 1), repeat=nverts), weights):
-        probabilities[Configuration(shape, spins)] = w / total
+    configurations = product(range(1, q + 1), repeat=shape.vertex_count())
+    probabilities = {spins: w / total for spins, w in zip(configurations, weights)}
     return FiniteVolumeMeasure(shape.depth, probabilities, partition)
+
+
+def _normalized(log_weights: list[float]) -> list[float]:
+    """Probabilities from log weights shifted by their peak, so that the
+    partition function itself need not fit a float."""
+    peak = max(log_weights)
+    weights = [math.exp(lw - peak) for lw in log_weights]
+    total = math.fsum(weights)
+    if not 1.0 <= total < math.inf:
+        raise DomainError("a log weight is NaN or +inf: a boundary field is "
+                          "NaN or +inf, or a sum of fields leaves the float range")
+    return [w / total for w in weights]
 
 
 def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
                   tol: float = 1e-10) -> ConsistencyReport:
     """Marginalize the depth-n measure over its last level and compare with
-    the depth-(n-1) measure built from the same field assignment."""
+    the depth-(n-1) measure built from the same field assignment.
+
+    The marginal is itself a depth-(n-1) measure, with fields on W_{n-1}
+    g_x(s) = sum over y in S(x) of log sum_t exp(beta*lam(s,t) + h_{t,y}),
+    so both sides enumerate only the q^|V_{n-1}| states of V_{n-1}.
+    """
     if shape.depth < 1:
         raise ValueError("consistency needs depth >= 1")
-    outer = finite_volume_measure(p, q, shape, h)
-    inner_shape = TreeShape(shape.k, shape.depth - 1)
-    inner = finite_volume_measure(p, q, inner_shape, h)
+    blam = [[p.beta * coupling_value(s, t, p) for t in range(1, q + 1)]
+            for s in range(1, q + 1)]
 
-    inner_count = inner_shape.vertex_count()
-    marginal: dict[tuple[int, ...], float] = {}
-    for cfg, prob in outer.probabilities.items():
-        key = cfg.spins[:inner_count]
-        marginal[key] = marginal.get(key, 0.0) + prob
+    def logsumexp(terms: list[float]) -> float:
+        top = max(terms)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
-    worst = 0.0
-    for cfg, prob in inner.probabilities.items():
-        worst = max(worst, abs(marginal.get(cfg.spins, 0.0) - prob))
+    def folded(x: TreeCoord) -> tuple[float, ...]:
+        children = [h.at(y) for y in successors(x, shape)]
+        return tuple(sum(logsumexp([b + hv for b, hv in zip(row, hy)]) for hy in children)
+                     for row in blam)
+
+    inner = TreeShape(shape.k, shape.depth - 1)
+    own = _normalized(_log_weights(p, q, inner, h.at))
+    marginal = _normalized(_log_weights(p, q, inner, folded))
+    worst = max(abs(a - b) for a, b in zip(marginal, own))
     return ConsistencyReport(worst <= tol, worst)
 
 
@@ -230,7 +263,7 @@ def vertex_normalizer(own_field: tuple[float, ...],
 
 def measure_to_csv(measure: FiniteVolumeMeasure) -> str:
     """CSV rows (configuration digit string, probability), canonical order."""
-    lines = ["configuration,probability"]
-    for cfg in sorted(measure.probabilities, key=lambda c: c.spins):
-        lines.append(f"{cfg},{format(measure.probabilities[cfg], '.15g')}")
-    return "\n".join(lines) + "\n"
+    rows = sorted(measure.probabilities.items())
+    row = "%d" * len(rows[0][0]) + ",%.15g\n"
+    return "configuration,probability\n" + "".join(
+        [row % (*spins, prob) for spins, prob in rows])

@@ -217,9 +217,40 @@ def test_consistency_pass_and_perturb(capsys):
 
 
 def test_consistency_depth_capacity(capsys):
+    # depth 4 would enumerate the 3^15 states of V_3
     assert main(["consistency", "--a", "0", "--b", "0", "--c", "0",
-                 "--depth", "3"]) == 3
+                 "--depth", "4"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_consistency_depth_three(capsys):
+    # enumerates the 3^7 states of V_2, twice
+    argv = ["consistency", "--a", "0.5", "--b", "-0.3", "--c", "1.2",
+            "--depth", "3"]
+    payload = _run_json(capsys, argv)
+    assert payload["pass"] is True
+    assert payload["max_deviation"] < 1e-10
+    payload = _run_json(capsys, argv + ["--perturb", "0.5"])
+    assert payload["pass"] is False
+    assert payload["max_deviation"] > 1e-3
+
+
+def test_consistency_verdict_when_partition_overflows(capsys):
+    # the perturbed field alone puts Z past the float range; the verdict
+    # needs only normalized probabilities
+    payload = _run_json(capsys, ["consistency", "--a", "0.5", "--b", "-0.3",
+                                 "--c", "1.2", "--perturb", "800"])
+    assert payload["pass"] is False
+    assert payload["max_deviation"] > 0.1
+
+
+def test_consistency_rejects_non_finite_fields(capsys):
+    for bump in ("nan", "inf"):
+        assert main(["consistency", "--a", "0.5", "--b", "-0.3", "--c", "1.2",
+                     "--perturb", bump]) == 2
+        captured = capsys.readouterr()
+        assert "NaN or +inf" in captured.err
+        assert captured.out == ""
 
 
 def test_measure_stdout(capsys):

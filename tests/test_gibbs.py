@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -9,9 +10,74 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                is_consistent, measure_to_csv, propagate_ratios,
                                push_forward, ratios_from_fields,
                                vertex_normalizer)
-from lambda_tree.model import LambdaParams
+from lambda_tree.model import LambdaParams, coupling_value
 from lambda_tree.solver import ti_map, weights_from
 from lambda_tree.tree import TreeShape, successors
+
+# shapes (k, depth) and spin counts q whose full q^|V_depth| enumeration
+# stays within 2^15 states, small enough for the per-state oracle below
+_ORACLE_CASES = [(k, depth, q) for k, depth, q in product((2, 3), (1, 2, 3), (2, 3, 4))
+                 if q ** TreeShape(k, depth).vertex_count() <= 2 ** 15]
+
+
+def _per_state_measure(p, q, shape, h):
+    """Oracle: one pass per state, edge terms by child index, then beta, then
+    the last level's fields; probabilities keyed by spin tuples."""
+    lam = [[coupling_value(i, j, p) for j in range(1, q + 1)]
+           for i in range(1, q + 1)]
+    edge_ix = [(shape.index_of(x), shape.index_of(y)) for x, y in shape.edges()]
+    boundary = [(shape.index_of(x), h.at(x)) for x in shape.level_vertices(shape.depth)]
+    configurations = list(product(range(1, q + 1), repeat=shape.vertex_count()))
+    log_weights = []
+    for spins in configurations:
+        energy = 0.0
+        for i, j in edge_ix:
+            energy += lam[spins[i] - 1][spins[j] - 1]
+        lw = p.beta * energy
+        for i, hv in boundary:
+            lw += hv[spins[i] - 1]
+        log_weights.append(lw)
+    peak = max(log_weights)
+    shift = peak if abs(peak) > 700.0 else 0.0
+    weights = [math.exp(lw - shift) for lw in log_weights]
+    total = math.fsum(weights)
+    probabilities = {s: w / total for s, w in zip(configurations, weights)}
+    return probabilities, total * math.exp(shift)
+
+
+def _marginalized_deviation(p, q, shape, h):
+    """Oracle: sum the depth-n measure over its last level and take the
+    largest gap to the depth-(n-1) measure."""
+    outer, _ = _per_state_measure(p, q, shape, h)
+    inner_shape = TreeShape(shape.k, shape.depth - 1)
+    inner, _ = _per_state_measure(p, q, inner_shape, h)
+    marginal = {}
+    for spins, prob in outer.items():
+        key = spins[:inner_shape.vertex_count()]
+        marginal[key] = marginal.get(key, 0.0) + prob
+    return max(abs(marginal[spins] - prob) for spins, prob in inner.items())
+
+
+def _oracle_inputs(seed: int):
+    """Per oracle case: params and recursion-built fields from log-uniform
+    leaf ratios, plus a copy with one field on W_{n-1} moved."""
+    rng = random.Random(seed)
+    for k, depth, q in _ORACLE_CASES:
+        shape = TreeShape(k, depth)
+        for _ in range(2):
+            p = LambdaParams(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                             rng.uniform(-1, 1), beta=rng.uniform(0.25, 2.0))
+            leaf = FieldRatios(q, {v: tuple(math.exp(rng.uniform(-3, 3))
+                                            for _ in range(q - 1))
+                                   for v in shape.level_vertices(depth)})
+            h = fields_from_ratios(propagate_ratios(leaf, shape, p, q),
+                                   gauge=rng.uniform(-2, 2))
+            fields = dict(h.fields)
+            x = rng.choice(shape.level_vertices(depth - 1))
+            vec = list(fields[x])
+            vec[rng.randrange(q)] += math.exp(rng.uniform(-6, 1))
+            fields[x] = tuple(vec)
+            yield p, q, shape, h, BoundaryFields(q, fields)
 
 
 def _zero_fields(shape: TreeShape, q: int = 3) -> BoundaryFields:
@@ -34,8 +100,8 @@ def test_diagonal_coupling_favours_agreement():
     p = LambdaParams(0.0, 0.0, 1.0)
     shape = TreeShape(2, 1)
     mu = finite_volume_measure(p, 3, shape, _zero_fields(shape))
-    hit = sum(prob for cfg, prob in mu.probabilities.items()
-              if len(set(cfg.spins)) == 1)
+    hit = sum(prob for spins, prob in mu.probabilities.items()
+              if len(set(spins)) == 1)
     e = math.e
     assert hit == pytest.approx(3 * e ** 2 / (3 * e ** 2 + 12 * e + 12),
                                 rel=1e-12)
@@ -210,3 +276,30 @@ def test_measure_csv_layout():
     assert keys == sorted(keys)
     total = math.fsum(float(row.split(",")[1]) for row in lines[1:])
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_measure_matches_per_state_oracle():
+    # the prefix enumeration adds in the per-state loop's order, so the
+    # probabilities and the partition function agree bit for bit
+    cases = [(p, q, shape, h) for p, q, shape, h, _ in _oracle_inputs(21)]
+    # peak log weights of about +705 and -720 take the shifted branch
+    shape = TreeShape(2, 1)
+    for pair in ((352.5, 352.0), (-360.0, -361.0)):
+        cases.append((LambdaParams(0.3, -0.2, 0.1), 2, shape,
+                      BoundaryFields(2, {v: pair for v in shape.level_vertices(1)})))
+    for p, q, shape, h in cases:
+        mu = finite_volume_measure(p, q, shape, h)
+        probabilities, partition = _per_state_measure(p, q, shape, h)
+        assert mu.probabilities == probabilities
+        assert list(mu.probabilities) == list(probabilities)
+        assert mu.partition == partition
+
+
+def test_consistency_matches_marginalization_oracle():
+    for p, q, shape, h, bent in _oracle_inputs(22):
+        for fields, passes in ((h, True), (bent, False)):
+            report = is_consistent(p, q, shape, fields)
+            expected = _marginalized_deviation(p, q, shape, fields)
+            assert report.passed is passes
+            assert (expected <= 1e-10) is passes
+            assert abs(report.max_deviation - expected) <= 1e-12
