@@ -6,31 +6,25 @@ measures with their level recursion, and fixed-point phase analysis
 the invariant line of the ratio recursion.
 """
 
-from .errors import (ArityError, CapacityError, DegenerateInputError,
-                     DepthExceededError, DomainError, InternalConsistencyError,
-                     InvalidPeriodError, LambdaTreeError, MissingSpinError,
-                     NonDivisibleError, ShapeMismatchError,
-                     UnderspecifiedSequenceError, UnsupportedRegionError)
-from .tree import ROOT, TreeCoord, TreeShape, balls, concat, distance_mod, successors
+from .errors import (CapacityError, DomainError, InternalConsistencyError,
+                     LambdaTreeError)
+from .tree import ROOT, TreeCoord, TreeShape, balls, successors
 from .model import (Configuration, LambdaParams, RegionReport, SPINS,
                     ball_energy, ball_energy_catalogue, classify_region,
-                    coupling_value, hamiltonian, lambda_value, min_ball_energy,
-                    relative_hamiltonian)
+                    coupling_value, hamiltonian, lambda_value, min_ball_energy)
 from .ground import (FamilyDescriptor, GroundStateCatalog, LevelSequence,
                      REPRESENTATIVE_PARAMS, brute_force_minima, generators_for,
-                     is_ground_state, realize, sample_family)
+                     is_ground_state, realize, sample_family, verify_generators)
 from .gibbs import (BoundaryFields, ConsistencyReport, FieldRatios,
-                    FiniteVolumeMeasure, boltzmann_matrix, fields_from_ratios,
-                    finite_volume_measure, is_consistent, measure_to_csv,
-                    propagate_ratios, push_forward, ratios_from_fields,
+                    FiniteVolumeMeasure, boltzmann_matrix, check_enumerable,
+                    fields_from_ratios, finite_volume_measure, is_consistent,
+                    measure_to_csv, propagate_ratios, push_forward,
                     vertex_normalizer)
-from .poly import Poly, RationalFn, X, compose, divide_exact
 from .solver import (BoltzmannWeights, CanonicalParams, CaseIdentityReport,
                      FixedPointReport, PeriodicReport, SweepRow,
                      canonical_params, canonical_root_count, case_identity_check,
                      count_ti_roots, f_map, periodic_quadratic, sweep,
-                     sweep_to_csv, sweep_to_jsonl, ti_map,
-                     ti_thresholds, two_periodic_report, weights_for_canonical,
-                     weights_from)
+                     sweep_to_csv, sweep_to_jsonl, ti_thresholds,
+                     two_periodic_report, weights_from)
 
 __version__ = "0.1.0"

@@ -10,14 +10,15 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 
 from .errors import CapacityError, InternalConsistencyError, LambdaTreeError
 from .ground import (REPRESENTATIVE_PARAMS, generators_for, is_ground_state,
-                     realize, sample_family)
-from .gibbs import (BoundaryFields, FieldRatios, fields_from_ratios,
-                    finite_volume_measure, is_consistent, measure_to_csv,
-                    propagate_ratios)
+                     sample_family, verify_generators)
+from .gibbs import (BoundaryFields, FieldRatios, check_enumerable,
+                    fields_from_ratios, finite_volume_measure, is_consistent,
+                    measure_to_csv, propagate_ratios)
 from .model import LambdaParams, classify_region
 from .solver import (BoltzmannWeights, INVARIANT_LINE_NOTE, canonical_params,
                      count_ti_roots, sweep, sweep_to_csv, sweep_to_jsonl,
@@ -94,8 +95,8 @@ def cmd_ground(args) -> int:
         depth = args.depth if args.depth is not None else catalog.verified_depth
         entry = catalog.to_json()
         entry["generators"] = []
-        for g in catalog.generators:
-            ok, witness = is_ground_state(realize(g, depth), params, tol=args.tol)
+        verdicts = verify_generators(catalog.generators, params, depth, args.tol)
+        for g, (ok, witness) in zip(catalog.generators, verdicts):
             entry["generators"].append({
                 "period": g.period, "entries": list(g.entries),
                 "ground_state": ok,
@@ -231,6 +232,8 @@ def cmd_consistency(args) -> int:
     p = _params_from_args(args)
     shape = TreeShape(args.k, args.depth)
     q = args.q
+    # is_consistent enumerates V_{depth-1}; refuse before any field is built
+    check_enumerable(q, TreeShape(shape.k, max(0, shape.depth - 1)))
     rng = random.Random(args.seed)
     leaf = FieldRatios(q, {x: tuple(math.exp(rng.uniform(-1.0, 1.0))
                                     for _ in range(q - 1))
@@ -253,6 +256,7 @@ def cmd_measure(args) -> int:
     p = _params_from_args(args)
     shape = TreeShape(args.k, args.depth)
     q = args.q
+    check_enumerable(q, shape)
     if args.fields:
         with open(args.fields) as fh:
             raw = json.load(fh)
@@ -276,8 +280,21 @@ def _add_param_flags(sp, with_weights: bool = False) -> None:
         sp.add_argument("--zw", type=float, default=None, help="edge weight exp(beta*a)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3, -inf and -nan as option values.
+
+    argparse takes a token that starts with '-' for an option unless it
+    looks like -12 or -1.5; this CLI has no option that starts with a
+    digit, '.', 'inf' or 'nan', so such tokens are always values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lambda-tree",
         description="Three-spin interactions on the rooted binary tree: "
                     "regions, ground states, boundary-field measures, and "

@@ -1,36 +1,13 @@
-"""Typed exceptions shared across the package."""
+"""Typed exceptions shared across the package, one per CLI exit code.
+
+Bad input raises ValueError or its subclass DomainError (exit 2); the
+command line also maps CapacityError to exit 3 and
+InternalConsistencyError to exit 4.
+"""
 
 
 class LambdaTreeError(Exception):
     """Base class for all package-specific errors."""
-
-
-class DepthExceededError(LambdaTreeError):
-    """Operation needs vertices beyond the materialized depth."""
-
-
-class InvalidPeriodError(LambdaTreeError, ValueError):
-    """Periodicity index must be at least 2."""
-
-
-class MissingSpinError(LambdaTreeError):
-    """Configuration does not assign a spin to every vertex of its truncation."""
-
-
-class ShapeMismatchError(LambdaTreeError):
-    """Two configurations live on different truncations."""
-
-
-class ArityError(LambdaTreeError):
-    """Wrong number of child spins for a ball."""
-
-
-class UnderspecifiedSequenceError(LambdaTreeError):
-    """Aperiodic level sequence is too short for the requested depth."""
-
-
-class UnsupportedRegionError(LambdaTreeError):
-    """Region has no uncountable ground-state family to sample from."""
 
 
 class CapacityError(LambdaTreeError):
@@ -39,14 +16,6 @@ class CapacityError(LambdaTreeError):
 
 class DomainError(LambdaTreeError, ValueError):
     """Argument outside the mathematical domain (e.g. a nonpositive ratio)."""
-
-
-class NonDivisibleError(LambdaTreeError):
-    """Polynomial division left a remainder where none was expected."""
-
-
-class DegenerateInputError(LambdaTreeError):
-    """Rational-function operation produced a zero denominator."""
 
 
 class InternalConsistencyError(LambdaTreeError):

@@ -88,6 +88,20 @@ def boltzmann_matrix(p: LambdaParams, q: int) -> tuple[tuple[float, ...], ...]:
                  for i in range(1, q + 1))
 
 
+def check_enumerable(q: int, shape: TreeShape) -> None:
+    """Raise unless q >= 2 and the q^|V_depth| configurations of the shape
+    are within the enumeration bound; cheap at any depth and k."""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    # q >= 2 and 2^21 > 3^13, so past 20 vertices the bound fails; depth
+    # and k are compared first, so k^depth and q^|V| stay small
+    most = _MAX_STATES.bit_length() - 1
+    if (shape.depth > most or (shape.depth and shape.k > most)
+            or shape.vertex_count() > most or q ** shape.vertex_count() > _MAX_STATES):
+        raise CapacityError(f"{q}^|V_{shape.depth}| states at k = {shape.k} "
+                            f"exceed the enumeration bound 3^13 = {_MAX_STATES}")
+
+
 def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
                  field_at) -> list[float]:
     """beta*H + sum over W_depth of field_at(x)[spin] for each configuration
@@ -97,13 +111,8 @@ def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
     loop's additions in its order (edges by child index, times beta, then
     fields by vertex index), so the floats are the same as that loop's.
     """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_enumerable(q, shape)
     nverts = shape.vertex_count()
-    states = q ** nverts
-    if states > _MAX_STATES:
-        raise CapacityError(
-            f"{q}^{nverts} = {states} states exceeds the enumeration bound {_MAX_STATES}")
 
     def by_spin(values, v: int, length: int):
         # values[spin of vertex v] for each configuration of `length` vertices
@@ -113,12 +122,13 @@ def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
     lam = [[coupling_value(i, j, p) for j in range(1, q + 1)]
            for i in range(1, q + 1)]
     energies = [0.0] * q
-    for j, x in enumerate(shape.vertices()[1:], start=1):
-        rows = by_spin(lam, shape.index_of(x.parent()), j)
+    for parent, child in shape.edges():
+        rows = by_spin(lam, parent, child)
         energies = [e + c for e, row in zip(energies, rows) for c in row]
     log_weights = [p.beta * e for e in energies]
-    for x in shape.level_vertices(shape.depth):
-        hs = by_spin(field_at(x), shape.index_of(x), nverts)
+    for v, x in zip(shape.level_positions(shape.depth),
+                    shape.level_vertices(shape.depth)):
+        hs = by_spin(field_at(x), v, nverts)
         log_weights = [lw + hv for lw, hv in zip(log_weights, hs)]
     return log_weights
 
@@ -223,13 +233,6 @@ def fields_from_ratios(u: FieldRatios, gauge: float = 0.0) -> BoundaryFields:
     fields = {x: tuple(math.log(c) + gauge for c in v) + (gauge,)
               for x, v in u.ratios.items()}
     return BoundaryFields(u.q, fields)
-
-
-def ratios_from_fields(h: BoundaryFields) -> FieldRatios:
-    """u_{k,x} = exp(h_{k,x} - h_{q,x})."""
-    ratios = {x: tuple(math.exp(v[k] - v[-1]) for k in range(len(v) - 1))
-              for x, v in h.fields.items()}
-    return FieldRatios(h.q, ratios)
 
 
 def propagate_ratios(leaf: FieldRatios, shape: TreeShape, p: LambdaParams,

@@ -13,13 +13,13 @@ import random
 from itertools import product
 from dataclasses import dataclass
 
-from .errors import (CapacityError, UnderspecifiedSequenceError,
-                     UnsupportedRegionError, InternalConsistencyError)
+from .errors import CapacityError, InternalConsistencyError
 from .model import (SPINS, Configuration, LambdaParams, ball_energy,
                     min_ball_energy)
 from .tree import TreeCoord, TreeShape, balls
 
 _BRUTE_FORCE_MAX_DEPTH = 2  # 3^7 = 2187 at depth 2; depth 3 would be 3^15
+_MAX_SPINS = 2 ** 20  # spins realized by one catalog, one family draw or one realize
 
 # one coupling triple per region making its catalogue entry minimal
 REPRESENTATIVE_PARAMS: dict[str, LambdaParams] = {
@@ -52,7 +52,7 @@ class LevelSequence:
         if self.period is not None:
             return self.entries[level % self.period]
         if level >= len(self.entries):
-            raise UnderspecifiedSequenceError(
+            raise ValueError(
                 f"aperiodic sequence of length {len(self.entries)} "
                 f"has no value at level {level}")
         return self.entries[level]
@@ -88,9 +88,22 @@ class GroundStateCatalog:
         }
 
 
-def realize(seq: LevelSequence, depth: int, k: int = 2) -> Configuration:
-    """Level-constant configuration with seq's value on each level."""
-    shape = TreeShape(k, depth)
+def _check_spins(depth: int, configurations: int = 1) -> None:
+    """CapacityError unless realizing that many configurations of the
+    given depth (k = 2) stays within _MAX_SPINS spins; the depth is
+    compared first, so 2^depth is never expanded past the bound."""
+    if depth >= _MAX_SPINS.bit_length() or \
+            configurations * (2 ** (depth + 1) - 1) > _MAX_SPINS:
+        raise CapacityError(
+            f"{configurations} configuration(s) of depth {depth} would realize "
+            f"more than {_MAX_SPINS} spins")
+
+
+def realize(seq: LevelSequence, depth: int) -> Configuration:
+    """Level-constant configuration on the binary truncation with seq's
+    value on each level."""
+    _check_spins(depth)
+    shape = TreeShape(2, depth)
     spins = []
     for m in range(depth + 1):
         spins.extend([seq.value_at(m)] * shape.level_size(m))
@@ -102,11 +115,11 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     """Check every ball attains the minimal energy; on failure return the
     first offending ball center as witness."""
     floor = min_ball_energy(p)
-    for center, members in balls(sigma.shape):
-        u = ball_energy(sigma.spin_at(center),
-                        (sigma.spin_at(members[1]), sigma.spin_at(members[2])), p)
+    spins = sigma.spins
+    for center, children in balls(sigma.shape):
+        u = ball_energy(spins[center], [spins[c] for c in children], p)
         if u > floor + tol:
-            return False, center
+            return False, sigma.shape.vertices()[center]
     return True, None
 
 
@@ -138,45 +151,52 @@ def generators_for(region: str, max_period: int = 7) -> GroundStateCatalog:
     appear there, since inside A4 every parent/child pair must sit at
     spin distance one, which flips the spin's parity level by level and
     so cannot close an odd cycle. Every generator is re-verified
-    per-ball at the region's representative coupling.
+    per-ball at the region's representative coupling, one level past the
+    longest period; a catalog that would realize more than _MAX_SPINS
+    spins for that raises CapacityError before any generator is built.
     """
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
-    generators: list[LevelSequence] = []
+    if region not in REPRESENTATIVE_PARAMS:
+        raise ValueError(f"unknown region {region!r}")
+    periods = {"A2": range(2, max_period + 1), "A3": range(2, max_period + 1),
+               "A4": range(4, max_period + 1, 6),  # the even 3n+1
+               "A5": range(2, max_period + 1)}.get(region, range(0))
+    depth = max(3, periods[-1] + 1) if periods else 3
+    _check_spins(depth)
+
     families: list[FamilyDescriptor] = []
     constants = [LevelSequence((s,), period=1) for s in SPINS]
     if region == "A1":
         generators = [LevelSequence((1, 3), period=2),
                       LevelSequence((3, 1), period=2)]
     elif region == "A2":
-        generators = [_one_then_alternating(p)
-                      for p in range(2, max_period + 1)]
+        generators = [_one_then_alternating(n) for n in periods]
         families = [_FAMILY_123]
     elif region == "A3":
-        generators = constants + [_one_then_constant(p, 3)
-                                  for p in range(2, max_period + 1)]
+        generators = constants + [_one_then_constant(n, 3) for n in periods]
     elif region == "A4":
-        generators = [_one_then_alternating(3 * n + 1)
-                      for n in range(1, (max_period - 1) // 3 + 1)
-                      if (3 * n + 1) % 2 == 0]
+        generators = [_one_then_alternating(n) for n in periods]
     elif region == "A5":
-        generators = constants + [_one_then_constant(p, 2)
-                                  for p in range(2, max_period + 1)]
+        generators = constants + [_one_then_constant(n, 2) for n in periods]
         families = [_FAMILY_23]
-    elif region == "A6":
-        generators = constants
     else:
-        raise ValueError(f"unknown region {region!r}")
+        generators = constants
 
-    p = REPRESENTATIVE_PARAMS[region]
-    depth = max(3, max((g.period or len(g.entries)) for g in generators) + 1) \
-        if generators else 3
-    for g in generators:
-        ok, witness = is_ground_state(realize(g, depth), p)
+    verdicts = verify_generators(generators, REPRESENTATIVE_PARAMS[region], depth)
+    for g, (ok, witness) in zip(generators, verdicts):
         if not ok:
             raise InternalConsistencyError(
                 f"catalog generator {g.entries} fails at ball {witness} in {region}")
     return GroundStateCatalog(region, tuple(generators), tuple(families), depth)
+
+
+def verify_generators(generators, p: LambdaParams, depth: int,
+                      tol: float = 0.0) -> list[tuple[bool, TreeCoord | None]]:
+    """is_ground_state of each generator realized to the given depth; all
+    of them together may realize at most _MAX_SPINS spins."""
+    _check_spins(depth, len(generators))
+    return [is_ground_state(realize(g, depth), p, tol) for g in generators]
 
 
 def _family_sequences(region: str, depth: int):
@@ -190,7 +210,7 @@ def _family_sequences(region: str, depth: int):
         def options(prev: int) -> tuple[int, ...]:
             return (2, 3)
         return 2, options
-    raise UnsupportedRegionError(
+    raise ValueError(
         f"region {region} has no uncountable family to sample")
 
 
@@ -198,11 +218,14 @@ def sample_family(region: str, count: int, seed: int,
                   depth: int) -> list[Configuration]:
     """Draw distinct members of a region's uncountable family, realized to
     the given depth. Only A2 and A5 qualify. If fewer than count distinct
-    sequences exist up to this depth (there are 2^depth), all are returned."""
+    sequences exist up to this depth (there are 2^depth), all are returned.
+    The draw may realize at most _MAX_SPINS spins in all."""
     if count < 0:
         raise ValueError("count must be >= 0")
     anchor, options = _family_sequences(region, depth)
+    _check_spins(depth)  # bounds the depth before 2^depth is formed
     space = 2 ** depth
+    _check_spins(depth, min(count, space))
     seen: set[tuple[int, ...]] = set()
     if count >= space:
         for tail in product((0, 1), repeat=depth):
@@ -229,9 +252,7 @@ def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
         raise CapacityError(
             f"brute force capped at depth {_BRUTE_FORCE_MAX_DEPTH}, got {depth}")
     shape = TreeShape(2, depth)
-    ball_ix = [(shape.index_of(center), shape.index_of(members[1]),
-                shape.index_of(members[2]))
-               for center, members in balls(shape)]
+    ball_ix = [(center, a, b) for center, (a, b) in balls(shape)]
     floor = min_ball_energy(p)
     out: set[Configuration] = set()
     for spins in product(SPINS, repeat=shape.vertex_count()):

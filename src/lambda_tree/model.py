@@ -18,8 +18,7 @@ b = c <= a. On boundaries several regions are active at once.
 import math
 from dataclasses import dataclass
 
-from .errors import MissingSpinError, ShapeMismatchError, ArityError
-from .tree import TreeCoord, TreeShape
+from .tree import TreeShape
 
 SPINS = (1, 2, 3)
 
@@ -74,49 +73,22 @@ class Configuration:
     def __post_init__(self):
         n = self.shape.vertex_count()
         if len(self.spins) < n:
-            raise MissingSpinError(
+            raise ValueError(
                 f"{n} vertices but only {len(self.spins)} spins assigned")
         if len(self.spins) > n:
             raise ValueError(f"{len(self.spins)} spins for {n} vertices")
         if any(not isinstance(s, int) or s < 1 for s in self.spins):
             raise ValueError("spins must be integers >= 1")
 
-    @classmethod
-    def from_mapping(cls, shape: TreeShape, mapping, q: int = 3) -> "Configuration":
-        spins = []
-        for x in shape.vertices():
-            if x not in mapping:
-                raise MissingSpinError(f"no spin assigned at vertex {x}")
-            s = mapping[x]
-            if not 1 <= s <= q:
-                raise ValueError(f"spin {s} at {x} outside 1..{q}")
-            spins.append(s)
-        return cls(shape, tuple(spins))
-
-    def spin_at(self, x: TreeCoord) -> int:
-        return self.spins[self.shape.index_of(x)]
-
-    def as_mapping(self) -> dict[TreeCoord, int]:
-        return dict(zip(self.shape.vertices(), self.spins))
-
-    def restrict(self, depth: int) -> "Configuration":
-        """Restriction to the inner truncation of the given depth."""
-        if depth > self.shape.depth:
-            raise ValueError(f"cannot restrict depth {self.shape.depth} to {depth}")
-        inner = TreeShape(self.shape.k, depth)
-        return Configuration(inner, self.spins[:inner.vertex_count()])
-
     def level_spins(self) -> tuple[int, ...] | None:
         """Per-level values if the configuration is constant on each level."""
         out = []
-        pos = 0
         for m in range(self.shape.depth + 1):
-            size = self.shape.level_size(m)
-            chunk = self.spins[pos:pos + size]
+            level = self.shape.level_positions(m)
+            chunk = self.spins[level.start:level.stop]
             if any(s != chunk[0] for s in chunk):
                 return None
             out.append(chunk[0])
-            pos += size
         return tuple(out)
 
     def __str__(self) -> str:
@@ -152,27 +124,14 @@ def lambda_value(i: int, j: int, p: LambdaParams) -> float:
 
 def hamiltonian(sigma: Configuration, p: LambdaParams) -> float:
     """Sum of coupling values over all nearest-neighbor pairs."""
-    return sum(coupling_value(sigma.spin_at(x), sigma.spin_at(y), p)
-               for x, y in sigma.shape.edges())
-
-
-def relative_hamiltonian(sigma: Configuration, phi: Configuration,
-                         p: LambdaParams) -> float:
-    """H(sigma) - H(phi) for two configurations on the same truncation."""
-    if sigma.shape != phi.shape:
-        raise ShapeMismatchError(
-            f"shapes differ: {sigma.shape} vs {phi.shape}")
-    total = 0.0
-    for x, y in sigma.shape.edges():
-        total += coupling_value(sigma.spin_at(x), sigma.spin_at(y), p)
-        total -= coupling_value(phi.spin_at(x), phi.spin_at(y), p)
-    return total
+    spins = sigma.spins
+    return sum(coupling_value(spins[i], spins[j], p) for i, j in sigma.shape.edges())
 
 
 def ball_energy(center: int, children: tuple[int, int], p: LambdaParams) -> float:
     """Energy of one ball: half the sum of the two center-child couplings."""
     if len(children) != BALLS_PER_VERTEX:
-        raise ArityError(f"expected {BALLS_PER_VERTEX} child spins, got {len(children)}")
+        raise ValueError(f"expected {BALLS_PER_VERTEX} child spins, got {len(children)}")
     return (lambda_value(center, children[0], p)
             + lambda_value(center, children[1], p)) / 2.0
 

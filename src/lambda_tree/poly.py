@@ -10,7 +10,7 @@ invariant-line map with itself and dividing.
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError, NonDivisibleError
+from .errors import DomainError, InternalConsistencyError
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,11 @@ X = Poly((0, 1))
 
 
 def divide_exact(num: Poly, den: Poly) -> Poly:
-    """Quotient num/den; raises NonDivisibleError unless the remainder is
-    exactly zero."""
+    """Quotient num/den; raises InternalConsistencyError unless the
+    remainder is exactly zero (every division here is known to be exact)."""
     q, r = divmod(num, den)
     if not r.is_zero():
-        raise NonDivisibleError(
+        raise InternalConsistencyError(
             f"remainder of degree {r.degree()} in exact division")
     return q
 
@@ -102,7 +102,7 @@ class RationalFn:
 
     def __post_init__(self):
         if self.den.is_zero():
-            raise DegenerateInputError("zero denominator polynomial")
+            raise DomainError("zero denominator polynomial")
 
 
 def compose(f: RationalFn, g: RationalFn) -> RationalFn:
@@ -129,5 +129,5 @@ def compose(f: RationalFn, g: RationalFn) -> RationalFn:
 
     den = substitute(f.den)
     if den.is_zero():
-        raise DegenerateInputError("composition produced a zero denominator")
+        raise DomainError("composition produced a zero denominator")
     return RationalFn(substitute(f.num), den)

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalConsistencyError, NonDivisibleError
+from .errors import DomainError, InternalConsistencyError
 from .model import LambdaParams
 from .poly import Poly, RationalFn, X, compose, divide_exact
 
@@ -91,8 +91,9 @@ class FixedPointReport:
 
 @dataclass(frozen=True)
 class PeriodicReport:
-    quad: tuple[float, float, float]   # (A, B, C)
-    discriminant: float
+    # (A, B, C) and D as floats; None where one is past the float range
+    quad: tuple[float | None, float | None, float | None]
+    discriminant: float | None
     proper_roots: tuple[float, ...]
     two_periodic_exists: bool
 
@@ -132,23 +133,6 @@ def weights_from(p: LambdaParams) -> BoltzmannWeights:
             f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
 
 
-def ti_map(u: tuple[float, float], w: BoltzmannWeights) -> tuple[float, float]:
-    """The two-component ratio map with both children equal.
-
-    The three-term sums are grouped so that at u1 = 1 the first numerator
-    and the denominator are the same float expression, making the first
-    output component exactly 1.0 on the invariant line.
-    """
-    u1, u2 = u
-    if not (u1 > 0 and u2 > 0):
-        raise DomainError(f"ratios must be positive, got {u}")
-    shared = w.yw * u2
-    den = (w.zw * u1 + w.xw) + shared
-    n1 = (w.xw * u1 + w.zw) + shared
-    n2 = w.yw * u1 + w.xw * u2 + w.yw
-    return ((n1 / den) ** K_CHILDREN, (n2 / den) ** K_CHILDREN)
-
-
 def f_map(u: float, w: BoltzmannWeights) -> float:
     """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
     return ((w.xw * u + 2.0 * w.yw) / (w.yw * u + (w.xw + w.zw))) ** K_CHILDREN
@@ -164,23 +148,6 @@ def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
         raise DomainError(
             f"canonical parameters of {w} are not positive finite floats")
     return CanonicalParams(a_can, b_can)
-
-
-def weights_for_canonical(a_can: float, b_can: float,
-                          yw: float = 1.0) -> BoltzmannWeights:
-    """Invert the canonical map at a chosen yw.
-
-    Feasible iff the implied zw = 2*b_can*yw^2/xw - xw is positive, i.e.
-    b_can > (1/2)*(2/a_can)^(2/3) at yw = 1.
-    """
-    if a_can <= 0 or b_can <= 0:
-        raise DomainError("canonical parameters must be positive")
-    xw = yw * (2.0 / a_can) ** (1.0 / 3.0)
-    zw = 2.0 * b_can * yw ** 2 / xw - xw
-    if zw <= 0:
-        raise DomainError(
-            f"no positive weights realize a_can={a_can}, b_can={b_can} at yw={yw}")
-    return BoltzmannWeights(xw, yw, zw)
 
 
 def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
@@ -325,7 +292,8 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
 
     Existence is decided exactly: B < 0 and D > 0 in integer arithmetic
     (A and C are positive for all positive weights, so this is equivalent
-    to the quadratic having two positive roots). Near D = 0 the root pair
+    to the quadratic having two positive roots). A, B, C or D past the
+    float range is reported as None. Near D = 0 the root pair
     degenerates toward a translation-invariant point and the properness
     gap |r - f(r)| > 1e-6 empties the list.
     """
@@ -333,12 +301,14 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     disc = b * b - 4 * a * c  # D times scale^2
     exists = b < 0 and disc > 0
 
-    try:  # int / int rounds correctly, as float(Fraction) does
-        quad = (a / scale, b / scale, c / scale)
-        disc_f = disc / (scale * scale)
-    except OverflowError:
-        raise DomainError(
-            f"the 2-periodic quadratic at {w} overflows a float") from None
+    def as_float(num: int, den: int) -> float | None:
+        try:  # int / int rounds correctly, as float(Fraction) does
+            return num / den
+        except OverflowError:
+            return None
+
+    quad = (as_float(a, scale), as_float(b, scale), as_float(c, scale))
+    disc_f = as_float(disc, scale * scale)
 
     roots: list[float] = []
     if disc > 0:
@@ -381,11 +351,7 @@ def _quadratic_by_division(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fra
     ff = compose(f, f)
     p_fix = f.num - X * f.den
     q_fix = ff.num - X * ff.den
-    try:
-        quad = divide_exact(q_fix, p_fix)
-    except NonDivisibleError as e:
-        raise InternalConsistencyError(
-            f"fixed-point numerator did not divide the composed one: {e}") from e
+    quad = divide_exact(q_fix, p_fix)
     if quad.degree() != 2:
         raise InternalConsistencyError(
             f"expected a quadratic quotient, got degree {quad.degree()}")
@@ -452,8 +418,8 @@ class SweepRow:
     ti_count: int
     eps1: float | None
     eps2: float | None
-    B: float
-    D: float
+    B: float | None
+    D: float | None
     two_periodic: bool
     phase_transition: bool
 

@@ -2,17 +2,18 @@
 
 Vertices of the semi-infinite tree are addressed by their branch path from
 the root: the root is the empty path (written "0"), and a vertex at level n
-is a tuple (i1, ..., in) with each entry in {1..k}. Level sets W_m, direct
-successors S(x), the path-concatenation semigroup, the level-mod-m
-subgroups, and the vertex-plus-successors balls all derive from this
-addressing. A TreeShape is the finite truncation V_n = W_0 + ... + W_n used
-everywhere downstream.
+is a tuple (i1, ..., in) with each entry in {1..k}. A TreeShape is the
+finite truncation V_n = W_0 + ... + W_n used everywhere downstream.
+
+Inside a truncation, vertices are also numbered by their position in the
+canonical order: level-major, lexicographic within a level. That is
+breadth-first order, so the parent of position i is (i - 1) // k and its
+children are k*i + 1 .. k*i + k. Edges and balls are given in positions;
+this module is the only one that knows the numbering.
 """
 
 from dataclasses import dataclass
 from itertools import product
-
-from .errors import DepthExceededError, InvalidPeriodError
 
 
 @dataclass(frozen=True, order=True)
@@ -95,57 +96,43 @@ class TreeShape:
             out.extend(self.level_vertices(m))
         return out
 
-    def edges(self) -> list[tuple[TreeCoord, TreeCoord]]:
-        """Nearest-neighbor (parent, child) pairs inside the truncation."""
-        return [(x.parent(), x) for m in range(1, self.depth + 1)
-                for x in self.level_vertices(m)]
+    def level_positions(self, m: int) -> range:
+        """Positions of W_m in the canonical order: after the |V_{m-1}|
+        positions of the levels above it."""
+        start = TreeShape(self.k, m - 1).vertex_count() if m else 0
+        return range(start, start + self.level_size(m))
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Nearest-neighbor (parent, child) position pairs, by child position."""
+        return [((child - 1) // self.k, child) for child in range(1, self.vertex_count())]
 
     def index_of(self, x: TreeCoord) -> int:
-        """Position of x in the canonical vertex order.
-
-        Offset of level m is |V_{m-1}|; within the level, the path digits
-        (1-based) read as a base-k numeral.
-        """
+        """Position of x in the canonical vertex order: within its level,
+        the path digits (1-based) read as a base-k numeral."""
         if not self.contains(x):
             raise ValueError(f"vertex {x} outside truncation {self}")
-        m = x.level
-        offset = 0 if m == 0 else (TreeShape(self.k, m - 1).vertex_count())
         rank = 0
         for i in x.path:
             rank = rank * self.k + (i - 1)
-        return offset + rank
+        return self.level_positions(x.level)[rank]
 
 
 def successors(x: TreeCoord, shape: TreeShape) -> list[TreeCoord]:
     """Direct successors S(x) inside the truncation, lexicographic."""
     if x.level >= shape.depth:
-        raise DepthExceededError(
+        raise ValueError(
             f"vertex {x} at level {x.level} has no successors inside depth {shape.depth}")
     return [x.child(i) for i in range(1, shape.k + 1)]
 
 
-def concat(x: TreeCoord, y: TreeCoord) -> TreeCoord:
-    """Semigroup product: path of x followed by path of y; the root is the unit."""
-    return TreeCoord(x.path + y.path)
-
-
-def distance_mod(x: TreeCoord, m: int) -> int:
-    """Level of x mod m; x lies in the index-m level subgroup iff this is 0."""
-    if m < 2:
-        raise InvalidPeriodError(f"period must be >= 2, got {m}")
-    return x.level % m
-
-
-def balls(shape: TreeShape) -> list[tuple[TreeCoord, list[TreeCoord]]]:
-    """One ball per non-leaf vertex: (center, [center] + S(center)).
+def balls(shape: TreeShape) -> list[tuple[int, range]]:
+    """One ball per non-leaf vertex, as positions: (center, S(center)).
 
     Every edge of the truncation lies in exactly one ball; every non-root,
     non-leaf vertex lies in exactly two.
     """
     if shape.depth < 1:
         raise ValueError("depth must be >= 1 to form balls")
-    out = []
-    for m in range(shape.depth):
-        for x in shape.level_vertices(m):
-            out.append((x, [x] + successors(x, shape)))
-    return out
+    k = shape.k
+    return [(i, range(k * i + 1, k * i + k + 1))
+            for i in range(shape.level_positions(shape.depth).start)]

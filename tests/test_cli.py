@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
+import time
 
 import pytest
 
-from lambda_tree.cli import main
+from lambda_tree.cli import build_parser, main
 
 
 def _run_json(capsys, argv):
@@ -126,6 +128,29 @@ def test_solve_cycle_far_from_one(capsys):
     assert r2 == pytest.approx(1e12, rel=1e-5)
 
 
+def test_two_periodic_fields_past_float_range(tmp_path, capsys):
+    # xw ~ 2.7e43: existence is decided in integers, only D (~1e349) has
+    # no float; it prints as null, and as an empty cell in a sweep CSV
+    payload = _run_json(capsys, ["solve", "--a", "0", "--b", "0", "--c", "100"])
+    per = payload["two_periodic"]
+    assert per["discriminant"] is None
+    assert per["A"] > 1e173 and per["B"] > 1e173 and per["C"] > 1e173
+    assert per["exists"] is False
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "axes": [{"name": "c", "start": 99.0, "stop": 100.0, "step": 1.0}],
+        "fixed": {"a": 0.0, "b": 0.0},
+    }))
+    assert main(["sweep", "--config", str(config)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    d_col = header.split(",").index("D")
+    assert [row.split(",")[d_col] for row in rows] == ["", ""]
+    assert main(["sweep", "--config", str(config), "--format", "json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["D"] for row in rows] == [None, None]
+    assert all(row["B"] > 0 for row in rows)
+
+
 def test_solve_rejects_weights_out_of_float_range(capsys):
     for argv in (["--a", "0", "--b", "0", "--c", "1000"],
                  ["--xw", "1e-300", "--yw", "1", "--zw", "1"],
@@ -217,10 +242,40 @@ def test_consistency_pass_and_perturb(capsys):
 
 
 def test_consistency_depth_capacity(capsys):
-    # depth 4 would enumerate the 3^15 states of V_3
-    assert main(["consistency", "--a", "0", "--b", "0", "--c", "0",
-                 "--depth", "4"]) == 3
-    assert "error:" in capsys.readouterr().err
+    # depth 4 would enumerate the 3^15 states of V_3; deeper requests are
+    # refused before any field is built
+    for depth in ("4", "18", "1000000000"):
+        start = time.perf_counter()
+        assert main(["consistency", "--a", "0", "--b", "0", "--c", "0",
+                     "--depth", depth]) == 3
+        assert time.perf_counter() - start < 2.0
+        assert "error:" in capsys.readouterr().err
+
+
+def test_float_flags_take_negative_forms(capsys):
+    # argparse alone reads -1e-3 or -inf after a flag as another option
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    checked = 0
+    for name, sub in commands.items():
+        required = ["--config", "x.json"] if name == "sweep" else []
+        for action in sub._actions:
+            if action.type is not float:
+                continue
+            for text in ("-1e-3", "-1.5E+2", "-inf", "-.5", "-7"):
+                args = parser.parse_args([name, *required, action.option_strings[0], text])
+                assert getattr(args, action.dest) == float(text)
+            args = parser.parse_args([name, *required, action.option_strings[0], "-nan"])
+            assert math.isnan(getattr(args, action.dest))
+            checked += 1
+    assert checked == 27  # a/b/c/beta on five commands, weights, tol x3, perturb
+    payload = _run_json(capsys, ["consistency", "--a", "0.5", "--b", "-0.3",
+                                 "--c", "1.2", "--perturb", "-1e-3"])
+    assert payload["pass"] is False
+    payload = _run_json(capsys, ["consistency", "--a", "-5e-1", "--b", "-3e-1",
+                                 "--c", "1.2", "--perturb", "-inf"])
+    assert payload["pass"] is False
 
 
 def test_consistency_depth_three(capsys):
@@ -276,8 +331,24 @@ def test_measure_with_field_file(tmp_path, capsys):
 
 
 def test_measure_capacity(capsys):
-    assert main(["measure", "--a", "0", "--b", "0", "--c", "0",
-                 "--depth", "5"]) == 3
+    # refused before any field is built, without writing out q^|V|
+    for flags in (["--depth", "5"], ["--depth", "13"], ["--depth", "1000000000"],
+                  ["--depth", "1", "--k", "1000000000"]):
+        start = time.perf_counter()
+        assert main(["measure", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
+        assert time.perf_counter() - start < 2.0
+        assert "enumeration bound" in capsys.readouterr().err
+
+
+def test_ground_capacity(capsys):
+    # a catalog or a family draw realizes at most 2^20 spins
+    for flags in (["--max-period", "17"], ["--depth", "19"],
+                  ["--samples", "100000", "--depth", "10"],
+                  ["--max-period", "1000000000000"]):
+        start = time.perf_counter()
+        assert main(["ground", "--region", "A2", *flags]) == 3
+        assert time.perf_counter() - start < 2.0
+        assert "spins" in capsys.readouterr().err
 
 
 def test_measure_partition_out_of_float_range(capsys):

@@ -8,10 +8,9 @@ from lambda_tree.errors import CapacityError, DomainError
 from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                fields_from_ratios, finite_volume_measure,
                                is_consistent, measure_to_csv, propagate_ratios,
-                               push_forward, ratios_from_fields,
-                               vertex_normalizer)
+                               push_forward, vertex_normalizer)
 from lambda_tree.model import LambdaParams, coupling_value
-from lambda_tree.solver import ti_map, weights_from
+from lambda_tree.solver import f_map, weights_from
 from lambda_tree.tree import TreeShape, successors
 
 # shapes (k, depth) and spin counts q whose full q^|V_depth| enumeration
@@ -25,7 +24,8 @@ def _per_state_measure(p, q, shape, h):
     the last level's fields; probabilities keyed by spin tuples."""
     lam = [[coupling_value(i, j, p) for j in range(1, q + 1)]
            for i in range(1, q + 1)]
-    edge_ix = [(shape.index_of(x), shape.index_of(y)) for x, y in shape.edges()]
+    edge_ix = [(shape.index_of(x.parent()), shape.index_of(x))
+               for x in shape.vertices() if x.level]
     boundary = [(shape.index_of(x), h.at(x)) for x in shape.level_vertices(shape.depth)]
     configurations = list(product(range(1, q + 1), repeat=shape.vertex_count()))
     log_weights = []
@@ -140,17 +140,29 @@ def test_push_forward_fixes_first_component():
     assert push_forward([(1.0, 1.0), (1.0, 1.0)], flat) == (1.0, 1.0)
 
 
+def _ti_map(u, w):
+    """The translation-invariant map, both children equal, written out in
+    the weights (xw, yw, zw) = exp(beta*(c, b, a))."""
+    u1, u2 = u
+    den = w.zw * u1 + w.yw * u2 + w.xw
+    return (((w.xw * u1 + w.yw * u2 + w.zw) / den) ** 2,
+            ((w.yw * u1 + w.xw * u2 + w.yw) / den) ** 2)
+
+
 def test_push_forward_on_equal_children_is_ti_map():
     # the general recursion with two equal children is the translation-
-    # invariant map; the two group their three-term sums differently, so
-    # they agree to a few ulps rather than bit for bit
+    # invariant map, and on the invariant line u1 = 1 its second component
+    # is the solver's f; sums are grouped differently, so they agree to a
+    # few ulps rather than bit for bit
     rng = random.Random(13)
     for _ in range(200):
         p = LambdaParams(rng.uniform(-2, 2), rng.uniform(-2, 2),
                          rng.uniform(-2, 2), beta=rng.uniform(0.1, 2.0))
+        w = weights_from(p)
         u = (math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
-        assert push_forward([u, u], p) == pytest.approx(
-            ti_map(u, weights_from(p)), rel=4e-15)
+        assert push_forward([u, u], p) == pytest.approx(_ti_map(u, w), rel=4e-15)
+        assert push_forward([(1.0, u[1])] * 2, p)[1] == pytest.approx(
+            f_map(u[1], w), rel=4e-15)
 
 
 def test_push_forward_rejects_bad_input():
@@ -165,10 +177,10 @@ def test_ratio_field_round_trip():
     v = TreeShape(2, 1).level_vertices(1)[0]
     u = FieldRatios(3, {v: (0.8, 1.7)})
     h = fields_from_ratios(u, gauge=0.35)
-    assert h.at(v)[2] == 0.35
-    back = ratios_from_fields(h)
-    for got, want in zip(back.at(v), (0.8, 1.7)):
-        assert got == pytest.approx(want, rel=1e-14)
+    hv = h.at(v)
+    assert hv[2] == 0.35
+    for k, want in enumerate((0.8, 1.7)):
+        assert math.exp(hv[k] - hv[2]) == pytest.approx(want, rel=1e-14)
 
 
 def test_propagated_ratios_give_consistent_measures():

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
-from lambda_tree.errors import (CapacityError, UnderspecifiedSequenceError,
-                                UnsupportedRegionError)
+from lambda_tree.errors import CapacityError
 from lambda_tree.ground import (REPRESENTATIVE_PARAMS, LevelSequence,
                                 brute_force_minima, generators_for,
-                                is_ground_state, realize, sample_family)
-from lambda_tree.model import (SPINS, LambdaParams, classify_region,
-                               lambda_value, min_ball_energy)
-from lambda_tree.tree import ROOT
+                                is_ground_state, realize, sample_family,
+                                verify_generators)
+from lambda_tree.model import (SPINS, Configuration, LambdaParams,
+                               ball_energy, classify_region, lambda_value,
+                               min_ball_energy)
+from lambda_tree.tree import ROOT, TreeShape
 
 
 def test_level_sequence_validation():
@@ -21,7 +24,7 @@ def test_level_sequence_validation():
     assert [seq.value_at(m) for m in range(5)] == [1, 3, 1, 3, 1]
     open_seq = LevelSequence((1, 2))
     assert open_seq.value_at(1) == 2
-    with pytest.raises(UnderspecifiedSequenceError):
+    with pytest.raises(ValueError):
         open_seq.value_at(2)
 
 
@@ -30,7 +33,7 @@ def test_realize_level_patterns():
     assert realize(LevelSequence((2,), period=1), 3).level_spins() == (2, 2, 2, 2)
     assert realize(LevelSequence((1, 2, 3, 2), period=4), 4).level_spins() == \
         (1, 2, 3, 2, 1)
-    with pytest.raises(UnderspecifiedSequenceError):
+    with pytest.raises(ValueError):
         realize(LevelSequence((1, 2)), 3)
 
 
@@ -48,7 +51,56 @@ def test_is_ground_state_monotone_under_restriction():
     cfg = sample_family("A2", 3, seed=2, depth=4)[0]
     assert is_ground_state(cfg, p)[0]
     for depth in (1, 2, 3):
-        assert is_ground_state(cfg.restrict(depth), p)[0]
+        inner = TreeShape(2, depth)
+        restricted = Configuration(inner, cfg.spins[:inner.vertex_count()])
+        assert is_ground_state(restricted, p)[0]
+
+
+def test_witness_is_the_first_failing_ball():
+    # against a scan of the balls by their centers' paths, in canonical order
+    p = REPRESENTATIVE_PARAMS["A4"]
+    floor = min_ball_energy(p)
+    base = realize(LevelSequence((1, 2, 3, 2), period=4), 4)
+    shape = base.shape
+    rng = random.Random(8)
+    witnesses = set()
+    for _ in range(300):
+        spins = [rng.choice(SPINS) if rng.random() < 0.05 else s for s in base.spins]
+        cfg = Configuration(shape, tuple(spins))
+        expected = None
+        for x in shape.vertices():
+            if x.level == shape.depth:
+                break
+            spin = [cfg.spins[shape.index_of(y)] for y in (x, x.child(1), x.child(2))]
+            if ball_energy(spin[0], (spin[1], spin[2]), p) > floor:
+                expected = x
+                break
+        assert is_ground_state(cfg, p) == (expected is None, expected)
+        witnesses.add(expected)
+    assert len(witnesses) > 10 and None in witnesses
+
+
+def test_realized_spins_are_capped():
+    # a catalog, a family draw and one realization each realize at most
+    # 2^20 spins, refused before anything is built
+    with pytest.raises(CapacityError):
+        generators_for("A2", max_period=15)     # 14 generators of 2^17 - 1 spins
+    with pytest.raises(CapacityError):
+        generators_for("A2", max_period=10 ** 12)
+    assert generators_for("A1", max_period=10 ** 12).verified_depth == 3
+    assert generators_for("A4", max_period=15).verified_depth == 11
+    with pytest.raises(CapacityError):
+        realize(LevelSequence((1,), period=1), 20)
+    with pytest.raises(CapacityError):
+        realize(LevelSequence((1,), period=1), 10 ** 12)
+    with pytest.raises(CapacityError):
+        sample_family("A5", 600, seed=0, depth=10)  # 600 * 2047 spins
+    with pytest.raises(CapacityError):
+        sample_family("A5", 1, seed=0, depth=10 ** 12)
+    assert len(sample_family("A5", 500, seed=0, depth=10)) == 500
+    generators = generators_for("A2").generators
+    with pytest.raises(CapacityError):
+        verify_generators(generators, REPRESENTATIVE_PARAMS["A2"], 17)
 
 
 def test_constants_in_the_diagonal_region():
@@ -240,7 +292,7 @@ def test_sample_family_deterministic():
 
 
 def test_sample_family_rejects_other_regions():
-    with pytest.raises(UnsupportedRegionError):
+    with pytest.raises(ValueError):
         sample_family("A1", 2, seed=0, depth=2)
     with pytest.raises(ValueError):
         sample_family("A2", -1, seed=0, depth=2)

@@ -3,13 +3,11 @@ from itertools import product
 
 import pytest
 
-from lambda_tree.errors import ArityError, MissingSpinError, ShapeMismatchError
 from lambda_tree.model import (SPINS, Configuration, LambdaParams,
                                ball_energy, ball_energy_catalogue,
                                classify_region, coupling_value, hamiltonian,
-                               lambda_value, min_ball_energy,
-                               relative_hamiltonian)
-from lambda_tree.tree import ROOT, TreeShape
+                               lambda_value, min_ball_energy)
+from lambda_tree.tree import ROOT, TreeShape, balls
 
 
 def test_params_validation():
@@ -53,26 +51,26 @@ def test_potts_reduction():
 def test_configuration_storage():
     shape = TreeShape(2, 1)
     sigma = Configuration(shape, (1, 3, 2))
-    assert sigma.spin_at(ROOT) == 1
-    assert sigma.spin_at(ROOT.child(2)) == 2
+    assert sigma.spins[shape.index_of(ROOT)] == 1
+    assert sigma.spins[shape.index_of(ROOT.child(2))] == 2
     assert str(sigma) == "132"
     assert sigma.level_spins() is None          # level 1 is not constant
     assert Configuration(shape, (2, 3, 3)).level_spins() == (2, 3)
-    back = Configuration.from_mapping(shape, sigma.as_mapping())
-    assert back == sigma
-    with pytest.raises(MissingSpinError):
+    with pytest.raises(ValueError):
         Configuration(shape, (1, 2))
     with pytest.raises(ValueError):
         Configuration(shape, (1, 2, 3, 1))
 
 
 def test_configuration_restrict_is_prefix():
+    # the first |V_1| spins of a depth-2 configuration are its restriction
+    # to V_1: every inner vertex reads the same spin in both
     shape = TreeShape(2, 2)
     spins = tuple(random.Random(3).choice(SPINS) for _ in range(7))
     sigma = Configuration(shape, spins)
-    inner = sigma.restrict(1)
-    assert inner.spins == spins[:3]
-    assert inner.shape.depth == 1
+    inner = Configuration(TreeShape(2, 1), spins[:3])
+    for x in inner.shape.vertices():
+        assert inner.spins[inner.shape.index_of(x)] == spins[shape.index_of(x)]
 
 
 def test_hamiltonian_small_cases():
@@ -85,22 +83,9 @@ def test_hamiltonian_small_cases():
     assert hamiltonian(Configuration(v2, (2,) * 7), p) == 6 * c
 
 
-def test_relative_hamiltonian():
-    p = LambdaParams(-1.0, 2.0, 5.0)
-    v1 = TreeShape(2, 1)
-    sigma = Configuration(v1, (1, 3, 3))
-    phi = Configuration(v1, (1, 1, 1))
-    assert relative_hamiltonian(sigma, phi, p) == 2 * p.a - 2 * p.c
-    assert relative_hamiltonian(sigma, sigma, p) == 0.0
-    with pytest.raises(ShapeMismatchError):
-        relative_hamiltonian(sigma, Configuration(TreeShape(2, 2), (1,) * 7), p)
-
-
 def test_energy_difference_is_twice_the_ball_sum():
     """Edge sums versus ball sums: each edge lies in exactly one ball and the
     ball energy halves it, so H(sigma) - H(phi) = 2 * sum of ball differences."""
-    from lambda_tree.tree import balls
-
     p = LambdaParams(0.3, -1.2, 0.9)
     shape = TreeShape(2, 2)
     ball_list = balls(shape)
@@ -109,14 +94,13 @@ def test_energy_difference_is_twice_the_ball_sum():
         sigma = Configuration(shape, tuple(rng.choice(SPINS) for _ in range(7)))
         phi = Configuration(shape, tuple(rng.choice(SPINS) for _ in range(7)))
         ball_sum = 0.0
-        for center, members in ball_list:
-            ball_sum += ball_energy(
-                sigma.spin_at(center),
-                (sigma.spin_at(members[1]), sigma.spin_at(members[2])), p)
-            ball_sum -= ball_energy(
-                phi.spin_at(center),
-                (phi.spin_at(members[1]), phi.spin_at(members[2])), p)
-        assert abs(relative_hamiltonian(sigma, phi, p) - 2.0 * ball_sum) < 1e-12
+        for center, (c1, c2) in ball_list:
+            ball_sum += ball_energy(sigma.spins[center],
+                                    (sigma.spins[c1], sigma.spins[c2]), p)
+            ball_sum -= ball_energy(phi.spins[center],
+                                    (phi.spins[c1], phi.spins[c2]), p)
+        difference = hamiltonian(sigma, p) - hamiltonian(phi, p)
+        assert abs(difference - 2.0 * ball_sum) < 1e-12
 
 
 def test_ball_energy_catalogue_membership():
@@ -132,7 +116,7 @@ def test_ball_energy_catalogue_membership():
         seen.add(u)
     assert seen == set(catalogue)
     assert min_ball_energy(p) == min(catalogue)
-    with pytest.raises(ArityError):
+    with pytest.raises(ValueError):
         ball_energy(1, (1, 2, 3), p)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lambda_tree.errors import DegenerateInputError, NonDivisibleError
+from lambda_tree.errors import DomainError, InternalConsistencyError
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
 
 
@@ -53,7 +53,7 @@ def test_divide_exact_cases():
     assert divide_exact(Poly((-1, 0, 1)), Poly((-1, 1))).coeffs == (1, 1)
     p = Poly((2, -3, 0, 1))
     assert divide_exact(p, p).coeffs == (1,)
-    with pytest.raises(NonDivisibleError):
+    with pytest.raises(InternalConsistencyError):
         divide_exact(Poly((1, 0, 1)), Poly((-1, 1)))
 
 
@@ -66,7 +66,7 @@ def test_divide_exact_random_products():
 
 
 def test_rational_fn_guards():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(DomainError):
         RationalFn(X, Poly(()))
 
 

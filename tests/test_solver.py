@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from lambda_tree.errors import DomainError
+from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
                                 _quadratic_by_division, canonical_params,
                                 canonical_root_count, case_identity_check,
                                 count_ti_roots, f_map, periodic_quadratic,
-                                sweep, sweep_to_csv, sweep_to_jsonl, ti_map,
+                                sweep, sweep_to_csv, sweep_to_jsonl,
                                 ti_thresholds, two_periodic_report,
-                                weights_for_canonical, weights_from)
+                                weights_from)
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -47,14 +48,16 @@ def test_weight_validation():
 
 
 def test_two_component_map():
-    w = BoltzmannWeights(1.0, 1.0, 1.0)
-    assert ti_map((1.0, 1.0), w) == (1.0, 1.0)
+    # the ratio recursion with two equal children is the two-component map
+    flat = LambdaParams(0.0, 0.0, 0.0)
+    assert push_forward([(1.0, 1.0)] * 2, flat) == (1.0, 1.0)
     with pytest.raises(DomainError):
-        ti_map((-1.0, 1.0), w)
+        push_forward([(-1.0, 1.0)] * 2, flat)
     # second component agrees with the scalar map when u1 is pinned
-    w2 = BoltzmannWeights(0.7, 1.3, 2.1)
+    p = LambdaParams(math.log(2.1), math.log(1.3), math.log(0.7))
+    w2 = weights_from(p)
     u2 = 1.9
-    assert ti_map((1.0, u2), w2)[1] == pytest.approx(f_map(u2, w2), rel=1e-14)
+    assert push_forward([(1.0, u2)] * 2, p)[1] == pytest.approx(f_map(u2, w2), rel=1e-14)
 
 
 def test_canonical_params_and_scaling():
@@ -276,8 +279,17 @@ def test_out_of_float_range_is_a_domain_error():
             canonical_params(BoltzmannWeights(*w))
     with pytest.raises(DomainError):
         ti_thresholds(1e200)
-    with pytest.raises(DomainError):  # A is about 9e400
-        two_periodic_report(BoltzmannWeights(1e100, 1e100, 1e100))
+    # A is about 9e400: out-of-range coefficients are None, D is exactly 0
+    report = two_periodic_report(BoltzmannWeights(1e100, 1e100, 1e100))
+    assert report.quad == (None, None, None) and report.discriminant == 0.0
+    assert not report.two_periodic_exists and report.proper_roots == ()
+    # xw ~ 2.7e43: A, B and C fit a float, D ~ 1e349 does not
+    report = two_periodic_report(weights_from(LambdaParams(0.0, 0.0, 100.0)))
+    assert None not in report.quad and report.discriminant is None
+    row = sweep([LambdaParams(0.0, 0.0, 100.0)])[0]
+    assert row.B == report.quad[1] and row.D is None
+    assert sweep_to_csv([row]).splitlines()[1].split(",")[SWEEP_COLUMNS.index("D")] == ""
+    assert json.loads(sweep_to_jsonl([row]))["D"] is None
     # A, B, C and D underflow a float here, yet the roots come out
     report = two_periodic_report(
         BoltzmannWeights(4.5093636089681495e-91, 5.811444690637966e-88,
@@ -307,6 +319,13 @@ def test_case_identity_audit():
     assert payload["samples"][0]["agrees"] is True
 
 
+def _weights_for_canonical(a_can: float, b_can: float) -> BoltzmannWeights:
+    """Weights with yw = 1 realizing (a_can, b_can); DomainError where the
+    implied zw = 2*b_can/xw - xw is not positive."""
+    xw = (2.0 / a_can) ** (1.0 / 3.0)
+    return BoltzmannWeights(xw, 1.0, 2.0 * b_can / xw - xw)
+
+
 def test_canonical_inverse_round_trip():
     rng = random.Random(71)
     hits = 0
@@ -314,17 +333,13 @@ def test_canonical_inverse_round_trip():
         a_can = math.exp(rng.uniform(-3, 3))
         b_can = math.exp(rng.uniform(-1, 3))
         try:
-            w = weights_for_canonical(a_can, b_can)
+            w = _weights_for_canonical(a_can, b_can)
         except DomainError:
             continue
         hits += 1
         can = canonical_params(w)
         assert can.a_can == pytest.approx(a_can, rel=1e-12)
         assert can.b_can == pytest.approx(b_can, rel=1e-12)
-    with pytest.raises(DomainError):
-        weights_for_canonical(100.0, 0.01)
-    with pytest.raises(DomainError):
-        weights_for_canonical(-1.0, 2.0)
 
 
 def test_sweep_single_point_matches_reports():

@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from lambda_tree.errors import DepthExceededError, InvalidPeriodError
-from lambda_tree.tree import (ROOT, TreeCoord, TreeShape, balls, concat,
-                              distance_mod, successors)
+from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls, successors
 
 
 def test_root_identity():
@@ -78,55 +76,55 @@ def test_successors():
     shape = TreeShape(2, 2)
     kids = successors(TreeCoord((1,)), shape)
     assert kids == [TreeCoord((1, 1)), TreeCoord((1, 2))]
-    with pytest.raises(DepthExceededError):
+    with pytest.raises(ValueError):
         successors(TreeCoord((1, 1)), shape)
-
-
-def test_concat_semigroup():
-    rng = random.Random(17)
-    for _ in range(30):
-        xs = [TreeCoord(tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 4))))
-              for _ in range(3)]
-        x, y, z = xs
-        assert concat(x, y).level == x.level + y.level
-        assert concat(concat(x, y), z) == concat(x, concat(y, z))
-        assert concat(ROOT, x) == x
-        assert concat(x, ROOT) == x
-
-
-def test_distance_mod_subgroup():
-    # vertices at level 0 mod m stay at level 0 mod m under concatenation
-    rng = random.Random(5)
-    m = 3
-    for _ in range(30):
-        x = TreeCoord(tuple(rng.randint(1, 2) for _ in range(m * rng.randint(0, 2))))
-        y = TreeCoord(tuple(rng.randint(1, 2) for _ in range(m * rng.randint(0, 2))))
-        assert distance_mod(x, m) == 0
-        assert distance_mod(concat(x, y), m) == 0
-    assert distance_mod(TreeCoord((1, 2)), 2) == 0
-    assert distance_mod(TreeCoord((1, 2, 1)), 2) == 1
-    with pytest.raises(InvalidPeriodError):
-        distance_mod(ROOT, 1)
 
 
 def test_balls_cover_edges_exactly_once():
     shape = TreeShape(2, 3)
+    verts = shape.vertices()
     all_balls = balls(shape)
-    # one ball per non-leaf vertex
-    assert len(all_balls) == TreeShape(2, 2).vertex_count()
+    # one ball per non-leaf vertex, centers in canonical order
+    assert [center for center, _ in all_balls] == \
+        list(range(TreeShape(2, 2).vertex_count()))
     covered = []
-    for center, members in all_balls:
-        assert members[0] == center
-        assert len(members) == 3
-        covered.extend((center, child) for child in members[1:])
+    for center, children in all_balls:
+        assert [verts[c] for c in children] == successors(verts[center], shape)
+        covered.extend((center, child) for child in children)
     assert sorted(covered) == sorted(shape.edges())
 
 
 def test_edges_count():
     shape = TreeShape(2, 3)
+    verts = shape.vertices()
     assert len(shape.edges()) == shape.vertex_count() - 1
     for parent, child in shape.edges():
-        assert child.parent() == parent
+        assert verts[child].parent() == verts[parent]
+
+
+def test_positions_follow_the_paths():
+    # the integer numbering is breadth-first: the children of position i
+    # are k*i + 1 .. k*i + k, so its parent is (i - 1) // k
+    for k in (1, 2, 3):
+        for depth in range(5):
+            shape = TreeShape(k, depth)
+            verts = shape.vertices()
+            for i, x in enumerate(verts):
+                assert shape.index_of(x) == i
+                if x.level:
+                    assert shape.index_of(x.parent()) == (i - 1) // k
+                if x.level < depth:
+                    for c in range(1, k + 1):
+                        assert shape.index_of(x.child(c)) == k * i + c
+            for m in range(depth + 1):
+                assert [shape.index_of(x) for x in shape.level_vertices(m)] == \
+                    list(shape.level_positions(m))
+            assert shape.edges() == [(shape.index_of(x.parent()), i)
+                                     for i, x in enumerate(verts) if x.level]
+            if depth:
+                assert [(c, list(kids)) for c, kids in balls(shape)] == [
+                    (shape.index_of(x), [shape.index_of(y) for y in successors(x, shape)])
+                    for x in verts if x.level < depth]
 
 
 def test_shape_validation():
