@@ -234,6 +234,8 @@ def cmd_consistency(args) -> int:
     q = args.q
     # is_consistent enumerates V_{depth-1}; refuse before any field is built
     check_enumerable(q, TreeShape(shape.k, max(0, shape.depth - 1)))
+    if shape.depth < 1:  # before --perturb reaches for level depth - 1
+        raise ValueError("consistency needs depth >= 1")
     rng = random.Random(args.seed)
     leaf = FieldRatios(q, {x: tuple(math.exp(rng.uniform(-1.0, 1.0))
                                     for _ in range(q - 1))

@@ -4,9 +4,14 @@ A configuration is a ground state when every ball (vertex + two successors)
 attains the minimal catalogue energy for the coupling triple. Each region
 A1..A6 has a catalog of level-periodic generators; A2 and A5 additionally
 carry uncountable families of level sequences, described by their
-constraints and sampled pseudo-randomly. Catalogs are certified on finite
-truncations only: every generator is re-verified per-ball at the region's
-representative coupling before being returned.
+constraints and sampled pseudo-randomly.
+
+Every catalog and family member is constant on each level, so the ball
+centred at any vertex of level m has energy ball_energy(s_m, (s_{m+1},
+s_{m+1})). Catalogs are therefore certified on their level sequences, one
+level pair at a time, without realizing a tree: every generator is checked
+at the region's representative coupling before being returned. All ball
+energies come from one 27-entry table per coupling triple.
 """
 
 import random
@@ -19,7 +24,8 @@ from .model import (SPINS, Configuration, LambdaParams, ball_energy,
 from .tree import TreeCoord, TreeShape, balls
 
 _BRUTE_FORCE_MAX_DEPTH = 2  # 3^7 = 2187 at depth 2; depth 3 would be 3^15
-_MAX_SPINS = 2 ** 20  # spins realized by one catalog, one family draw or one realize
+_MAX_SPINS = 2 ** 20  # spins realized by one family draw or one realize
+_MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
 
 # one coupling triple per region making its catalogue entry minimal
 REPRESENTATIVE_PARAMS: dict[str, LambdaParams] = {
@@ -99,6 +105,21 @@ def _check_spins(depth: int, configurations: int = 1) -> None:
             f"more than {_MAX_SPINS} spins")
 
 
+def _check_level_pairs(generators: int, depth: int) -> None:
+    """CapacityError unless certifying that many generators to the given
+    depth checks at most _MAX_LEVEL_PAIRS level pairs."""
+    if generators * depth > _MAX_LEVEL_PAIRS:
+        raise CapacityError(
+            f"{generators} generator(s) to depth {depth} would check more than "
+            f"{_MAX_LEVEL_PAIRS} level pairs")
+
+
+def _ball_table(p: LambdaParams) -> dict[tuple[int, tuple[int, int]], float]:
+    """ball_energy(s, (t, u), p) for all 27 spin triples, keyed (s, (t, u))."""
+    return {(s, tu): ball_energy(s, tu, p)
+            for s in SPINS for tu in product(SPINS, repeat=2)}
+
+
 def realize(seq: LevelSequence, depth: int) -> Configuration:
     """Level-constant configuration on the binary truncation with seq's
     value on each level."""
@@ -113,11 +134,17 @@ def realize(seq: LevelSequence, depth: int) -> Configuration:
 def is_ground_state(sigma: Configuration, p: LambdaParams,
                     tol: float = 0.0) -> tuple[bool, TreeCoord | None]:
     """Check every ball attains the minimal energy; on failure return the
-    first offending ball center as witness."""
+    first offending ball center as witness. Energies are read from the
+    ball table; a ball it lacks (a spin outside SPINS, or k != 2) goes to
+    ball_energy, which raises for it."""
+    table = _ball_table(p)
     floor = min_ball_energy(p)
     spins = sigma.spins
     for center, children in balls(sigma.shape):
-        u = ball_energy(spins[center], [spins[c] for c in children], p)
+        s, tu = spins[center], spins[children.start:children.stop]
+        u = table.get((s, tu))
+        if u is None:
+            u = ball_energy(s, tu, p)
         if u > floor + tol:
             return False, sigma.shape.vertices()[center]
     return True, None
@@ -150,10 +177,11 @@ def generators_for(region: str, max_period: int = 7) -> GroundStateCatalog:
     ([1, 2, 3, 2] and its longer 2,3-alternations); only even periods
     appear there, since inside A4 every parent/child pair must sit at
     spin distance one, which flips the spin's parity level by level and
-    so cannot close an odd cycle. Every generator is re-verified
-    per-ball at the region's representative coupling, one level past the
-    longest period; a catalog that would realize more than _MAX_SPINS
-    spins for that raises CapacityError before any generator is built.
+    so cannot close an odd cycle. Every generator is certified level pair
+    by level pair at the region's representative coupling, one level past
+    the longest period; a catalog whose generators times that depth
+    exceed _MAX_LEVEL_PAIRS raises CapacityError before any periodic
+    generator is built.
     """
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
@@ -163,40 +191,51 @@ def generators_for(region: str, max_period: int = 7) -> GroundStateCatalog:
                "A4": range(4, max_period + 1, 6),  # the even 3n+1
                "A5": range(2, max_period + 1)}.get(region, range(0))
     depth = max(3, periods[-1] + 1) if periods else 3
-    _check_spins(depth)
 
-    families: list[FamilyDescriptor] = []
     constants = [LevelSequence((s,), period=1) for s in SPINS]
-    if region == "A1":
-        generators = [LevelSequence((1, 3), period=2),
-                      LevelSequence((3, 1), period=2)]
-    elif region == "A2":
-        generators = [_one_then_alternating(n) for n in periods]
-        families = [_FAMILY_123]
-    elif region == "A3":
-        generators = constants + [_one_then_constant(n, 3) for n in periods]
-    elif region == "A4":
-        generators = [_one_then_alternating(n) for n in periods]
-    elif region == "A5":
-        generators = constants + [_one_then_constant(n, 2) for n in periods]
-        families = [_FAMILY_23]
-    else:
-        generators = constants
+    generators = {"A1": [LevelSequence((1, 3), period=2),
+                         LevelSequence((3, 1), period=2)],
+                  "A3": constants, "A5": constants, "A6": constants}.get(region, [])
+    _check_level_pairs(len(generators) + len(periods), depth)
+    if region in ("A2", "A4"):
+        generators += [_one_then_alternating(n) for n in periods]
+    elif region in ("A3", "A5"):
+        filler = 3 if region == "A3" else 2
+        generators += [_one_then_constant(n, filler) for n in periods]
+    families = {"A2": (_FAMILY_123,), "A5": (_FAMILY_23,)}.get(region, ())
 
     verdicts = verify_generators(generators, REPRESENTATIVE_PARAMS[region], depth)
     for g, (ok, witness) in zip(generators, verdicts):
         if not ok:
             raise InternalConsistencyError(
                 f"catalog generator {g.entries} fails at ball {witness} in {region}")
-    return GroundStateCatalog(region, tuple(generators), tuple(families), depth)
+    return GroundStateCatalog(region, tuple(generators), families, depth)
 
 
 def verify_generators(generators, p: LambdaParams, depth: int,
                       tol: float = 0.0) -> list[tuple[bool, TreeCoord | None]]:
-    """is_ground_state of each generator realized to the given depth; all
-    of them together may realize at most _MAX_SPINS spins."""
-    _check_spins(depth, len(generators))
-    return [is_ground_state(realize(g, depth), p, tol) for g in generators]
+    """is_ground_state(realize(g, depth), p, tol) of each generator, decided
+    on its level sequence without realizing a tree.
+
+    Every ball centred on level m has energy ball_energy(s_m, (s_{m+1},
+    s_{m+1})), so the realized tree is a ground state exactly when that
+    holds for each level m < depth; the first failing ball in canonical
+    order is the leftmost vertex of the first failing level. All the
+    generators together may check at most _MAX_LEVEL_PAIRS level pairs.
+    """
+    _check_level_pairs(len(generators), depth)
+    if depth < 1:  # the errors realize (depth < 0) and balls (depth 0) give
+        balls(TreeShape(2, depth))
+    table = _ball_table(p)
+    limit = min_ball_energy(p) + tol
+    out = []
+    for g in generators:
+        levels = [g.value_at(m) for m in range(depth + 1)]  # realize's ValueError
+        failing = next((m for m in range(depth)
+                        if table[levels[m], (levels[m + 1],) * 2] > limit), None)
+        out.append((True, None) if failing is None
+                   else (False, TreeCoord((1,) * failing)))
+    return out
 
 
 def _family_sequences(region: str, depth: int):
@@ -245,18 +284,23 @@ def sample_family(region: str, count: int, seed: int,
 
 def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
     """All configurations on the depth-`depth` binary truncation whose every
-    ball is minimal. Exact enumeration; depth is capped at 2 (3^7 states)."""
+    ball is minimal, built top-down from the root: each ball center, in
+    canonical order, takes every child pair that keeps its ball minimal.
+    Work follows the output size (3^7 at most); depth is capped at 2."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > _BRUTE_FORCE_MAX_DEPTH:
         raise CapacityError(
             f"brute force capped at depth {_BRUTE_FORCE_MAX_DEPTH}, got {depth}")
     shape = TreeShape(2, depth)
-    ball_ix = [(center, a, b) for center, (a, b) in balls(shape)]
     floor = min_ball_energy(p)
-    out: set[Configuration] = set()
-    for spins in product(SPINS, repeat=shape.vertex_count()):
-        if all(ball_energy(spins[ci], (spins[ai], spins[bi]), p) <= floor
-               for ci, ai, bi in ball_ix):
-            out.add(Configuration(shape, spins))
-    return out
+    allowed: dict[int, list[tuple[int, int]]] = {s: [] for s in SPINS}
+    for (s, tu), u in _ball_table(p).items():
+        if u <= floor:
+            allowed[s].append(tu)
+    # balls come by center position and each center's children follow the
+    # previous center's, so appending a child pair keeps canonical order
+    partial = [(s,) for s in SPINS]
+    for center, _ in balls(shape):
+        partial = [spins + tu for spins in partial for tu in allowed[spins[center]]]
+    return {Configuration(shape, spins) for spins in partial}

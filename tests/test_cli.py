@@ -341,14 +341,40 @@ def test_measure_capacity(capsys):
 
 
 def test_ground_capacity(capsys):
-    # a catalog or a family draw realizes at most 2^20 spins
-    for flags in (["--max-period", "17"], ["--depth", "19"],
-                  ["--samples", "100000", "--depth", "10"],
-                  ["--max-period", "1000000000000"]):
+    # certification checks at most 2^20 level pairs (generators x depth)
+    # and a family draw realizes at most 2^20 spins; both are refused from
+    # the flags before anything is built
+    for flags, message in ((["--max-period", "1000000000000"], "level pairs"),
+                           (["--depth", "1000000000000"], "level pairs"),
+                           (["--depth", "174763"], "level pairs"),  # 6 generators
+                           (["--samples", "100000", "--depth", "10"], "spins")):
         start = time.perf_counter()
         assert main(["ground", "--region", "A2", *flags]) == 3
         assert time.perf_counter() - start < 2.0
-        assert "spins" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+    # catalogs past the former 2^20-spin bound now answer
+    for flags in (["--max-period", "15"], ["--depth", "19"]):
+        payload = _run_json(capsys, ["ground", "--region", "A2", *flags])
+        assert all(g["ground_state"] for g in payload["catalogs"][0]["generators"])
+
+
+def test_ground_depth_errors(capsys):
+    for depth, message in (("0", "depth must be >= 1 to form balls"),
+                           ("-1", "depth must be >= 0, got -1")):
+        assert main(["ground", "--region", "A2", "--depth", depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
+def test_consistency_depth_zero(capsys):
+    # the perturbation targets level depth - 1, so the depth is checked first
+    for extra in ([], ["--perturb", "0.1"]):
+        assert main(["consistency", "--a", "0.5", "--b", "-0.3", "--c", "1.2",
+                     "--depth", "0", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: consistency needs depth >= 1\n"
+        assert captured.out == ""
 
 
 def test_measure_partition_out_of_float_range(capsys):

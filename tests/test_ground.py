@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+from lambda_tree import ground
 from lambda_tree.errors import CapacityError
 from lambda_tree.ground import (REPRESENTATIVE_PARAMS, LevelSequence,
                                 brute_force_minima, generators_for,
@@ -56,35 +58,44 @@ def test_is_ground_state_monotone_under_restriction():
         assert is_ground_state(restricted, p)[0]
 
 
-def test_witness_is_the_first_failing_ball():
-    # against a scan of the balls by their centers' paths, in canonical order
-    p = REPRESENTATIVE_PARAMS["A4"]
+def _per_ball(cfg: Configuration, p: LambdaParams, tol: float = 0.0):
+    """is_ground_state's verdict by one ball_energy call per ball, scanning
+    the centers by path in canonical order."""
     floor = min_ball_energy(p)
+    shape = cfg.shape
+    for x in shape.vertices():
+        if x.level == shape.depth:
+            break
+        s = [cfg.spins[shape.index_of(y)] for y in (x, x.child(1), x.child(2))]
+        if ball_energy(s[0], (s[1], s[2]), p) > floor + tol:
+            return False, x
+    return True, None
+
+
+def test_witness_is_the_first_failing_ball():
+    p = REPRESENTATIVE_PARAMS["A4"]
     base = realize(LevelSequence((1, 2, 3, 2), period=4), 4)
-    shape = base.shape
     rng = random.Random(8)
     witnesses = set()
     for _ in range(300):
         spins = [rng.choice(SPINS) if rng.random() < 0.05 else s for s in base.spins]
-        cfg = Configuration(shape, tuple(spins))
-        expected = None
-        for x in shape.vertices():
-            if x.level == shape.depth:
-                break
-            spin = [cfg.spins[shape.index_of(y)] for y in (x, x.child(1), x.child(2))]
-            if ball_energy(spin[0], (spin[1], spin[2]), p) > floor:
-                expected = x
-                break
-        assert is_ground_state(cfg, p) == (expected is None, expected)
-        witnesses.add(expected)
+        cfg = Configuration(base.shape, tuple(spins))
+        expected = _per_ball(cfg, p)
+        assert is_ground_state(cfg, p) == expected
+        witnesses.add(expected[1])
     assert len(witnesses) > 10 and None in witnesses
 
 
 def test_realized_spins_are_capped():
-    # a catalog, a family draw and one realization each realize at most
-    # 2^20 spins, refused before anything is built
+    # one realization and a family draw realize at most 2^20 spins; a
+    # certification checks at most 2^20 level pairs (generators x depth);
+    # both are refused before anything is built
+    assert len(generators_for("A2", max_period=15).generators) == 14
+    assert generators_for("A2", max_period=1024).verified_depth == 1025
     with pytest.raises(CapacityError):
-        generators_for("A2", max_period=15)     # 14 generators of 2^17 - 1 spins
+        generators_for("A2", max_period=1025)  # 1024 generators to depth 1026
+    with pytest.raises(CapacityError):
+        generators_for("A3", max_period=1023)  # 3 + 1022 generators to depth 1024
     with pytest.raises(CapacityError):
         generators_for("A2", max_period=10 ** 12)
     assert generators_for("A1", max_period=10 ** 12).verified_depth == 3
@@ -98,9 +109,13 @@ def test_realized_spins_are_capped():
     with pytest.raises(CapacityError):
         sample_family("A5", 1, seed=0, depth=10 ** 12)
     assert len(sample_family("A5", 500, seed=0, depth=10)) == 500
-    generators = generators_for("A2").generators
+    generators = generators_for("A2").generators  # 6 of them
+    p = REPRESENTATIVE_PARAMS["A2"]
+    assert verify_generators(generators, p, 19) == [(True, None)] * 6
     with pytest.raises(CapacityError):
-        verify_generators(generators, REPRESENTATIVE_PARAMS["A2"], 17)
+        verify_generators(generators[:4], p, 2 ** 18 + 1)
+    with pytest.raises(CapacityError):
+        verify_generators(generators, p, 10 ** 12)
 
 
 def test_constants_in_the_diagonal_region():
@@ -296,3 +311,134 @@ def test_sample_family_rejects_other_regions():
         sample_family("A1", 2, seed=0, depth=2)
     with pytest.raises(ValueError):
         sample_family("A2", -1, seed=0, depth=2)
+
+
+# --- oracles for the level-pair certification, the minima and the table ------
+
+def _oracle_triples() -> list[LambdaParams]:
+    """All 125 integer triples in [-2, 2]^3 (the region-boundary ties) and
+    500 seeded float triples."""
+    rng = random.Random(2016)
+    floats = [tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(500)]
+    return [LambdaParams(*t) for t in list(product(range(-2, 3), repeat=3)) + floats]
+
+
+def _error(call) -> str:
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+def test_certification_matches_realized_trees():
+    rng = random.Random(5)
+    outcomes = set()
+    for p in _oracle_triples():
+        # random periodic sequences, mostly stepping to a level value whose
+        # ball is minimal so that some fail late, plus the catalogs active
+        # at p, which pass
+        floor = min_ball_energy(p)
+        steps = {s: [t for t in SPINS if ball_energy(s, (t, t), p) <= floor]
+                 for s in SPINS}
+        generators = []
+        for _ in range(4):
+            entries = [rng.choice(SPINS)]
+            for _ in range(rng.randint(0, 5)):
+                good = steps[entries[-1]]
+                entries.append(rng.choice(good if good and rng.random() < 0.9 else SPINS))
+            generators.append(LevelSequence(tuple(entries), period=len(entries)))
+        for region in classify_region(p).active_regions:
+            generators += generators_for(region, max_period=6).generators
+        for tol in (0.0, 0.3):
+            depth = rng.randint(1, 8)
+            expected = [is_ground_state(realize(g, depth), p, tol) for g in generators]
+            assert verify_generators(generators, p, depth, tol) == expected
+            outcomes.update(witness.level if witness else None
+                            for _, witness in expected)
+    # passes, and failures at every level a period <= 6 can first fail at
+    assert outcomes == {None, *range(6)}
+
+
+def test_certification_errors_match_realized_trees():
+    p = REPRESENTATIVE_PARAMS["A1"]
+    periodic = LevelSequence((1, 3), period=2)
+    for depth, message in ((0, "depth must be >= 1 to form balls"),
+                           (-1, "depth must be >= 0, got -1")):
+        assert _error(lambda: verify_generators([periodic], p, depth)) == message
+        assert _error(lambda: is_ground_state(realize(periodic, depth), p)) == message
+    # level 0 already fails (c = 0 > a), yet the missing level 3 is reported
+    short = LevelSequence((1, 1, 1))
+    message = "aperiodic sequence of length 3 has no value at level 3"
+    assert _error(lambda: verify_generators([periodic, short], p, 5)) == message
+    assert _error(lambda: is_ground_state(realize(short, 5), p)) == message
+    assert verify_generators([short], p, 2) == [(False, ROOT)]
+
+
+def test_minima_match_enumeration():
+    for p in _oracle_triples():
+        floor = min_ball_energy(p)
+        for depth in (1, 2):
+            shape = TreeShape(2, depth)
+            vertices = shape.vertices()
+            inner = [(shape.index_of(x), shape.index_of(x.child(1)),
+                      shape.index_of(x.child(2))) for x in vertices if x.level < depth]
+            expected = {Configuration(shape, spins)
+                        for spins in product(SPINS, repeat=len(vertices))
+                        if all(ball_energy(spins[c], (spins[l], spins[r]), p) <= floor
+                               for c, l, r in inner)}
+            assert brute_force_minima(p, depth) == expected, (p, depth)
+
+
+def test_is_ground_state_matches_per_ball_energies():
+    rng = random.Random(11)
+    witnesses = set()
+    for p in _oracle_triples():
+        depth = rng.randint(1, 5)
+        shape = TreeShape(2, depth)
+        floor = min_ball_energy(p)
+        # grow top-down from minimal balls, with a few random child pairs
+        # so that balls fail at every depth
+        minimal = {s: [tu for tu in product(SPINS, repeat=2)
+                       if ball_energy(s, tu, p) <= floor] for s in SPINS}
+        spins = [rng.choice(SPINS)]
+        for _ in range(shape.vertex_count() // 2):
+            center = spins[len(spins) // 2]
+            options = minimal[center] if rng.random() < 0.97 else []
+            spins.extend(rng.choice(options) if options
+                         else (rng.choice(SPINS), rng.choice(SPINS)))
+        cfg = Configuration(shape, tuple(spins))
+        for tol in (0.0, 0.3):
+            expected = _per_ball(cfg, p, tol)
+            assert is_ground_state(cfg, p, tol) == expected
+            witnesses.add(expected[1])
+    assert None in witnesses
+    assert {x.level for x in witnesses if x} == {0, 1, 2, 3, 4}
+
+
+def test_is_ground_state_rejects_spins_outside_the_alphabet():
+    p = REPRESENTATIVE_PARAMS["A1"]
+    assert _error(lambda: is_ground_state(
+        Configuration(TreeShape(2, 1), (1, 4, 1)), p)) == \
+        "spins must be in (1, 2, 3), got (1, 4)"
+    assert _error(lambda: is_ground_state(
+        Configuration(TreeShape(3, 1), (1, 3, 3, 3)), p)) == \
+        "expected 2 child spins, got 3"
+
+
+def test_ground_layer_reads_one_ball_table(monkeypatch):
+    # on valid spins the table holds the only ball_energy calls: 27
+    calls = []
+
+    def counted(center, children, p):
+        calls.append(center)
+        return ball_energy(center, children, p)
+
+    monkeypatch.setattr(ground, "ball_energy", counted)
+    p = LambdaParams(0.0, 0.0, 0.0)
+    cfg = realize(LevelSequence((2,), period=1), 10)
+    generators = generators_for("A2", 14).generators
+    for run in (lambda: brute_force_minima(p, 2),
+                lambda: is_ground_state(cfg, p),
+                lambda: verify_generators(generators, p, 20)):
+        calls.clear()
+        run()
+        assert len(calls) <= 27
