@@ -53,6 +53,17 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(_round15(obj), indent=2) + "\n", out)
 
 
+def _json_float(value, what: str) -> float:
+    """A number read from a JSON file (a numeric string passes too, as
+    float() takes it); anything else is a ValueError that names `what`."""
+    if isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{what}: expected a number, got {json.dumps(value)}")
+
+
 def _params_from_args(args) -> LambdaParams:
     missing = [n for n in ("a", "b", "c") if getattr(args, n) is None]
     if missing:
@@ -153,8 +164,8 @@ def _axis_count(axis: dict) -> tuple[float, float, int]:
     for key in ("name", "start", "stop", "step"):
         if key not in axis:
             raise ValueError(f"sweep axis missing {key!r}")
-    start, stop, step = (float(axis["start"]), float(axis["stop"]),
-                         float(axis["step"]))
+    start, stop, step = (_json_float(axis[key], f"axis {axis['name']!r} {key}")
+                         for key in ("start", "stop", "step"))
     if not step > 0:
         raise ValueError(f"axis {axis['name']!r} needs step > 0, got {step}")
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -167,8 +178,25 @@ def _axis_count(axis: dict) -> tuple[float, float, int]:
 
 
 def _sweep_points(config: dict):
+    if not isinstance(config, dict):
+        raise ValueError(f"sweep config: expected an object with 'axes' and "
+                         f"'fixed', got {json.dumps(config)}")
     axes = config.get("axes", [])
     fixed = config.get("fixed", {})
+    if not (isinstance(axes, list) and all(isinstance(ax, dict) for ax in axes)):
+        raise ValueError(f"sweep config 'axes': expected a list of objects, "
+                         f"got {json.dumps(axes)}")
+    if not isinstance(fixed, dict):
+        raise ValueError(f"sweep config 'fixed': expected an object, "
+                         f"got {json.dumps(fixed)}")
+    for ax in axes:
+        if not isinstance(ax.get("name", ""), str):
+            raise ValueError(f"sweep axis 'name': expected a string, "
+                             f"got {json.dumps(ax['name'])}")
+    # a string is an alias, resolved per point; anything else must be a number
+    fixed = {name: value if isinstance(value, str)
+             else _json_float(value, f"fixed entry {name!r}")
+             for name, value in fixed.items()}
     names = [ax["name"] for ax in axes if "name" in ax] + list(fixed)
     families = {frozenset(_PARAM_NAMES): "params", frozenset(_WEIGHT_NAMES): "weights"}
     family = None
@@ -196,7 +224,7 @@ def _sweep_points(config: dict):
                         f"fixed entry {name!r} aliases unknown variable {value!r}")
                 resolved[name] = resolved[value]
             else:
-                resolved[name] = float(value)
+                resolved[name] = value
         if family == "params":
             return LambdaParams.from_mapping(resolved)
         return BoltzmannWeights.from_mapping(resolved)
@@ -254,16 +282,31 @@ def cmd_consistency(args) -> int:
     return 0
 
 
+def _read_fields(path: str) -> dict[TreeCoord, tuple[float, ...]]:
+    """The --fields file: a JSON object mapping vertex paths to lists of
+    numbers."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"--fields: expected an object mapping vertices to "
+                         f"field vectors, got {json.dumps(raw)}")
+    fields = {}
+    for key, vec in raw.items():
+        if not isinstance(vec, list):
+            raise ValueError(f"--fields entry {key!r}: expected a list of numbers, "
+                             f"got {json.dumps(vec)}")
+        fields[TreeCoord.parse(key)] = tuple(
+            _json_float(v, f"--fields entry {key!r}") for v in vec)
+    return fields
+
+
 def cmd_measure(args) -> int:
     p = _params_from_args(args)
     shape = TreeShape(args.k, args.depth)
     q = args.q
     check_enumerable(q, shape)
     if args.fields:
-        with open(args.fields) as fh:
-            raw = json.load(fh)
-        fields = {TreeCoord.parse(key): tuple(float(v) for v in vec)
-                  for key, vec in raw.items()}
+        fields = _read_fields(args.fields)
     else:
         fields = {x: (0.0,) * q for x in shape.level_vertices(shape.depth)}
     measure = finite_volume_measure(p, q, shape, BoundaryFields(q, fields))

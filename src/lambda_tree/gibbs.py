@@ -11,7 +11,10 @@ in its multiplicative form.
 
 import math
 from dataclasses import dataclass
-from itertools import cycle, product
+from functools import lru_cache
+from itertools import cycle, product, repeat
+from operator import truediv
+from types import MappingProxyType
 
 from .errors import CapacityError, DomainError
 from .model import LambdaParams, coupling_value
@@ -19,6 +22,8 @@ from .tree import TreeCoord, TreeShape, successors
 
 _MAX_STATES = 3 ** 13
 _OVERFLOW_LOG = 700.0  # exp overflows just above this, and underflows below -745
+_BAD_LOG_WEIGHT = ("a log weight is NaN or +inf: a boundary field is NaN or +inf, "
+                   "or a sum of fields leaves the float range")
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,22 @@ class FieldRatios:
 
 @dataclass(frozen=True)
 class FiniteVolumeMeasure:
-    """Probabilities keyed by spin tuples in the canonical vertex order."""
+    """Probabilities of the q^vertex_count configurations of V_n, in product
+    order over the canonical vertex order: the last vertex's spin varies
+    fastest, which is also the sorted order of the spin tuples."""
 
     n: int
-    probabilities: dict[tuple[int, ...], float]
+    q: int
+    vertex_count: int
+    values: tuple[float, ...]
     partition: float
+
+    @property
+    def probabilities(self) -> MappingProxyType:
+        """Read-only view of the values keyed by spin tuples, in the same
+        order; built on each access."""
+        configurations = product(range(1, self.q + 1), repeat=self.vertex_count)
+        return MappingProxyType(dict(zip(configurations, self.values)))
 
 
 @dataclass(frozen=True)
@@ -139,13 +155,21 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
 
     Weights are direct products exp{beta*H + field sum}; a common log
     shift is applied only if that would overflow or underflow. A partition
-    function outside the float range raises DomainError.
+    function outside the float range, or a NaN or +inf log weight, raises
+    DomainError.
     """
     log_weights = _log_weights(p, q, shape, h.at)
     peak = max(log_weights)
     shift = peak if abs(peak) > _OVERFLOW_LOG else 0.0
-    weights = [math.exp(lw - shift) for lw in log_weights]
+    # lw - 0.0 is lw, so only a nonzero shift is subtracted
+    shifted = [lw - shift for lw in log_weights] if shift else log_weights
+    weights = list(map(math.exp, shifted))
     total = math.fsum(weights)
+    if total != total:  # NaN, from a NaN or +inf log weight, or -inf ones only
+        if all(lw == -math.inf for lw in log_weights):
+            raise DomainError("the partition function is out of float range: "
+                              "log Z = -inf")
+        raise DomainError(_BAD_LOG_WEIGHT)
     try:
         partition = total * math.exp(shift)
     except OverflowError:
@@ -153,9 +177,8 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
     if not 0.0 < partition < math.inf:
         raise DomainError(f"the partition function is out of float range: "
                           f"log Z = {shift + math.log(total):.15g}")
-    configurations = product(range(1, q + 1), repeat=shape.vertex_count())
-    probabilities = {spins: w / total for spins, w in zip(configurations, weights)}
-    return FiniteVolumeMeasure(shape.depth, probabilities, partition)
+    values = tuple(map(truediv, weights, repeat(total)))
+    return FiniteVolumeMeasure(shape.depth, q, shape.vertex_count(), values, partition)
 
 
 def _normalized(log_weights: list[float]) -> list[float]:
@@ -165,8 +188,7 @@ def _normalized(log_weights: list[float]) -> list[float]:
     weights = [math.exp(lw - peak) for lw in log_weights]
     total = math.fsum(weights)
     if not 1.0 <= total < math.inf:
-        raise DomainError("a log weight is NaN or +inf: a boundary field is "
-                          "NaN or +inf, or a sum of fields leaves the float range")
+        raise DomainError(_BAD_LOG_WEIGHT)
     return [w / total for w in weights]
 
 
@@ -264,9 +286,16 @@ def vertex_normalizer(own_field: tuple[float, ...],
     return acc / math.exp(own_field[q - 1])
 
 
+@lru_cache(maxsize=4)
+def _csv_template(q: int, vertex_count: int) -> str:
+    """The CSV of every q^vertex_count measure with a %.15g slot for each
+    probability: the header, then one row per configuration label (its
+    spins written out digit by digit) in product order."""
+    labels = map("".join, product([str(s) for s in range(1, q + 1)],
+                                  repeat=vertex_count))
+    return "configuration,probability\n" + ",%.15g\n".join(labels) + ",%.15g\n"
+
+
 def measure_to_csv(measure: FiniteVolumeMeasure) -> str:
     """CSV rows (configuration digit string, probability), canonical order."""
-    rows = sorted(measure.probabilities.items())
-    row = "%d" * len(rows[0][0]) + ",%.15g\n"
-    return "configuration,probability\n" + "".join(
-        [row % (*spins, prob) for spins, prob in rows])
+    return _csv_template(measure.q, measure.vertex_count) % measure.values

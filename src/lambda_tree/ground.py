@@ -146,7 +146,7 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
         if u is None:
             u = ball_energy(s, tu, p)
         if u > floor + tol:
-            return False, sigma.shape.vertices()[center]
+            return False, sigma.shape.vertex_at(center)
     return True, None
 
 

@@ -116,6 +116,18 @@ class TreeShape:
             rank = rank * self.k + (i - 1)
         return self.level_positions(x.level)[rank]
 
+    def vertex_at(self, i: int) -> TreeCoord:
+        """The vertex at position i of the canonical order; the inverse of
+        index_of. Walks up through parents (i - 1) // k, so it costs one
+        step per level."""
+        if not 0 <= i < self.vertex_count():
+            raise ValueError(f"position {i} outside truncation {self}")
+        path = []
+        while i:
+            i, branch = divmod(i - 1, self.k)
+            path.append(branch + 1)
+        return TreeCoord(tuple(reversed(path)))
+
 
 def successors(x: TreeCoord, shape: TreeShape) -> list[TreeCoord]:
     """Direct successors S(x) inside the truncation, lexicographic."""

@@ -385,6 +385,58 @@ def test_measure_partition_out_of_float_range(capsys):
         assert "partition" in capsys.readouterr().err
 
 
+def test_measure_rejects_a_non_finite_log_weight(tmp_path, capsys):
+    # 1e308 + 1e308 is +inf; a sum of fields at -inf everywhere gives Z = 0
+    fields = tmp_path / "fields.json"
+    for raw, message in (
+            ({"1": [1e308, 1e308, 0], "2": [1e308, 0, 0]},
+             "a log weight is NaN or +inf: a boundary field is NaN or +inf, "
+             "or a sum of fields leaves the float range"),
+            ({"1": [-1e308] * 3, "2": [-1e308] * 3},
+             "the partition function is out of float range: log Z = -inf")):
+        fields.write_text(json.dumps(raw))
+        assert main(["measure", "--a", "0", "--b", "0", "--c", "0",
+                     "--fields", str(fields)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
+def test_malformed_input_files_exit_2(tmp_path, capsys):
+    # each file is read into the wrong JSON shape; the error names the key
+    axis = {"name": "c", "start": 0.0, "stop": 1.0, "step": 0.5}
+    cases = [
+        (["measure", "--a", "0", "--b", "0", "--c", "0", "--fields"],
+         [({"1": 3}, "--fields entry '1': expected a list of numbers, got 3"),
+          ([1, 2], "--fields: expected an object mapping vertices to field "
+                   "vectors, got [1, 2]"),
+          ({"1": [None, 0, 0], "2": [0, 0, 0]},
+           "--fields entry '1': expected a number, got null")]),
+        (["sweep", "--config"],
+         [([], "sweep config: expected an object with 'axes' and 'fixed', got []"),
+          ({"axes": 3, "fixed": {}},
+           "sweep config 'axes': expected a list of objects, got 3"),
+          ({"axes": [3], "fixed": {"a": 0.0, "b": 0.0}},
+           "sweep config 'axes': expected a list of objects, got [3]"),
+          ({"axes": [axis], "fixed": 3},
+           "sweep config 'fixed': expected an object, got 3"),
+          ({"axes": [dict(axis, start=None)], "fixed": {"a": 0.0, "b": 0.0}},
+           "axis 'c' start: expected a number, got null"),
+          ({"axes": [dict(axis, name=["c"])], "fixed": {"a": 0.0, "b": 0.0}},
+           "sweep axis 'name': expected a string, got [\"c\"]"),
+          ({"axes": [axis], "fixed": {"a": [0.0], "b": 0.0}},
+           "fixed entry 'a': expected a number, got [0.0]")]),
+    ]
+    path = tmp_path / "input.json"
+    for argv, inputs in cases:
+        for raw, message in inputs:
+            path.write_text(json.dumps(raw))
+            assert main([*argv, str(path)]) == 2, raw
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2

@@ -15,8 +15,12 @@ from lambda_tree.tree import TreeShape, successors
 
 # shapes (k, depth) and spin counts q whose full q^|V_depth| enumeration
 # stays within 2^15 states, small enough for the per-state oracle below
-_ORACLE_CASES = [(k, depth, q) for k, depth, q in product((2, 3), (1, 2, 3), (2, 3, 4))
-                 if q ** TreeShape(k, depth).vertex_count() <= 2 ** 15]
+# (|V| <= 15 is tested first, so no power grows large); q = 10 writes
+# two-digit spins into the CSV labels
+_ORACLE_CASES = [(k, depth, q)
+                 for k, depth, q in product((1, 2, 3), range(15), (2, 3, 4, 10))
+                 if TreeShape(k, depth).vertex_count() <= 15
+                 and q ** TreeShape(k, depth).vertex_count() <= 2 ** 15]
 
 
 def _per_state_measure(p, q, shape, h):
@@ -60,7 +64,8 @@ def _marginalized_deviation(p, q, shape, h):
 
 def _oracle_inputs(seed: int):
     """Per oracle case: params and recursion-built fields from log-uniform
-    leaf ratios, plus a copy with one field on W_{n-1} moved."""
+    leaf ratios, plus a copy with one field on W_{n-1} moved (None at
+    depth 0)."""
     rng = random.Random(seed)
     for k, depth, q in _ORACLE_CASES:
         shape = TreeShape(k, depth)
@@ -72,6 +77,9 @@ def _oracle_inputs(seed: int):
                                    for v in shape.level_vertices(depth)})
             h = fields_from_ratios(propagate_ratios(leaf, shape, p, q),
                                    gauge=rng.uniform(-2, 2))
+            if not depth:
+                yield p, q, shape, h, None
+                continue
             fields = dict(h.fields)
             x = rng.choice(shape.level_vertices(depth - 1))
             vec = list(fields[x])
@@ -290,9 +298,18 @@ def test_measure_csv_layout():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _sorted_row_csv(probabilities: dict) -> str:
+    """Oracle: the CSV written row by row from the sorted spin tuples."""
+    rows = sorted(probabilities.items())
+    row = "%d" * len(rows[0][0]) + ",%.15g\n"
+    return "configuration,probability\n" + "".join(
+        [row % (*spins, prob) for spins, prob in rows])
+
+
 def test_measure_matches_per_state_oracle():
     # the prefix enumeration adds in the per-state loop's order, so the
-    # probabilities and the partition function agree bit for bit
+    # probabilities and the partition function agree bit for bit, and the
+    # product-order values give the sorted rows' CSV byte for byte
     cases = [(p, q, shape, h) for p, q, shape, h, _ in _oracle_inputs(21)]
     # peak log weights of about +705 and -720 take the shifted branch
     shape = TreeShape(2, 1)
@@ -304,11 +321,16 @@ def test_measure_matches_per_state_oracle():
         probabilities, partition = _per_state_measure(p, q, shape, h)
         assert mu.probabilities == probabilities
         assert list(mu.probabilities) == list(probabilities)
+        assert mu.values == tuple(probabilities.values())
+        assert (mu.n, mu.q, mu.vertex_count) == (shape.depth, q, shape.vertex_count())
         assert mu.partition == partition
+        assert measure_to_csv(mu) == _sorted_row_csv(probabilities)
 
 
 def test_consistency_matches_marginalization_oracle():
     for p, q, shape, h, bent in _oracle_inputs(22):
+        if not shape.depth:
+            continue
         for fields, passes in ((h, True), (bent, False)):
             report = is_consistent(p, q, shape, fields)
             expected = _marginalized_deviation(p, q, shape, fields)

@@ -12,7 +12,7 @@ from lambda_tree.ground import (REPRESENTATIVE_PARAMS, LevelSequence,
 from lambda_tree.model import (SPINS, Configuration, LambdaParams,
                                ball_energy, classify_region, lambda_value,
                                min_ball_energy)
-from lambda_tree.tree import ROOT, TreeShape
+from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls
 
 
 def test_level_sequence_validation():
@@ -84,6 +84,26 @@ def test_witness_is_the_first_failing_ball():
         assert is_ground_state(cfg, p) == expected
         witnesses.add(expected[1])
     assert len(witnesses) > 10 and None in witnesses
+
+
+def test_deep_witness_matches_a_per_ball_scan():
+    # a depth-19 tree (2^20 - 1 spins) with one bad leaf pair under a
+    # level-18 vertex: the witness is that vertex, the first failing ball
+    # of a position-by-position scan
+    p = REPRESENTATIVE_PARAMS["A2"]
+    base = realize(LevelSequence((1, 3), period=2), 19)
+    shape = base.shape
+    floor = min_ball_energy(p)
+    x = TreeCoord(tuple(random.Random(19).choice((1, 2)) for _ in range(18)))
+    center, leaf = shape.index_of(x), shape.index_of(x.child(2))
+    spins = list(base.spins)
+    s, t = spins[center], spins[leaf - 1]
+    spins[leaf] = next(u for u in SPINS if ball_energy(s, (t, u), p) > floor)
+    cfg = Configuration(shape, tuple(spins))
+    first = next(c for c, kids in balls(shape)
+                 if ball_energy(spins[c], tuple(spins[kids.start:kids.stop]), p) > floor)
+    assert first == center
+    assert is_ground_state(cfg, p) == (False, x)
 
 
 def test_realized_spins_are_capped():

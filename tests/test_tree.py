@@ -53,15 +53,21 @@ def test_vertex_count_general_order():
 
 
 def test_canonical_order_and_index_of():
-    shape = TreeShape(2, 3)
-    verts = shape.vertices()
-    # level-major: levels never decrease along the canonical order
-    assert [v.level for v in verts] == sorted(v.level for v in verts)
-    for i, v in enumerate(verts):
-        assert shape.index_of(v) == i
+    for k in (1, 2, 3):
+        for depth in range(5):
+            shape = TreeShape(k, depth)
+            verts = shape.vertices()
+            # level-major: levels never decrease along the canonical order
+            assert [v.level for v in verts] == sorted(v.level for v in verts)
+            for i, v in enumerate(verts):
+                assert shape.index_of(v) == i
+                assert shape.vertex_at(i) == v  # vertex_at inverts index_of
+            for i in (-1, len(verts)):
+                with pytest.raises(ValueError):
+                    shape.vertex_at(i)
     outside = TreeCoord((1, 1, 1, 1))
     with pytest.raises(ValueError):
-        shape.index_of(outside)
+        TreeShape(2, 3).index_of(outside)
 
 
 def test_contains():
