@@ -18,13 +18,11 @@ from .ground import (FamilyDescriptor, GroundStateCatalog, LevelSequence,
 from .gibbs import (BoundaryFields, ConsistencyReport, FieldRatios,
                     FiniteVolumeMeasure, boltzmann_matrix, check_enumerable,
                     fields_from_ratios, finite_volume_measure, is_consistent,
-                    measure_to_csv, propagate_ratios, push_forward,
-                    vertex_normalizer)
-from .solver import (BoltzmannWeights, CanonicalParams, CaseIdentityReport,
-                     FixedPointReport, PeriodicReport, SweepRow,
-                     canonical_params, canonical_root_count, case_identity_check,
-                     count_ti_roots, f_map, periodic_quadratic, sweep,
-                     sweep_to_csv, sweep_to_jsonl, ti_thresholds,
-                     two_periodic_report, weights_from)
+                    measure_to_csv, propagate_ratios, push_forward)
+from .solver import (BoltzmannWeights, CanonicalParams, FixedPointReport,
+                     PeriodicReport, SweepRow, canonical_params,
+                     canonical_root_count, count_ti_roots, f_map,
+                     periodic_quadratic, sweep, sweep_to_csv, sweep_to_jsonl,
+                     ti_thresholds, two_periodic_report, weights_from)
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ significant digits so reruns diff cleanly.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -212,11 +213,14 @@ def _sweep_points(config: dict):
         raise ValueError("sweep grid is empty (an axis produced no values)")
     if math.prod(n for _, _, n in counts) > _MAX_SWEEP_POINTS:
         raise CapacityError(f"sweep grid has more than {_MAX_SWEEP_POINTS} points")
-    grids = [(ax["name"], [start + i * step for i in range(n)])
-             for ax, (start, step, n) in zip(axes, counts)]
+    axis_names = [ax["name"] for ax in axes]
+    for i, name in enumerate(axis_names):
+        if name in axis_names[:i]:
+            raise ValueError(f"sweep axis {name!r} is given more than once")
+    grids = [[start + i * step for i in range(n)] for start, step, n in counts]
 
-    def build(combo: dict):
-        resolved = dict(combo)
+    def build(combo: tuple):
+        resolved = dict(zip(axis_names, combo))
         for name, value in fixed.items():
             if isinstance(value, str):
                 if value not in resolved:
@@ -229,22 +233,8 @@ def _sweep_points(config: dict):
             return LambdaParams.from_mapping(resolved)
         return BoltzmannWeights.from_mapping(resolved)
 
-    points = []
-
-    def expand(i: int, combo: dict) -> None:
-        if i == len(grids):
-            points.append(build(combo))
-            return
-        name, values = grids[i]
-        for v in values:
-            combo[name] = v
-            expand(i + 1, combo)
-        del combo[name]
-
-    expand(0, {})
-    if not points:
-        raise ValueError("sweep grid is empty")
-    return points
+    # the first axis outermost; no axes give the one point of fixed values
+    return [build(combo) for combo in itertools.product(*grids)]
 
 
 def cmd_sweep(args) -> int:
@@ -282,9 +272,9 @@ def cmd_consistency(args) -> int:
     return 0
 
 
-def _read_fields(path: str) -> dict[TreeCoord, tuple[float, ...]]:
-    """The --fields file: a JSON object mapping vertex paths to lists of
-    numbers."""
+def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ...]]:
+    """The --fields file: a JSON object mapping vertex paths of the
+    truncation to lists of numbers."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -295,8 +285,11 @@ def _read_fields(path: str) -> dict[TreeCoord, tuple[float, ...]]:
         if not isinstance(vec, list):
             raise ValueError(f"--fields entry {key!r}: expected a list of numbers, "
                              f"got {json.dumps(vec)}")
-        fields[TreeCoord.parse(key)] = tuple(
-            _json_float(v, f"--fields entry {key!r}") for v in vec)
+        x = TreeCoord.parse(key)
+        if not shape.contains(x):
+            raise ValueError(f"--fields entry {key!r}: not a vertex of the "
+                             f"k={shape.k}, depth-{shape.depth} truncation")
+        fields[x] = tuple(_json_float(v, f"--fields entry {key!r}") for v in vec)
     return fields
 
 
@@ -306,7 +299,7 @@ def cmd_measure(args) -> int:
     q = args.q
     check_enumerable(q, shape)
     if args.fields:
-        fields = _read_fields(args.fields)
+        fields = _read_fields(args.fields, shape)
     else:
         fields = {x: (0.0,) * q for x in shape.level_vertices(shape.depth)}
     measure = finite_volume_measure(p, q, shape, BoundaryFields(q, fields))

@@ -269,23 +269,6 @@ def propagate_ratios(leaf: FieldRatios, shape: TreeShape, p: LambdaParams,
     return FieldRatios(q, ratios)
 
 
-def vertex_normalizer(own_field: tuple[float, ...],
-                      child_fields: list[tuple[float, ...]],
-                      p: LambdaParams, q: int = 3) -> float:
-    """Per-vertex normalizer a(x) of the partition recurrence.
-
-    With compatible fields, prod over children y of
-    sum_j exp(beta*lam(k,j) + h_{j,y}) equals a(x)*exp(h_{k,x}) for every
-    k; computed here with k = q. The products A_m = prod over W_m of a(x)
-    satisfy Z_{m+1} = A_m * Z_m.
-    """
-    mat = boltzmann_matrix(p, q)
-    acc = 1.0
-    for hv in child_fields:
-        acc *= math.fsum(mat[q - 1][j] * math.exp(hv[j]) for j in range(q))
-    return acc / math.exp(own_field[q - 1])
-
-
 @lru_cache(maxsize=4)
 def _csv_template(q: int, vertex_count: int) -> str:
     """The CSV of every q^vertex_count measure with a %.15g slot for each

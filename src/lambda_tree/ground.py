@@ -156,6 +156,7 @@ _FAMILY_123 = FamilyDescriptor(
 _FAMILY_23 = FamilyDescriptor(
     alphabet=(2, 3), anchor=2, adjacent_must_differ=False,
     label="level sequences over {2,3} with level 0 = 2")
+_FAMILIES = {"A2": _FAMILY_123, "A5": _FAMILY_23}
 
 
 def _one_then_alternating(period: int) -> LevelSequence:
@@ -202,7 +203,7 @@ def generators_for(region: str, max_period: int = 7) -> GroundStateCatalog:
     elif region in ("A3", "A5"):
         filler = 3 if region == "A3" else 2
         generators += [_one_then_constant(n, filler) for n in periods]
-    families = {"A2": (_FAMILY_123,), "A5": (_FAMILY_23,)}.get(region, ())
+    families = (_FAMILIES[region],) if region in _FAMILIES else ()
 
     verdicts = verify_generators(generators, REPRESENTATIVE_PARAMS[region], depth)
     for g, (ok, witness) in zip(generators, verdicts):
@@ -238,19 +239,19 @@ def verify_generators(generators, p: LambdaParams, depth: int,
     return out
 
 
-def _family_sequences(region: str, depth: int):
-    """The family's level sequences as (anchor, choices-per-level); both
-    families happen to have exactly 2 admissible values at every level."""
-    if region == "A2":
-        def options(prev: int) -> tuple[int, ...]:
-            return tuple(s for s in SPINS if s != prev)
-        return 1, options
-    if region == "A5":
-        def options(prev: int) -> tuple[int, ...]:
-            return (2, 3)
-        return 2, options
-    raise ValueError(
-        f"region {region} has no uncountable family to sample")
+def _family_sequences(region: str):
+    """The family's level sequences as (anchor, choices-per-level), read
+    from its descriptor; both families happen to have exactly 2 admissible
+    values at every level."""
+    family = _FAMILIES.get(region)
+    if family is None:
+        raise ValueError(
+            f"region {region} has no uncountable family to sample")
+
+    def options(prev: int) -> tuple[int, ...]:
+        return tuple(s for s in family.alphabet
+                     if not (family.adjacent_must_differ and s == prev))
+    return family.anchor, options
 
 
 def sample_family(region: str, count: int, seed: int,
@@ -261,7 +262,7 @@ def sample_family(region: str, count: int, seed: int,
     The draw may realize at most _MAX_SPINS spins in all."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    anchor, options = _family_sequences(region, depth)
+    anchor, options = _family_sequences(region)
     _check_spins(depth)  # bounds the depth before 2^depth is formed
     space = 2 ** depth
     _check_spins(depth, min(count, space))

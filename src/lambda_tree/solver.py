@@ -26,8 +26,8 @@ the closed form
         + 6xyz^2 - 4y^4 + 2yz^3
 
 in (x, y, z) = (xw, yw, zw), evaluated exactly; the sign of its
-discriminant decides existence. The division itself is kept for the audit
-of the printed discriminant factorizations.
+discriminant decides existence. The composed-map division that derives
+this closed form is a test oracle and is not run here.
 """
 
 import json
@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalConsistencyError
 from .model import LambdaParams
-from .poly import Poly, RationalFn, X, compose, divide_exact
 
 K_CHILDREN = 2  # branching order baked into the squared map
 
@@ -98,32 +97,6 @@ class PeriodicReport:
     two_periodic_exists: bool
 
 
-@dataclass(frozen=True)
-class CaseSample:
-    weights: tuple[float, ...]         # the free parameters of the case
-    computed_d: float
-    printed_d: float
-    rel_deviation: float
-    agrees: bool
-
-
-@dataclass(frozen=True)
-class CaseIdentityReport:
-    case: str
-    samples: tuple[CaseSample, ...]
-    max_rel_deviation: float
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "max_rel_deviation": self.max_rel_deviation,
-            "samples": [{"weights": list(s.weights), "computed_d": s.computed_d,
-                         "printed_d": s.printed_d,
-                         "rel_deviation": s.rel_deviation, "agrees": s.agrees}
-                        for s in self.samples],
-        }
-
-
 def weights_from(p: LambdaParams) -> BoltzmannWeights:
     try:
         return BoltzmannWeights(math.exp(p.beta * p.c), math.exp(p.beta * p.b),
@@ -133,9 +106,16 @@ def weights_from(p: LambdaParams) -> BoltzmannWeights:
             f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
 
 
+def _line_terms(u: float, w: BoltzmannWeights) -> tuple[float, float]:
+    """Numerator and denominator of the invariant-line ratio, whose
+    K_CHILDREN-th power is f(u)."""
+    return w.xw * u + 2.0 * w.yw, w.yw * u + (w.xw + w.zw)
+
+
 def f_map(u: float, w: BoltzmannWeights) -> float:
     """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
-    return ((w.xw * u + 2.0 * w.yw) / (w.yw * u + (w.xw + w.zw))) ** K_CHILDREN
+    num, den = _line_terms(u, w)
+    return (num / den) ** K_CHILDREN
 
 
 def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
@@ -246,8 +226,7 @@ def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
 def _polish_fixed_point(u: float, w: BoltzmannWeights) -> float:
     """A few Newton steps on g(u) = f(u) - u."""
     for _ in range(4):
-        num = w.xw * u + 2.0 * w.yw
-        den = w.yw * u + (w.xw + w.zw)
+        num, den = _line_terms(u, w)
         ratio = num / den
         g = ratio * ratio - u
         dg = 2.0 * ratio * (w.xw * den - num * w.yw) / (den * den) - 1.0
@@ -333,75 +312,6 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
         if abs(r - f_map(r, w)) > _PROPERNESS_GAP:
             proper.append(r)
     return PeriodicReport(quad, disc_f, tuple(sorted(proper)), exists)
-
-
-def _exact_line_map(w: BoltzmannWeights) -> RationalFn:
-    """f as a rational function with exact Fraction coefficients."""
-    xf, yf, zf = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
-    num = Poly((2 * yf, xf))
-    den = Poly((xf + zf, yf))
-    return RationalFn(num * num, den * den)
-
-
-def _quadratic_by_division(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
-    """(A, B, C) derived by composing f with itself and dividing the
-    fixed-point numerators exactly: the derivation the closed form in
-    periodic_quadratic is audited and tested against."""
-    f = _exact_line_map(w)
-    ff = compose(f, f)
-    p_fix = f.num - X * f.den
-    q_fix = ff.num - X * ff.den
-    quad = divide_exact(q_fix, p_fix)
-    if quad.degree() != 2:
-        raise InternalConsistencyError(
-            f"expected a quadratic quotient, got degree {quad.degree()}")
-    c0, c1, c2 = quad.coeffs
-    return Fraction(c2), Fraction(c1), Fraction(c0)
-
-
-# printed factorized discriminants, evaluated exactly per case
-def _printed_case_d(case: str, sample) -> tuple[Fraction, BoltzmannWeights]:
-    if case == "i":
-        x = Fraction(float(sample))
-        printed = -x * (4 + 3 * x) * (2 * x + 3) ** 2 * (2 * x ** 2 + x - 2) ** 2
-        weights = BoltzmannWeights(float(sample), 1.0, float(sample) + 1.0)
-    elif case == "ii":
-        x = Fraction(float(sample))
-        printed = (-16 * (3 * x ** 4 + 10 * x ** 3 + 6 * x ** 2 - 1)
-                   * (x - 1) ** 2 * (x + 1) ** 2)
-        weights = BoltzmannWeights(float(sample), 1.0, float(sample))
-    elif case == "iii":
-        xs, zs = sample
-        x, z = Fraction(float(xs)), Fraction(float(zs))
-        printed = (-x ** 3 * (23 * x ** 3 + 30 * x ** 2 * z
-                              + 15 * x * z ** 2 + 4 * z ** 3) * (x - z) ** 2)
-        weights = BoltzmannWeights(float(xs), float(xs), float(zs))
-    else:
-        raise ValueError(f"unknown case {case!r}; expected i, ii or iii")
-    return printed, weights
-
-
-def case_identity_check(case: str, samples) -> CaseIdentityReport:
-    """Audit the printed factorized discriminant of one special case
-    against the division-derived one, sample by sample, exactly.
-
-    Case "i" fixes zw = xw + 1, yw = 1 (samples are xw values); case "ii"
-    fixes zw = xw, yw = 1 (samples are xw values); case "iii" fixes
-    yw = xw (samples are (xw, zw) pairs).
-    """
-    rows = []
-    worst = 0.0
-    for sample in samples:
-        printed, w = _printed_case_d(case, sample)
-        a_f, b_f, c_f = _quadratic_by_division(w)
-        computed = b_f * b_f - 4 * a_f * c_f
-        denom = max(abs(computed), abs(printed))
-        rel = 0.0 if denom == 0 else float(abs(computed - printed) / denom)
-        worst = max(worst, rel)
-        key = (float(sample),) if case in ("i", "ii") else tuple(float(v) for v in sample)
-        rows.append(CaseSample(key, float(computed), float(printed), rel,
-                               rel <= 1e-8))
-    return CaseIdentityReport(case, tuple(rows), worst)
 
 
 @dataclass(frozen=True)

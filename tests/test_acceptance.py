@@ -19,10 +19,10 @@ from lambda_tree.ground import (REPRESENTATIVE_PARAMS, brute_force_minima,
                                 generators_for, realize, sample_family)
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (BoltzmannWeights, canonical_root_count,
-                                case_identity_check, count_ti_roots, f_map,
-                                periodic_quadratic, ti_thresholds,
-                                two_periodic_report)
+                                count_ti_roots, f_map, periodic_quadratic,
+                                ti_thresholds, two_periodic_report)
 from lambda_tree.tree import TreeShape
+from oracles import case_identity_check
 
 _ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -222,12 +222,11 @@ def test_criterion_9():
 
     _ARTIFACT_DIR.mkdir(exist_ok=True)
     path = _ARTIFACT_DIR / "case_identity_audit.json"
-    payload = {report.case: report.to_json()
-               for report in (case_i, case_ii, case_iii)}
+    payload = {report["case"]: report for report in (case_i, case_ii, case_iii)}
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
     parsed = json.loads(path.read_text())
     assert set(parsed) == {"i", "ii", "iii"}
     for report in (case_i, case_ii, case_iii):
-        assert report.max_rel_deviation <= 1e-8, report.case
-        assert all(s.agrees for s in report.samples)
+        assert report["max_rel_deviation"] <= 1e-8, report["case"]
+        assert all(s["agrees"] for s in report["samples"])

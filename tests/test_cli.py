@@ -1,7 +1,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,25 @@ def test_sweep_weight_alias(tmp_path, capsys):
         assert row["zw"] == row["xw"]
         assert row["a"] is None
     assert rows[0]["two_periodic"] is True
+
+
+def test_sweep_axis_order(tmp_path, capsys):
+    # the first axis is outermost; no axes give the one fixed point
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "axes": [{"name": "c", "start": 0.0, "stop": 1.0, "step": 0.5},
+                 {"name": "a", "start": 0.0, "stop": 0.1, "step": 0.1}],
+        "fixed": {"b": 0.0},
+    }))
+    assert main(["sweep", "--config", str(config), "--format", "json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["c"], row["a"]) for row in rows] == [
+        (0.0, 0.0), (0.0, 0.1), (0.5, 0.0), (0.5, 0.1), (1.0, 0.0), (1.0, 0.1)]
+    config.write_text(json.dumps({"axes": [],
+                                  "fixed": {"a": 0.1, "b": 0.2, "c": 0.3}}))
+    assert main(["sweep", "--config", str(config), "--format", "json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["a"], row["b"], row["c"]) for row in rows] == [(0.1, 0.2, 0.3)]
 
 
 def test_sweep_empty_grid(tmp_path, capsys):
@@ -411,7 +434,13 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
           ([1, 2], "--fields: expected an object mapping vertices to field "
                    "vectors, got [1, 2]"),
           ({"1": [None, 0, 0], "2": [0, 0, 0]},
-           "--fields entry '1': expected a number, got null")]),
+           "--fields entry '1': expected a number, got null"),
+          # keys outside the k=2, depth-1 truncation; inner "0" is a vertex
+          ({"0": [0, 0, 0], "1": [0, 0, 0], "2": [0, 0, 0], "7.7": [9, 9, 9]},
+           "--fields entry '7.7': not a vertex of the k=2, depth-1 truncation"),
+          ({"1": [0, 0, 0], "2": [0, 0, 0], "1.1.1": [1, 2, 3]},
+           "--fields entry '1.1.1': not a vertex of the k=2, depth-1 "
+           "truncation")]),
         (["sweep", "--config"],
          [([], "sweep config: expected an object with 'axes' and 'fixed', got []"),
           ({"axes": 3, "fixed": {}},
@@ -425,7 +454,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
           ({"axes": [dict(axis, name=["c"])], "fixed": {"a": 0.0, "b": 0.0}},
            "sweep axis 'name': expected a string, got [\"c\"]"),
           ({"axes": [axis], "fixed": {"a": [0.0], "b": 0.0}},
-           "fixed entry 'a': expected a number, got [0.0]")]),
+           "fixed entry 'a': expected a number, got [0.0]"),
+          ({"axes": [axis, axis], "fixed": {"a": 0.0, "b": 0.0}},
+           "sweep axis 'c' is given more than once")]),
     ]
     path = tmp_path / "input.json"
     for argv, inputs in cases:
@@ -440,3 +471,21 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_runtime_import_leaves_poly_to_the_oracles():
+    # the CLI never loads poly, yet the benchmark's tracer still wraps it:
+    # deleting poly.py needs a matching benchmark change
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "import lambda_tree.cli\n"
+            "assert 'lambda_tree.poly' not in sys.modules, 'poly imported'\n"
+            "from tracing import Tracer\n"
+            "Tracer().install('lambda_tree')\n"
+            "print('ok')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

@@ -8,10 +8,11 @@ from lambda_tree.errors import CapacityError, DomainError
 from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                fields_from_ratios, finite_volume_measure,
                                is_consistent, measure_to_csv, propagate_ratios,
-                               push_forward, vertex_normalizer)
+                               push_forward)
 from lambda_tree.model import LambdaParams, coupling_value
 from lambda_tree.solver import f_map, weights_from
 from lambda_tree.tree import TreeShape, successors
+from oracles import vertex_normalizer
 
 # shapes (k, depth) and spin counts q whose full q^|V_depth| enumeration
 # stays within 2^15 states, small enough for the per-state oracle below

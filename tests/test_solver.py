@@ -9,12 +9,12 @@ from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
-                                _quadratic_by_division, canonical_params,
-                                canonical_root_count, case_identity_check,
+                                canonical_params, canonical_root_count,
                                 count_ti_roots, f_map, periodic_quadratic,
                                 sweep, sweep_to_csv, sweep_to_jsonl,
                                 ti_thresholds, two_periodic_report,
                                 weights_from)
+from oracles import case_identity_check, quadratic_by_division
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -207,7 +207,7 @@ def test_periodic_quadratic_closed_form_is_the_quotient():
     rng = random.Random(0)
     for _ in range(200):
         w = BoltzmannWeights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
-        assert periodic_quadratic(w) == _quadratic_by_division(w)
+        assert periodic_quadratic(w) == quadratic_by_division(w)
 
 
 def test_equal_edge_weights_degenerate_at_one():
@@ -299,24 +299,28 @@ def test_out_of_float_range_is_a_domain_error():
 
 def test_case_identity_audit():
     rows = case_identity_check("ii", [0.2, 0.5, 2.0])
-    assert rows.max_rel_deviation <= 1e-12
-    assert all(s.agrees for s in rows.samples)
+    assert rows["max_rel_deviation"] <= 1e-12
+    assert all(s["agrees"] for s in rows["samples"])
 
     one = case_identity_check("i", [1.0])
-    assert one.samples[0].computed_d == -175.0
-    assert one.max_rel_deviation == 0.0
+    assert one["samples"][0]["computed_d"] == -175.0
+    assert one["max_rel_deviation"] == 0.0
 
     diag = case_identity_check("iii", [(0.5, 0.5)])
-    assert diag.samples[0].computed_d == 0.0
-    assert diag.samples[0].printed_d == 0.0
-    assert diag.max_rel_deviation == 0.0
+    assert diag["samples"][0]["computed_d"] == 0.0
+    assert diag["samples"][0]["printed_d"] == 0.0
+    assert diag["max_rel_deviation"] == 0.0
 
     with pytest.raises(ValueError):
         case_identity_check("iv", [1.0])
 
-    payload = one.to_json()
-    assert payload["case"] == "i"
-    assert payload["samples"][0]["agrees"] is True
+    # the artifact's key order
+    assert list(one) == ["case", "max_rel_deviation", "samples"]
+    assert one["case"] == "i"
+    assert list(one["samples"][0]) == ["weights", "computed_d", "printed_d",
+                                       "rel_deviation", "agrees"]
+    assert one["samples"][0]["weights"] == [1.0]
+    assert one["samples"][0]["agrees"] is True
 
 
 def _weights_for_canonical(a_can: float, b_can: float) -> BoltzmannWeights:
