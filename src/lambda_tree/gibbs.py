@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, product, repeat
-from operator import truediv
+from operator import add, mul, truediv
 from types import MappingProxyType
 
 from .errors import CapacityError, DomainError
@@ -141,11 +141,10 @@ def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
     for parent, child in shape.edges():
         rows = by_spin(lam, parent, child)
         energies = [e + c for e, row in zip(energies, rows) for c in row]
-    log_weights = [p.beta * e for e in energies]
+    log_weights = list(map(mul, repeat(p.beta), energies))
     for v, x in zip(shape.level_positions(shape.depth),
                     shape.level_vertices(shape.depth)):
-        hs = by_spin(field_at(x), v, nverts)
-        log_weights = [lw + hv for lw, hv in zip(log_weights, hs)]
+        log_weights = list(map(add, log_weights, by_spin(field_at(x), v, nverts)))
     return log_weights
 
 

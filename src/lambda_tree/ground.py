@@ -11,20 +11,21 @@ centred at any vertex of level m has energy ball_energy(s_m, (s_{m+1},
 s_{m+1})). Catalogs are therefore certified on their level sequences, one
 level pair at a time, without realizing a tree: every generator is checked
 at the region's representative coupling before being returned. All ball
-energies come from one 27-entry table per coupling triple.
+energies come from one 27-entry table per coupling triple, cached across
+calls.
 """
 
 import random
-from itertools import product
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, count, product, repeat
 
 from .errors import CapacityError, InternalConsistencyError
-from .model import (SPINS, Configuration, LambdaParams, ball_energy,
-                    min_ball_energy)
+from .model import (BALLS_PER_VERTEX, SPINS, Configuration, LambdaParams,
+                    ball_energy, min_ball_energy)
 from .tree import TreeCoord, TreeShape, balls
 
-_BRUTE_FORCE_MAX_DEPTH = 2  # 3^7 = 2187 at depth 2; depth 3 would be 3^15
-_MAX_SPINS = 2 ** 20  # spins realized by one family draw or one realize
+_MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
 _MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
 
 # one coupling triple per region making its catalogue entry minimal
@@ -114,39 +115,60 @@ def _check_level_pairs(generators: int, depth: int) -> None:
             f"{_MAX_LEVEL_PAIRS} level pairs")
 
 
-def _ball_table(p: LambdaParams) -> dict[tuple[int, tuple[int, int]], float]:
-    """ball_energy(s, (t, u), p) for all 27 spin triples, keyed (s, (t, u))."""
-    return {(s, tu): ball_energy(s, tu, p)
-            for s in SPINS for tu in product(SPINS, repeat=2)}
+@lru_cache(maxsize=16)
+def _ball_table(p: LambdaParams) -> dict[tuple[int, int, int], float]:
+    """ball_energy(s, (t, u), p) for all 27 spin triples, keyed flat as
+    (s, t, u): the center's spin, then its two children's.
+
+    Built by calling ball_energy, so it holds no second energy definition.
+    It is cached per coupling triple; equal triples (0.0 and -0.0 among
+    them) share one entry and get the same verdicts. Callers only read it.
+    """
+    return {(s, t, u): ball_energy(s, (t, u), p)
+            for s in SPINS for t, u in product(SPINS, repeat=2)}
 
 
 def realize(seq: LevelSequence, depth: int) -> Configuration:
     """Level-constant configuration on the binary truncation with seq's
-    value on each level."""
+    value on each level. The depth + 1 level values are checked as
+    Configuration checks spins, so the tree's spins are not checked again."""
     _check_spins(depth)
     shape = TreeShape(2, depth)
+    levels = [seq.value_at(m) for m in range(depth + 1)]
+    Configuration._check_spin_values(levels)
     spins = []
-    for m in range(depth + 1):
-        spins.extend([seq.value_at(m)] * shape.level_size(m))
-    return Configuration(shape, tuple(spins))
+    for m, s in enumerate(levels):
+        spins += [s] * shape.level_size(m)
+    [cfg] = Configuration._unchecked(shape, [tuple(spins)])
+    return cfg
 
 
 def is_ground_state(sigma: Configuration, p: LambdaParams,
                     tol: float = 0.0) -> tuple[bool, TreeCoord | None]:
     """Check every ball attains the minimal energy; on failure return the
-    first offending ball center as witness. Energies are read from the
-    ball table; a ball it lacks (a spin outside SPINS, or k != 2) goes to
-    ball_energy, which raises for it."""
+    first offending ball center as witness.
+
+    At k = 2 the ball centred at position c holds positions c, 2c + 1 and
+    2c + 2, so one ordered pass over zip(spins, spins[1::2], spins[2::2])
+    meets every ball in canonical order, and each ball's verdict is read
+    from the cached ball table. A ball the table lacks (a spin outside
+    SPINS) goes to ball_energy, which raises for it; so does k != 2. Depth
+    0 raises as balls does.
+    """
+    shape, spins = sigma.shape, sigma.spins
+    if shape.depth < 1 or shape.k != BALLS_PER_VERTEX:
+        balls(shape)  # raises at depth 0
+        ball_energy(spins[0], spins[1:shape.k + 1], p)  # raises for k != 2 children
     table = _ball_table(p)
-    floor = min_ball_energy(p)
-    spins = sigma.spins
-    for center, children in balls(sigma.shape):
-        s, tu = spins[center], spins[children.start:children.stop]
-        u = table.get((s, tu))
-        if u is None:
-            u = ball_energy(s, tu, p)
-        if u > floor + tol:
-            return False, sigma.shape.vertex_at(center)
+    limit = min_ball_energy(p) + tol
+    failing = {ball: u > limit for ball, u in table.items()}
+    # centers whose ball fails, or is not in the table, in canonical order
+    suspects = compress(count(), map(failing.get, zip(spins, spins[1::2], spins[2::2]),
+                                     repeat(True)))
+    for center in suspects:
+        s, t, u = spins[center], spins[2 * center + 1], spins[2 * center + 2]
+        if (s, t, u) in failing or ball_energy(s, (t, u), p) > limit:
+            return False, shape.vertex_at(center)
     return True, None
 
 
@@ -233,7 +255,7 @@ def verify_generators(generators, p: LambdaParams, depth: int,
     for g in generators:
         levels = [g.value_at(m) for m in range(depth + 1)]  # realize's ValueError
         failing = next((m for m in range(depth)
-                        if table[levels[m], (levels[m + 1],) * 2] > limit), None)
+                        if table[levels[m], levels[m + 1], levels[m + 1]] > limit), None)
         out.append((True, None) if failing is None
                    else (False, TreeCoord((1,) * failing)))
     return out
@@ -283,25 +305,67 @@ def sample_family(region: str, count: int, seed: int,
     return [realize(LevelSequence(s), depth) for s in sorted(seen)]
 
 
+def _count_minima(allowed: dict[int, list[tuple[int, int]]], depth: int) -> int:
+    """Number of configurations of the depth-`depth` binary truncation that
+    take an allowed child pair at every ball center, or _MAX_SPINS + 1 if
+    there are more. Subtree counts are summed level by level from the
+    leaves and saturate there, so no huge integer is formed."""
+    most = _MAX_SPINS + 1
+    below = dict.fromkeys(SPINS, 1)  # configurations of a depth-0 subtree
+    for _ in range(depth):
+        below = {s: min(sum(below[t] * below[u] for t, u in pairs), most)
+                 for s, pairs in allowed.items()}
+    return min(sum(below.values()), most)
+
+
+def _child_levels(level: tuple[int, ...], allowed: dict[int, list[tuple[int, int]]],
+                  memo: dict) -> list[tuple[int, ...]]:
+    """Every level that can follow `level`: one allowed child pair per vertex,
+    in canonical order. The two halves of the level are expanded apart and
+    memoized, so long levels cost time linear in what they produce."""
+    out = memo.get(level)
+    if out is None:
+        if len(level) == 1:
+            out = allowed[level[0]]
+        else:
+            half = len(level) // 2
+            out = [left + right for left in _child_levels(level[:half], allowed, memo)
+                   for right in _child_levels(level[half:], allowed, memo)]
+        memo[level] = out
+    return out
+
+
+def _minimal_spins(shape: TreeShape,
+                   allowed: dict[int, list[tuple[int, int]]]) -> list[tuple[int, ...]]:
+    """The spins of every configuration of the shape that takes an allowed
+    child pair at each ball center, built from the root one level at a
+    time: each prefix ends with a whole level and grows by every level
+    that can follow it."""
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    partial = [(s,) for s in SPINS]
+    for m in range(shape.depth):
+        start = shape.level_positions(m).start
+        partial = [spins + below for spins in partial
+                   for below in _child_levels(spins[start:], allowed, memo)]
+    return partial
+
+
 def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
     """All configurations on the depth-`depth` binary truncation whose every
-    ball is minimal, built top-down from the root: each ball center, in
-    canonical order, takes every child pair that keeps its ball minimal.
-    Work follows the output size (3^7 at most); depth is capped at 2."""
+    ball is minimal, built top-down from the root one level at a time:
+    each vertex of a level takes every child pair that keeps its ball
+    minimal. The minima are counted before any is built, and a result that
+    would realize more than _MAX_SPINS spins raises CapacityError (its
+    reported count saturates just past the bound); work then follows the
+    output size. Spins come only from SPINS, so they are not checked again."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if depth > _BRUTE_FORCE_MAX_DEPTH:
-        raise CapacityError(
-            f"brute force capped at depth {_BRUTE_FORCE_MAX_DEPTH}, got {depth}")
+    _check_spins(depth)  # bounds the depth before the count
     shape = TreeShape(2, depth)
     floor = min_ball_energy(p)
     allowed: dict[int, list[tuple[int, int]]] = {s: [] for s in SPINS}
-    for (s, tu), u in _ball_table(p).items():
-        if u <= floor:
-            allowed[s].append(tu)
-    # balls come by center position and each center's children follow the
-    # previous center's, so appending a child pair keeps canonical order
-    partial = [(s,) for s in SPINS]
-    for center, _ in balls(shape):
-        partial = [spins + tu for spins in partial for tu in allowed[spins[center]]]
-    return {Configuration(shape, spins) for spins in partial}
+    for (s, t, u), energy in _ball_table(p).items():
+        if energy <= floor:
+            allowed[s].append((t, u))
+    _check_spins(depth, _count_minima(allowed, depth))
+    return set(Configuration._unchecked(shape, _minimal_spins(shape, allowed)))

@@ -77,8 +77,25 @@ class Configuration:
                 f"{n} vertices but only {len(self.spins)} spins assigned")
         if len(self.spins) > n:
             raise ValueError(f"{len(self.spins)} spins for {n} vertices")
-        if any(not isinstance(s, int) or s < 1 for s in self.spins):
+        self._check_spin_values(self.spins)
+
+    @staticmethod
+    def _check_spin_values(spins) -> None:
+        if any(not isinstance(s, int) or s < 1 for s in spins):
             raise ValueError("spins must be integers >= 1")
+
+    @classmethod
+    def _unchecked(cls, shape: TreeShape, spin_tuples):
+        """Yield one configuration per spin tuple, none of them checked:
+        each tuple must already hold shape.vertex_count() spins that pass
+        _check_spin_values. The results equal, and hash like, the checked
+        Configuration(shape, spins)."""
+        new, assign = object.__new__, object.__setattr__
+        for spins in spin_tuples:
+            cfg = new(cls)
+            assign(cfg, "shape", shape)
+            assign(cfg, "spins", spins)
+            yield cfg
 
     def level_spins(self) -> tuple[int, ...] | None:
         """Per-level values if the configuration is constant on each level."""

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -276,11 +278,57 @@ def test_brute_force_exact_catalogs():
 
 
 def test_brute_force_bounds():
+    # the cap is on the output, at most 2^20 spins in all, and the minima
+    # are counted before any is built
     p = REPRESENTATIVE_PARAMS["A1"]
-    with pytest.raises(CapacityError):
-        brute_force_minima(p, 3)
+    assert brute_force_minima(p, 3) == {
+        realize(LevelSequence((1, 3), period=2), 3),
+        realize(LevelSequence((3, 1), period=2), 3),
+    }
+    tied = LambdaParams(0.0, 0.0, 0.0)  # 3^|V| minima
+    for depth in (3, 20):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            brute_force_minima(tied, depth)
+        assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError):
         brute_force_minima(p, 0)
+
+
+def _minimal_count(p: LambdaParams, depth: int) -> int:
+    """Exact number of configurations whose every ball is minimal, by
+    subtree counts summed from the leaves up."""
+    floor = min_ball_energy(p)
+    below = {s: 1 for s in SPINS}
+    for _ in range(depth):
+        below = {s: sum(below[t] * below[u] for t, u in product(SPINS, repeat=2)
+                        if ball_energy(s, (t, u), p) <= floor) for s in SPINS}
+    return sum(below.values())
+
+
+def test_brute_force_depth_three_follows_the_count():
+    # is_ground_state depends on p only through which balls are minimal, so
+    # every member is scored at the first triple of each such relation, and
+    # the other triples sharing it must return the same set
+    scored = {}
+    for t in product(range(-2, 3), repeat=3):
+        p = LambdaParams(*t)
+        count = _minimal_count(p, 3)
+        if count * 15 > 2 ** 20:
+            with pytest.raises(CapacityError):
+                brute_force_minima(p, 3)
+            continue
+        minima = brute_force_minima(p, 3)
+        assert len(minima) == count, t
+        floor = min_ball_energy(p)
+        relation = frozenset((s, tu) for s in SPINS for tu in product(SPINS, repeat=2)
+                             if ball_energy(s, tu, p) <= floor)
+        if relation in scored:
+            assert minima == scored[relation], t
+        else:
+            assert all(is_ground_state(cfg, p)[0] for cfg in minima), t
+            scored[relation] = minima
+    assert sorted(len(m) for m in scored.values()) == [2, 3, 1056, 32769, 49152]
 
 
 def test_generators_subset_of_minima():
@@ -439,20 +487,30 @@ def test_is_ground_state_rejects_spins_outside_the_alphabet():
     assert _error(lambda: is_ground_state(
         Configuration(TreeShape(2, 1), (1, 4, 1)), p)) == \
         "spins must be in (1, 2, 3), got (1, 4)"
+    # balls are met in canonical order: a failing ball before a spin-4 ball
+    # is the witness, and a spin-4 ball before a failing one raises
+    shape = TreeShape(2, 2)
+    assert is_ground_state(Configuration(shape, (1, 3, 3, 1, 2, 4, 1)), p) == \
+        (False, TreeCoord((1,)))
+    assert _error(lambda: is_ground_state(
+        Configuration(shape, (1, 3, 3, 1, 4, 1, 2)), p)) == \
+        "spins must be in (1, 2, 3), got (3, 4)"
     assert _error(lambda: is_ground_state(
         Configuration(TreeShape(3, 1), (1, 3, 3, 3)), p)) == \
         "expected 2 child spins, got 3"
 
 
 def test_ground_layer_reads_one_ball_table(monkeypatch):
-    # on valid spins the table holds the only ball_energy calls: 27
+    # on valid spins the cached table holds the only ball_energy calls: 27
+    # per coupling triple, however many configurations are scored there
     calls = []
 
     def counted(center, children, p):
-        calls.append(center)
+        calls.append(p)
         return ball_energy(center, children, p)
 
     monkeypatch.setattr(ground, "ball_energy", counted)
+    ground._ball_table.cache_clear()
     p = LambdaParams(0.0, 0.0, 0.0)
     cfg = realize(LevelSequence((2,), period=1), 10)
     generators = generators_for("A2", 14).generators
@@ -462,3 +520,54 @@ def test_ground_layer_reads_one_ball_table(monkeypatch):
         calls.clear()
         run()
         assert len(calls) <= 27
+    # a whole ground_states item: each active region's catalog certified,
+    # its generators realized and scored, then the minima
+    for t in product(range(-2, 3), repeat=3):
+        p = LambdaParams(*t)
+        ground._ball_table.cache_clear()
+        calls.clear()
+        for region in classify_region(p).active_regions:
+            catalog = generators_for(region)
+            for g in catalog.generators:
+                assert is_ground_state(realize(g, catalog.verified_depth), p)[0]
+        brute_force_minima(p, 2)
+        assert max(Counter(calls).values()) <= 27, t
+
+
+def test_signed_zero_triples_share_one_table():
+    zero, negative = LambdaParams(0.0, 0.0, 0.0), LambdaParams(-0.0, -0.0, -0.0)
+    ground._ball_table.cache_clear()
+    assert ground._ball_table(zero) is ground._ball_table(negative)
+    assert ground._ball_table.cache_info().misses == 1
+    rng = random.Random(3)
+    configs = [realize(g, 4) for g in generators_for("A2", 5).generators]
+    configs += [Configuration(TreeShape(2, 3), tuple(rng.choice(SPINS) for _ in range(15)))
+                for _ in range(50)]
+    for cfg in configs:
+        assert is_ground_state(cfg, zero) == is_ground_state(cfg, negative) == \
+            _per_ball(cfg, negative)
+    generators = generators_for("A6").generators + generators_for("A1").generators
+    assert verify_generators(generators, zero, 6) == \
+        verify_generators(generators, negative, 6)
+    assert brute_force_minima(zero, 2) == brute_force_minima(negative, 2)
+
+
+def test_unchecked_configurations_equal_checked_ones():
+    # brute_force_minima and realize skip re-checking spins they built
+    built = brute_force_minima(LambdaParams(1.0, 0.0, 0.0), 2)
+    built |= {realize(g, 5) for g in generators_for("A3", 6).generators}
+    for cfg in built:
+        checked = Configuration(cfg.shape, cfg.spins)
+        assert type(cfg) is Configuration and type(cfg.spins) is tuple
+        assert cfg == checked and hash(cfg) == hash(checked)
+        assert checked in built
+
+
+def test_realize_checks_level_values():
+    for seq in (LevelSequence((1.0,), period=1), LevelSequence((2, 3.0))):
+        assert _error(lambda: realize(seq, 1)) == "spins must be integers >= 1"
+    # a missing level is reported before a bad value
+    assert _error(lambda: realize(LevelSequence((2, 3.0)), 2)) == \
+        "aperiodic sequence of length 2 has no value at level 2"
+    assert realize(LevelSequence((True,), period=1), 2) == \
+        Configuration(TreeShape(2, 2), (True,) * 7)
