@@ -12,10 +12,13 @@ s_{m+1})). Catalogs are therefore certified on their level sequences, one
 level pair at a time, without realizing a tree: every generator is checked
 at the region's representative coupling before being returned. All ball
 energies come from one 27-entry table per coupling triple, cached across
-calls.
+calls. The certified catalogs, and the minima of small truncations, are
+cached too: a set of minima depends on the coupling triple only through
+which balls are minimal.
 """
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, product, repeat
@@ -27,6 +30,7 @@ from .tree import TreeCoord, TreeShape, balls
 
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
 _MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
+_MEMO_SPINS = 2 ** 14  # largest set of minima (count x |V| spins) brute_force_minima caches
 
 # one coupling triple per region making its catalogue entry minimal
 REPRESENTATIVE_PARAMS: dict[str, LambdaParams] = {
@@ -51,6 +55,7 @@ class LevelSequence:
             raise ValueError("entries must be nonempty")
         if any(s not in SPINS for s in self.entries):
             raise ValueError(f"entries must lie in {SPINS}")
+        Configuration._check_spin_values(self.entries)  # 1.0 lies in SPINS too
         if self.period is not None and self.period != len(self.entries):
             raise ValueError(
                 f"period {self.period} != {len(self.entries)} entries")
@@ -130,15 +135,13 @@ def _ball_table(p: LambdaParams) -> dict[tuple[int, int, int], float]:
 
 def realize(seq: LevelSequence, depth: int) -> Configuration:
     """Level-constant configuration on the binary truncation with seq's
-    value on each level. The depth + 1 level values are checked as
-    Configuration checks spins, so the tree's spins are not checked again."""
+    value on each level. LevelSequence checks its entries as Configuration
+    checks spins, so the tree's spins are not checked again."""
     _check_spins(depth)
     shape = TreeShape(2, depth)
-    levels = [seq.value_at(m) for m in range(depth + 1)]
-    Configuration._check_spin_values(levels)
     spins = []
-    for m, s in enumerate(levels):
-        spins += [s] * shape.level_size(m)
+    for m in range(depth + 1):
+        spins += [seq.value_at(m)] * shape.level_size(m)
     [cfg] = Configuration._unchecked(shape, [tuple(spins)])
     return cfg
 
@@ -204,12 +207,24 @@ def generators_for(region: str, max_period: int = 7) -> GroundStateCatalog:
     by level pair at the region's representative coupling, one level past
     the longest period; a catalog whose generators times that depth
     exceed _MAX_LEVEL_PAIRS raises CapacityError before any periodic
-    generator is built.
+    generator is built. The catalog is immutable, and the last few built
+    are cached (see _catalog).
     """
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     if region not in REPRESENTATIVE_PARAMS:
         raise ValueError(f"unknown region {region!r}")
+    return _catalog(region, max_period)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _catalog(region: str, max_period: int) -> GroundStateCatalog:
+    """generators_for's catalog, built and certified once per argument
+    pair. Each catalog stays within _MAX_LEVEL_PAIRS level pairs, and no
+    generator has more entries than the certified depth, so the 8 cached
+    catalogs hold at most 8 x 2^20 level values in all. typed=True keeps
+    a float max_period from reading an int's entry: it raises TypeError,
+    as range does."""
     periods = {"A2": range(2, max_period + 1), "A3": range(2, max_period + 1),
                "A4": range(4, max_period + 1, 6),  # the even 3n+1
                "A5": range(2, max_period + 1)}.get(region, range(0))
@@ -350,6 +365,34 @@ def _minimal_spins(shape: TreeShape,
     return partial
 
 
+def _child_pairs(
+        pattern: tuple[tuple[int, int, int], ...]) -> dict[int, list[tuple[int, int]]]:
+    """The child pairs (t, u) each center spin s takes in the balls
+    (s, t, u) of pattern."""
+    allowed: dict[int, list[tuple[int, int]]] = {s: [] for s in SPINS}
+    for s, t, u in pattern:
+        allowed[s].append((t, u))
+    return allowed
+
+
+def _minima(pattern: tuple[tuple[int, int, int], ...],
+            depth: int) -> Iterator[Configuration]:
+    """Every configuration of the depth-`depth` binary truncation whose
+    every ball lies in pattern. Spins come only from SPINS, so they are
+    not checked again."""
+    shape = TreeShape(2, depth)
+    return Configuration._unchecked(shape, _minimal_spins(shape, _child_pairs(pattern)))
+
+
+@lru_cache(maxsize=16, typed=True)
+def _cached_minima(pattern: tuple[tuple[int, int, int], ...],
+                   depth: int) -> frozenset[Configuration]:
+    """_minima, kept for the last 16 (pattern, depth) pairs. Callers pass
+    only results of at most _MEMO_SPINS spins, so the cache holds at most
+    16 x 2^14 = 2^18 spins."""
+    return frozenset(_minima(pattern, depth))
+
+
 def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
     """All configurations on the depth-`depth` binary truncation whose every
     ball is minimal, built top-down from the root one level at a time:
@@ -357,15 +400,19 @@ def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
     minimal. The minima are counted before any is built, and a result that
     would realize more than _MAX_SPINS spins raises CapacityError (its
     reported count saturates just past the bound); work then follows the
-    output size. Spins come only from SPINS, so they are not checked again."""
+    output size.
+
+    The result depends on p only through its pattern, the balls of minimal
+    energy, of which there are at most 63. A result of at most _MEMO_SPINS
+    spins is kept per (pattern, depth) and copied into a fresh set on each
+    call, so callers may change what they get."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _check_spins(depth)  # bounds the depth before the count
-    shape = TreeShape(2, depth)
     floor = min_ball_energy(p)
-    allowed: dict[int, list[tuple[int, int]]] = {s: [] for s in SPINS}
-    for (s, t, u), energy in _ball_table(p).items():
-        if energy <= floor:
-            allowed[s].append((t, u))
-    _check_spins(depth, _count_minima(allowed, depth))
-    return set(Configuration._unchecked(shape, _minimal_spins(shape, allowed)))
+    pattern = tuple(ball for ball, energy in _ball_table(p).items() if energy <= floor)
+    size = _count_minima(_child_pairs(pattern), depth)
+    _check_spins(depth, size)
+    if size * (2 ** (depth + 1) - 1) <= _MEMO_SPINS:
+        return set(_cached_minima(pattern, depth))
+    return set(_minima(pattern, depth))

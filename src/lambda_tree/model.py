@@ -97,6 +97,11 @@ class Configuration:
             assign(cfg, "spins", spins)
             yield cfg
 
+    def __hash__(self) -> int:
+        # equal configurations have equal spins, so this agrees with the
+        # dataclass __eq__ without hashing the shape as well
+        return hash(self.spins)
+
     def level_spins(self) -> tuple[int, ...] | None:
         """Per-level values if the configuration is constant on each level."""
         out = []

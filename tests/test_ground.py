@@ -185,6 +185,16 @@ def test_catalog_shapes():
         generators_for("A2", max_period=0)
 
 
+def test_catalogs_are_built_once():
+    _clear_ground_caches()
+    for region in REPRESENTATIVE_PARAMS:
+        assert generators_for(region) is generators_for(region, 7)
+    cached = generators_for("A2", 9)
+    ground._catalog.cache_clear()
+    assert generators_for("A2", 9) == cached
+    assert ground._catalog.cache_info().currsize <= 8
+
+
 def test_catalog_json_round():
     entry = generators_for("A5", max_period=3).to_json()
     assert entry["region"] == "A5"
@@ -441,7 +451,14 @@ def test_certification_errors_match_realized_trees():
     assert verify_generators([short], p, 2) == [(False, ROOT)]
 
 
+def _clear_ground_caches():
+    ground._ball_table.cache_clear()
+    ground._cached_minima.cache_clear()
+    ground._catalog.cache_clear()
+
+
 def test_minima_match_enumeration():
+    # each result is built with every cache cleared, then read warm
     for p in _oracle_triples():
         floor = min_ball_energy(p)
         for depth in (1, 2):
@@ -453,7 +470,89 @@ def test_minima_match_enumeration():
                         for spins in product(SPINS, repeat=len(vertices))
                         if all(ball_energy(spins[c], (spins[l], spins[r]), p) <= floor
                                for c, l, r in inner)}
+            _clear_ground_caches()
             assert brute_force_minima(p, depth) == expected, (p, depth)
+            assert brute_force_minima(p, depth) == expected, (p, depth)
+
+
+def test_cached_minima_at_depth_three():
+    # 3^15 states are too many to enumerate; a set of distinct ground
+    # states as large as the exact count of them is all of them
+    for p in _oracle_triples():
+        count = _minimal_count(p, 3)
+        if count * 15 > ground._MEMO_SPINS:
+            continue
+        _clear_ground_caches()
+        cold = brute_force_minima(p, 3)
+        assert len(cold) == count, p
+        assert all(is_ground_state(cfg, p)[0] for cfg in cold), p
+        assert brute_force_minima(p, 3) == cold, p
+
+
+def test_minima_cache_hands_out_copies():
+    p = LambdaParams(0.0, 0.0, 0.0)
+    first = brute_force_minima(p, 2)
+    assert len(first) == 3 ** 7
+    first.clear()
+    first.add(realize(LevelSequence((1,), period=1), 2))
+    second = brute_force_minima(p, 2)
+    assert len(second) == 3 ** 7
+    second.discard(realize(LevelSequence((2,), period=1), 2))
+    assert len(brute_force_minima(p, 2)) == 3 ** 7
+
+
+def test_minima_cache_keeps_errors_out():
+    # the count is checked before the cache is read, so the all-tied
+    # triple raises at depth 3 on every call, and the cache never sees it
+    tied = LambdaParams(0.0, 0.0, 0.0)
+    _clear_ground_caches()
+    brute_force_minima(tied, 2)
+    for _ in range(3):
+        with pytest.raises(CapacityError):
+            brute_force_minima(tied, 3)
+    info = ground._cached_minima.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    # a float depth or period never reads an int's entry
+    generators_for("A2", 7)
+    for call in (lambda: brute_force_minima(tied, 2.0),
+                 lambda: generators_for("A2", 7.0)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_integer_triples_share_seven_patterns():
+    # which of the six catalogue entries a, b, c and their averages are
+    # minimal: a, b or c alone, two of them tied, or all three
+    _clear_ground_caches()
+    for t in product(range(-2, 3), repeat=3):
+        brute_force_minima(LambdaParams(*t), 2)
+    info = ground._cached_minima.cache_info()
+    assert (info.misses, info.currsize) == (7, 7)
+
+
+def test_minima_cache_holds_at_most_its_spin_bound():
+    # every stored result holds at most _MEMO_SPINS spins, and at most 16
+    # are stored, so the cache never holds more than 2^18 spins
+    assert 16 * ground._MEMO_SPINS == 2 ** 18
+    _clear_ground_caches()
+    stored = 0
+    for depth in (1, 2, 3):
+        for p in _oracle_triples():
+            before = ground._cached_minima.cache_info()
+            try:
+                minima = brute_force_minima(p, depth)
+            except CapacityError:
+                assert ground._cached_minima.cache_info() == before
+                continue
+            after = ground._cached_minima.cache_info()
+            spins = len(minima) * (2 ** (depth + 1) - 1)
+            if spins > ground._MEMO_SPINS:
+                assert after == before, (p, depth)
+            else:
+                assert after.hits + after.misses == before.hits + before.misses + 1
+                stored += after.misses - before.misses
+            assert after.currsize <= 16
+    assert stored > 16  # entries were evicted along the way
 
 
 def test_is_ground_state_matches_per_ball_energies():
@@ -559,15 +658,25 @@ def test_unchecked_configurations_equal_checked_ones():
     for cfg in built:
         checked = Configuration(cfg.shape, cfg.spins)
         assert type(cfg) is Configuration and type(cfg.spins) is tuple
-        assert cfg == checked and hash(cfg) == hash(checked)
+        assert cfg == checked and hash(cfg) == hash(checked) == hash(cfg.spins)
         assert checked in built
+    # the hash reads the spins alone; equality still compares the shape
+    path = Configuration(TreeShape(1, 2), (1, 2, 3))
+    ball = Configuration(TreeShape(2, 1), (1, 2, 3))
+    assert hash(path) == hash(ball) and path != ball and len({path, ball}) == 2
 
 
 def test_realize_checks_level_values():
-    for seq in (LevelSequence((1.0,), period=1), LevelSequence((2, 3.0))):
-        assert _error(lambda: realize(seq, 1)) == "spins must be integers >= 1"
-    # a missing level is reported before a bad value
-    assert _error(lambda: realize(LevelSequence((2, 3.0)), 2)) == \
-        "aperiodic sequence of length 2 has no value at level 2"
+    # a level value equal to a spin without being an int is refused when
+    # the sequence is built, so realize and verify_generators never see it
+    for entries, period in (((1.0,), 1), ((2, 3.0), None), ((2, 3.0), 2)):
+        assert _error(lambda: LevelSequence(entries, period)) == \
+            "spins must be integers >= 1"
+    # the two agree on what can be built, True (== 1) among it
+    p = REPRESENTATIVE_PARAMS["A6"]
+    generators = [LevelSequence((True,), period=1), LevelSequence((1, 2), period=2)]
+    assert verify_generators(generators, p, 3) == \
+        [is_ground_state(realize(g, 3), p) for g in generators] == \
+        [(True, None), (False, ROOT)]
     assert realize(LevelSequence((True,), period=1), 2) == \
         Configuration(TreeShape(2, 2), (True,) * 7)
