@@ -21,9 +21,9 @@ from .gibbs import (BoundaryFields, FieldRatios, check_enumerable,
                     fields_from_ratios, finite_volume_measure, is_consistent,
                     measure_to_csv, propagate_ratios)
 from .model import LambdaParams, classify_region
-from .solver import (BoltzmannWeights, INVARIANT_LINE_NOTE, canonical_params,
-                     count_ti_roots, sweep, sweep_to_csv, sweep_to_jsonl,
-                     two_periodic_report, weights_from)
+from .solver import (BoltzmannWeights, INVARIANT_LINE_NOTE, count_ti_roots,
+                     sweep, sweep_to_csv, sweep_to_jsonl, two_periodic_report,
+                     weights_from)
 from .tree import TreeCoord, TreeShape
 
 _PARAM_NAMES = ("a", "b", "c", "beta")
@@ -56,8 +56,9 @@ def _emit_json(obj, out: str | None) -> None:
 
 def _json_float(value, what: str) -> float:
     """A number read from a JSON file (a numeric string passes too, as
-    float() takes it); anything else is a ValueError that names `what`."""
-    if isinstance(value, (int, float, str)):
+    float() takes it); anything else, true and false included, is a
+    ValueError that names `what`."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             return float(value)
         except ValueError:
@@ -136,8 +137,8 @@ def cmd_ground(args) -> int:
 
 def cmd_solve(args) -> int:
     w = _weights_from_args(args)
-    can = canonical_params(w)
     fp = count_ti_roots(w)
+    can = fp.canonical
     pr = two_periodic_report(w)
     _emit_json({
         "weights": {"xw": w.xw, "yw": w.yw, "zw": w.zw},

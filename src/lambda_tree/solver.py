@@ -30,10 +30,12 @@ discriminant decides existence. The composed-map division that derives
 this closed form is a test oracle and is not run here.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError
 from .model import LambdaParams
@@ -46,11 +48,6 @@ _PROPERNESS_GAP = 1e-6
 
 INVARIANT_LINE_NOTE = ("invariant-line analysis only: first ratio component "
                        "pinned to 1; solutions off the line are out of scope")
-
-SWEEP_COLUMNS = ("a", "b", "c", "beta", "xw", "yw", "zw", "a_can", "b_can",
-                 "ti_count", "eps1", "eps2", "B", "D", "two_periodic",
-                 "phase_transition")
-
 
 @dataclass(frozen=True)
 class BoltzmannWeights:
@@ -86,6 +83,7 @@ class FixedPointReport:
     regime: str                        # "unique" | "two" | "three"
     thresholds: tuple[float, float] | None  # (eps1, eps2) when b_can > 9
     phase_transition: bool
+    canonical: CanonicalParams         # the (a_can, b_can) the roots came from
 
 
 @dataclass(frozen=True)
@@ -106,16 +104,9 @@ def weights_from(p: LambdaParams) -> BoltzmannWeights:
             f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
 
 
-def _line_terms(u: float, w: BoltzmannWeights) -> tuple[float, float]:
-    """Numerator and denominator of the invariant-line ratio, whose
-    K_CHILDREN-th power is f(u)."""
-    return w.xw * u + 2.0 * w.yw, w.yw * u + (w.xw + w.zw)
-
-
 def f_map(u: float, w: BoltzmannWeights) -> float:
     """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
-    num, den = _line_terms(u, w)
-    return (num / den) ** K_CHILDREN
+    return ((w.xw * u + 2.0 * w.yw) / (w.yw * u + (w.xw + w.zw))) ** K_CHILDREN
 
 
 def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
@@ -155,19 +146,27 @@ def _bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
     The sign is read as a*x*((b+x)/(1+x))^2 against 1, which stays in
     range wherever the comparison is close. Midpoints are geometric while
     the bracket spans more than a factor of two, so roots anywhere in the
-    float range take a few dozen steps; the bracket shrinks to adjacent
-    floats.
+    float range take a few dozen steps, and arithmetic after that; the
+    bracket shrinks to adjacent floats. Once hi <= 2*lo holds, halving
+    keeps it, so the second loop never hands back to the first.
     """
-    def above(x: float) -> bool:
-        r = (b + x) / (1.0 + x)
-        return a * x * r * r > 1.0
-
-    lo_above = above(lo)
-    while True:
-        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+    r = (b + lo) / (1.0 + lo)
+    lo_above = a * lo * r * r > 1.0
+    while hi > 2.0 * lo:
+        mid = math.sqrt(lo) * math.sqrt(hi)
         if not lo < mid < hi:
             return mid
-        if above(mid) == lo_above:
+        r = (b + mid) / (1.0 + mid)
+        if (a * mid * r * r > 1.0) == lo_above:
+            lo = mid
+        else:
+            hi = mid
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        r = (b + mid) / (1.0 + mid)
+        if (a * mid * r * r > 1.0) == lo_above:
             lo = mid
         else:
             hi = mid
@@ -220,16 +219,19 @@ def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
                 f"fixed-point residual {abs(u - f_map(u, w)):.3e} at u={u}")
         u_roots.append(u)
     return FixedPointReport(tuple(sorted(u_roots)), regime, thresholds,
-                            regime != "unique")
+                            regime != "unique", can)
 
 
 def _polish_fixed_point(u: float, w: BoltzmannWeights) -> float:
     """A few Newton steps on g(u) = f(u) - u."""
+    xw, yw = w.xw, w.yw
+    den0 = xw + w.zw
     for _ in range(4):
-        num, den = _line_terms(u, w)
+        num = xw * u + 2.0 * yw  # f(u) = (num/den)^2, as in f_map
+        den = yw * u + den0
         ratio = num / den
         g = ratio * ratio - u
-        dg = 2.0 * ratio * (w.xw * den - num * w.yw) / (den * den) - 1.0
+        dg = 2.0 * ratio * (xw * den - num * yw) / (den * den) - 1.0
         if dg == 0.0:
             break
         step = g / dg
@@ -306,16 +308,16 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     for r in roots:
         if r <= 0:
             continue
-        if not abs(r - f_map(f_map(r, w), w)) < _FIXED_POINT_RESIDUAL * max(1.0, r):
+        fr = f_map(r, w)
+        if not abs(r - f_map(fr, w)) < _FIXED_POINT_RESIDUAL * max(1.0, r):
             raise InternalConsistencyError(
                 f"2-periodic residual too large at root {r}")
-        if abs(r - f_map(r, w)) > _PROPERNESS_GAP:
+        if abs(r - fr) > _PROPERNESS_GAP:
             proper.append(r)
     return PeriodicReport(quad, disc_f, tuple(sorted(proper)), exists)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     a: float | None
     b: float | None
     c: float | None
@@ -334,6 +336,9 @@ class SweepRow:
     phase_transition: bool
 
 
+SWEEP_COLUMNS = SweepRow._fields
+
+
 def _sweep_point(point) -> SweepRow:
     if isinstance(point, LambdaParams):
         w = weights_from(point)
@@ -341,13 +346,13 @@ def _sweep_point(point) -> SweepRow:
     else:
         w = point
         abc = (None, None, None, None)
-    can = canonical_params(w)
     fp = count_ti_roots(w)
     pr = two_periodic_report(w)
     eps1, eps2 = fp.thresholds if fp.thresholds else (None, None)
-    return SweepRow(abc[0], abc[1], abc[2], abc[3], w.xw, w.yw, w.zw,
-                    can.a_can, can.b_can, len(fp.ti_roots), eps1, eps2,
-                    pr.quad[1], pr.discriminant, pr.two_periodic_exists,
+    return SweepRow(*abc, w.xw, w.yw, w.zw,
+                    fp.canonical.a_can, fp.canonical.b_can, len(fp.ti_roots),
+                    eps1, eps2, pr.quad[1], pr.discriminant,
+                    pr.two_periodic_exists,
                     fp.phase_transition or pr.two_periodic_exists)
 
 
@@ -356,31 +361,46 @@ def sweep(points) -> list[SweepRow]:
     return [_sweep_point(pt) for pt in points]
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".15g")
-    return str(v)
+_BOOL_CELLS = ("false", "true")
+
+
+@functools.cache
+def _csv_row_format(kinds: tuple[type, ...]) -> tuple[str, tuple[int, ...]]:
+    """The str.format template of a CSV row whose cells have these types,
+    and the positions of its boolean cells.
+
+    Floats print as format(v, ".15g"), None as an empty cell, booleans as
+    true/false (their text is passed after the row's own cells) and
+    anything else as str(v). Rows from `sweep` take a few type patterns,
+    so the cache stays small.
+    """
+    fields, flags = [], []
+    for i, kind in enumerate(kinds):
+        if kind is type(None):
+            fields.append("")
+        elif issubclass(kind, bool):
+            fields.append("{%d}" % (len(kinds) + len(flags)))
+            flags.append(i)
+        elif issubclass(kind, float):
+            fields.append("{%d:.15g}" % i)
+        else:
+            fields.append("{%d!s}" % i)
+    return ",".join(fields), tuple(flags)
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(getattr(row, col)) for col in SWEEP_COLUMNS))
+        # a tuple display: tuple(map(...)) builds its result by resizing,
+        # and the freed 16-slot keys pile up on the interpreter's tuple
+        # free list (336 KB after 2000 rows)
+        template, flags = _csv_row_format((*map(type, row),))
+        lines.append(template.format(*row, *[_BOOL_CELLS[row[i]] for i in flags]))
     return "\n".join(lines) + "\n"
 
 
 def sweep_to_jsonl(rows: list[SweepRow]) -> str:
-    lines = []
-    for row in rows:
-        obj = {}
-        for col in SWEEP_COLUMNS:
-            v = getattr(row, col)
-            if isinstance(v, float):
-                v = float(format(v, ".15g"))
-            obj[col] = v
-        lines.append(json.dumps(obj))
+    lines = [json.dumps({col: float(format(v, ".15g")) if isinstance(v, float)
+                         else v for col, v in zip(SWEEP_COLUMNS, row)})
+             for row in rows]
     return "\n".join(lines) + "\n"

@@ -10,8 +10,15 @@ recurrence the long way. Test files import them as `from oracles import ...`.
   discriminants of three special cases against that division.
 - `vertex_normalizer` is the per-vertex factor of the partition-function
   recurrence Z_{m+1} = A_m * Z_m.
+- `bisect_cubic_root` is the reduced cubic's sign bisection with one loop
+  and a sign closure, which `solver._bisect_cubic_root` must match bit
+  for bit.
+- `sweep_to_csv_by_cell` and `sweep_to_jsonl_by_cell` write sweep rows one
+  named cell at a time, the layout `solver.sweep_to_csv` and
+  `solver.sweep_to_jsonl` must reproduce byte for byte.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -19,7 +26,7 @@ from lambda_tree.errors import InternalConsistencyError
 from lambda_tree.gibbs import boltzmann_matrix
 from lambda_tree.model import LambdaParams
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
-from lambda_tree.solver import BoltzmannWeights
+from lambda_tree.solver import SWEEP_COLUMNS, BoltzmannWeights
 
 
 def exact_line_map(w: BoltzmannWeights) -> RationalFn:
@@ -107,3 +114,54 @@ def vertex_normalizer(own_field: tuple[float, ...],
     for hv in child_fields:
         acc *= math.fsum(mat[q - 1][j] * math.exp(hv[j]) for j in range(q))
     return acc / math.exp(own_field[q - 1])
+
+
+def bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
+    """The root of a*x*(b+x)^2 - (1+x)^2 in (lo, hi), where its sign
+    changes: geometric midpoints while hi > 2*lo, arithmetic ones after,
+    down to adjacent floats."""
+    def above(x: float) -> bool:
+        r = (b + x) / (1.0 + x)
+        return a * x * r * r > 1.0
+
+    lo_above = above(lo)
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if above(mid) == lo_above:
+            lo = mid
+        else:
+            hi = mid
+
+
+def fmt_cell(v) -> str:
+    """One sweep CSV cell: empty for None, true/false, floats to 15
+    significant digits, str() for anything else."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".15g")
+    return str(v)
+
+
+def sweep_to_csv_by_cell(rows) -> str:
+    lines = [",".join(SWEEP_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(fmt_cell(getattr(row, col)) for col in SWEEP_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_to_jsonl_by_cell(rows) -> str:
+    lines = []
+    for row in rows:
+        obj = {}
+        for col in SWEEP_COLUMNS:
+            v = getattr(row, col)
+            if isinstance(v, float):
+                v = float(format(v, ".15g"))
+            obj[col] = v
+        lines.append(json.dumps(obj))
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from lambda_tree import cli, solver
 from lambda_tree.cli import build_parser, main
+from oracles import bisect_cubic_root, sweep_to_csv_by_cell, sweep_to_jsonl_by_cell
 
 
 def _run_json(capsys, argv):
@@ -214,6 +217,57 @@ def test_sweep_axis_order(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--format", "json"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(row["a"], row["b"], row["c"]) for row in rows] == [(0.1, 0.2, 0.3)]
+
+
+def _banded_sweep_configs(rng: random.Random, count: int) -> list:
+    """One-axis sweep configs whose edge weights stay in [e^-3, e^3]."""
+    configs = []
+    for i in range(count):
+        n = rng.randint(1, 30)
+        if i % 4 == 0:
+            axis = rng.choice(("xw", "yw", "zw"))
+            step = rng.uniform(0.01, 0.5)
+            start = rng.uniform(math.exp(-3), math.exp(3) - (n - 1) * step)
+            fixed = {name: math.exp(rng.uniform(-3, 3))
+                     for name in ("xw", "yw", "zw") if name != axis}
+        else:
+            beta = rng.uniform(0.1, 1.5)
+            axis = rng.choice("abc")
+            step = rng.uniform(0.01, 4.0 / beta / 30)
+            start = rng.uniform(-3.0 / beta, 3.0 / beta - (n - 1) * step)
+            fixed = {name: rng.uniform(-3.0 / beta, 3.0 / beta)
+                     for name in "abc" if name != axis}
+            fixed["beta"] = beta
+        configs.append({"axes": [{"name": axis, "start": start,
+                                  "stop": start + (n - 1) * step, "step": step}],
+                        "fixed": fixed})
+    return configs
+
+
+def test_sweep_output_matches_the_oracle_path(tmp_path, monkeypatch):
+    # the shipped bisection and row writers against the oracles, in one
+    # run: byte-identical files, with no stored digest to depend on libm
+    configs = _banded_sweep_configs(random.Random(11), 40)
+
+    def outputs(tag):
+        texts = []
+        for i, config in enumerate(configs):
+            path = tmp_path / f"grid{i}.json"
+            path.write_text(json.dumps(config))
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{tag}{i}.{fmt}"
+                assert main(["sweep", "--config", str(path), "--format", fmt,
+                             "--out", str(out)]) == 0
+                texts.append(out.read_bytes())
+        return texts
+
+    shipped = outputs("shipped")
+    monkeypatch.setattr(solver, "_bisect_cubic_root", bisect_cubic_root)
+    monkeypatch.setattr(cli, "sweep_to_csv", sweep_to_csv_by_cell)
+    monkeypatch.setattr(cli, "sweep_to_jsonl", sweep_to_jsonl_by_cell)
+    assert outputs("oracle") == shipped
+    rows = sum(text.count(b"\n") - 1 for text in shipped[::2])
+    assert rows > 400
 
 
 def test_sweep_empty_grid(tmp_path, capsys):
@@ -435,6 +489,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
                    "vectors, got [1, 2]"),
           ({"1": [None, 0, 0], "2": [0, 0, 0]},
            "--fields entry '1': expected a number, got null"),
+          # JSON booleans are not numbers, though bool is an int in Python
+          ({"1": [True, 0, 0], "2": [0, 0, 0]},
+           "--fields entry '1': expected a number, got true"),
           # keys outside the k=2, depth-1 truncation; inner "0" is a vertex
           ({"0": [0, 0, 0], "1": [0, 0, 0], "2": [0, 0, 0], "7.7": [9, 9, 9]},
            "--fields entry '7.7': not a vertex of the k=2, depth-1 truncation"),
@@ -455,6 +512,10 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
            "sweep axis 'name': expected a string, got [\"c\"]"),
           ({"axes": [axis], "fixed": {"a": [0.0], "b": 0.0}},
            "fixed entry 'a': expected a number, got [0.0]"),
+          ({"axes": [dict(axis, step=True)], "fixed": {"a": 0.0, "b": 0.0}},
+           "axis 'c' step: expected a number, got true"),
+          ({"axes": [axis], "fixed": {"a": False, "b": 0.0}},
+           "fixed entry 'a': expected a number, got false"),
           ({"axes": [axis, axis], "fixed": {"a": 0.0, "b": 0.0}},
            "sweep axis 'c' is given more than once")]),
     ]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lambda_tree import solver
 from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
@@ -14,7 +15,9 @@ from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
                                 sweep, sweep_to_csv, sweep_to_jsonl,
                                 ti_thresholds, two_periodic_report,
                                 weights_from)
-from oracles import case_identity_check, quadratic_by_division
+from oracles import (bisect_cubic_root, case_identity_check,
+                     quadratic_by_division, sweep_to_csv_by_cell,
+                     sweep_to_jsonl_by_cell)
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -84,7 +87,9 @@ def test_cubic_roots_are_map_fixed_points():
             assert f_map(u, w) == pytest.approx(u, rel=1e-6)
         # and back: reported fixed points satisfy the cubic
         a, b = can.a_can, can.b_can
-        for u in count_ti_roots(w).ti_roots:
+        report = count_ti_roots(w)
+        assert report.canonical == can
+        for u in report.ti_roots:
             x = u / scale
             assert a * x * (b + x) ** 2 == pytest.approx((1 + x) ** 2, rel=1e-9)
 
@@ -128,6 +133,25 @@ def test_root_count_regimes():
 
     with pytest.raises(DomainError):
         canonical_root_count(-1.0, 10.0)
+
+
+def test_bisection_matches_the_closure_oracle(monkeypatch):
+    # the two-loop bisection visits the oracle's midpoints in the same
+    # order, so over the same brackets it returns the same floats
+    _, _, eps1, eps2 = ti_thresholds(9.1)
+    cases = [(0.025, 10.0), (0.031625, 10.0), (0.03125, 10.0), (0.032, 10.0),
+             (0.5, 4.0), (0.037, 8.9), (0.5 * (eps1 + eps2), 9.1)]
+    rng = random.Random(0)
+    for _ in range(5000):
+        w = BoltzmannWeights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
+        can = canonical_params(w)
+        cases.append((can.a_can, can.b_can))
+    shipped = [canonical_root_count(a, b) for a, b in cases]
+    monkeypatch.setattr(solver, "_bisect_cubic_root", bisect_cubic_root)
+    assert [canonical_root_count(a, b) for a, b in cases] == shipped
+    # both tangency cases of regime "two", at eps1 and at eps2
+    assert [len(roots) for roots, _, _ in shipped[:4]] == [1, 3, 2, 2]
+    assert {regime for _, regime, _ in shipped[7:]} == {"unique", "three"}
 
 
 def test_root_count_straddles_the_b_boundary():
@@ -385,6 +409,29 @@ def test_sweep_csv_and_jsonl_layout():
         assert obj["ti_count"] == row.ti_count
         assert obj["two_periodic"] is row.two_periodic
     assert json.loads(sweep_to_jsonl(rows).splitlines()[1])["a"] is None
+
+
+def test_sweep_writers_match_the_per_cell_oracles():
+    # one format per CSV row, and one zip per JSON object, against the
+    # writers that read and format each named cell on its own
+    rng = random.Random(5)
+    points = [LambdaParams(0, 0, 100),           # int couplings, D out of range
+              BoltzmannWeights(0.2, 1.0, 0.2),   # None couplings, a 2-cycle
+              BoltzmannWeights(1, 2, 3)]         # int weights
+    for _ in range(150):
+        points.append(LambdaParams(*(rng.uniform(-3, 3) for _ in range(3)),
+                                   rng.uniform(0.1, 2.0)))
+        points.append(BoltzmannWeights(*(math.exp(rng.uniform(-3, 3))
+                                         for _ in range(3))))
+    rows = sweep(points)
+    assert rows[0].D is None and rows[1].a is None and type(rows[2].xw) is int
+    assert all(type(row.ti_count) is int for row in rows)
+    assert {row.ti_count for row in rows} == {1, 3}
+    for flag in ("two_periodic", "phase_transition"):
+        assert {getattr(row, flag) for row in rows} == {True, False}
+    for chunk in ([], rows[:1], rows, rows[::-1]):
+        assert sweep_to_csv(chunk) == sweep_to_csv_by_cell(chunk)
+        assert sweep_to_jsonl(chunk) == sweep_to_jsonl_by_cell(chunk)
 
 
 def test_sweep_potts_slice_threshold_crossing():
