@@ -21,8 +21,8 @@ from .gibbs import (BoundaryFields, ConsistencyReport, FieldRatios,
                     measure_to_csv, propagate_ratios, push_forward)
 from .solver import (BoltzmannWeights, CanonicalParams, FixedPointReport,
                      PeriodicReport, SweepRow, canonical_params,
-                     canonical_root_count, count_ti_roots, f_map,
-                     periodic_quadratic, sweep, sweep_to_csv, sweep_to_jsonl,
-                     ti_thresholds, two_periodic_report, weights_from)
+                     canonical_root_count, count_ti_roots, f_map, sweep,
+                     sweep_to_csv, sweep_to_jsonl, ti_thresholds,
+                     two_periodic_report, weights_from)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from operator import add, mul, truediv
 from types import MappingProxyType
 
 from .errors import CapacityError, DomainError
-from .model import LambdaParams, coupling_value
+from .model import LambdaParams, check_tolerance, coupling_value
 from .tree import TreeCoord, TreeShape, successors
 
 _MAX_STATES = 3 ** 13
@@ -202,6 +202,7 @@ def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
     """
     if shape.depth < 1:
         raise ValueError("consistency needs depth >= 1")
+    check_tolerance(tol)
     blam = [[p.beta * coupling_value(s, t, p) for t in range(1, q + 1)]
             for s in range(1, q + 1)]
 

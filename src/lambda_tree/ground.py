@@ -10,22 +10,22 @@ Every catalog and family member is constant on each level, so the ball
 centred at any vertex of level m has energy ball_energy(s_m, (s_{m+1},
 s_{m+1})). Catalogs are therefore certified on their level sequences, one
 level pair at a time, without realizing a tree: every generator is checked
-at the region's representative coupling before being returned. All ball
-energies come from one 27-entry table per coupling triple, cached across
-calls. The certified catalogs, and the minima of small truncations, are
-cached too: a set of minima depends on the coupling triple only through
-which balls are minimal.
+at the region's representative coupling before being returned. Every
+verdict reads which balls are minimal from one set per coupling triple
+and tolerance, cached across calls. The certified catalogs, and the
+minima of small truncations, are cached too: a set of minima depends on
+the coupling triple only through which balls are minimal.
 """
 
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, product, repeat
+from itertools import product
 
 from .errors import CapacityError, InternalConsistencyError
 from .model import (BALLS_PER_VERTEX, SPINS, Configuration, LambdaParams,
-                    ball_energy, min_ball_energy)
+                    ball_energy, check_tolerance, min_ball_energy)
 from .tree import TreeCoord, TreeShape, balls
 
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
@@ -121,16 +121,17 @@ def _check_level_pairs(generators: int, depth: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def _ball_table(p: LambdaParams) -> dict[tuple[int, int, int], float]:
-    """ball_energy(s, (t, u), p) for all 27 spin triples, keyed flat as
-    (s, t, u): the center's spin, then its two children's.
-
-    Built by calling ball_energy, so it holds no second energy definition.
-    It is cached per coupling triple; equal triples (0.0 and -0.0 among
-    them) share one entry and get the same verdicts. Callers only read it.
-    """
-    return {(s, t, u): ball_energy(s, (t, u), p)
-            for s in SPINS for t, u in product(SPINS, repeat=2)}
+def _minimal_balls(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int]]:
+    """The balls (s, t, u), the center's spin then its two children's,
+    whose ball_energy is within tol of the minimum at p: the only energy
+    comparison here, made on all 27 spin triples. Cached per (p, tol);
+    equal triples (0.0 and -0.0 among them) share one entry. tol has no
+    default, which the cache would key apart from an explicit 0.0. A
+    negative or NaN tol raises ValueError."""
+    check_tolerance(tol)
+    limit = min_ball_energy(p) + tol
+    return frozenset((s, t, u) for s in SPINS for t, u in product(SPINS, repeat=2)
+                     if not ball_energy(s, (t, u), p) > limit)
 
 
 def realize(seq: LevelSequence, depth: int) -> Configuration:
@@ -153,26 +154,23 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
 
     At k = 2 the ball centred at position c holds positions c, 2c + 1 and
     2c + 2, so one ordered pass over zip(spins, spins[1::2], spins[2::2])
-    meets every ball in canonical order, and each ball's verdict is read
-    from the cached ball table. A ball the table lacks (a spin outside
-    SPINS) goes to ball_energy, which raises for it; so does k != 2. Depth
-    0 raises as balls does.
+    meets every ball in canonical order and looks it up in the cached set
+    of minimal balls. The first ball not in it goes to ball_energy, which
+    raises for a spin outside SPINS; so does k != 2. Depth 0 raises as
+    balls does.
     """
     shape, spins = sigma.shape, sigma.spins
     if shape.depth < 1 or shape.k != BALLS_PER_VERTEX:
         balls(shape)  # raises at depth 0
         ball_energy(spins[0], spins[1:shape.k + 1], p)  # raises for k != 2 children
-    table = _ball_table(p)
-    limit = min_ball_energy(p) + tol
-    failing = {ball: u > limit for ball, u in table.items()}
-    # centers whose ball fails, or is not in the table, in canonical order
-    suspects = compress(count(), map(failing.get, zip(spins, spins[1::2], spins[2::2]),
-                                     repeat(True)))
-    for center in suspects:
-        s, t, u = spins[center], spins[2 * center + 1], spins[2 * center + 2]
-        if (s, t, u) in failing or ball_energy(s, (t, u), p) > limit:
-            return False, shape.vertex_at(center)
-    return True, None
+    minimal = _minimal_balls(p, tol)
+    verdicts = list(map(minimal.__contains__, zip(spins, spins[1::2], spins[2::2])))
+    if all(verdicts):
+        return True, None
+    center = verdicts.index(False)
+    # not minimal, or not a ball of SPINS: ball_energy raises for the latter
+    ball_energy(spins[center], (spins[2 * center + 1], spins[2 * center + 2]), p)
+    return False, shape.vertex_at(center)
 
 
 _FAMILY_123 = FamilyDescriptor(
@@ -264,13 +262,12 @@ def verify_generators(generators, p: LambdaParams, depth: int,
     _check_level_pairs(len(generators), depth)
     if depth < 1:  # the errors realize (depth < 0) and balls (depth 0) give
         balls(TreeShape(2, depth))
-    table = _ball_table(p)
-    limit = min_ball_energy(p) + tol
+    minimal = _minimal_balls(p, tol)
     out = []
     for g in generators:
         levels = [g.value_at(m) for m in range(depth + 1)]  # realize's ValueError
         failing = next((m for m in range(depth)
-                        if table[levels[m], levels[m + 1], levels[m + 1]] > limit), None)
+                        if (levels[m], levels[m + 1], levels[m + 1]) not in minimal), None)
         out.append((True, None) if failing is None
                    else (False, TreeCoord((1,) * failing)))
     return out
@@ -366,7 +363,7 @@ def _minimal_spins(shape: TreeShape,
 
 
 def _child_pairs(
-        pattern: tuple[tuple[int, int, int], ...]) -> dict[int, list[tuple[int, int]]]:
+        pattern: frozenset[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
     """The child pairs (t, u) each center spin s takes in the balls
     (s, t, u) of pattern."""
     allowed: dict[int, list[tuple[int, int]]] = {s: [] for s in SPINS}
@@ -375,7 +372,7 @@ def _child_pairs(
     return allowed
 
 
-def _minima(pattern: tuple[tuple[int, int, int], ...],
+def _minima(pattern: frozenset[tuple[int, int, int]],
             depth: int) -> Iterator[Configuration]:
     """Every configuration of the depth-`depth` binary truncation whose
     every ball lies in pattern. Spins come only from SPINS, so they are
@@ -385,7 +382,7 @@ def _minima(pattern: tuple[tuple[int, int, int], ...],
 
 
 @lru_cache(maxsize=16, typed=True)
-def _cached_minima(pattern: tuple[tuple[int, int, int], ...],
+def _cached_minima(pattern: frozenset[tuple[int, int, int]],
                    depth: int) -> frozenset[Configuration]:
     """_minima, kept for the last 16 (pattern, depth) pairs. Callers pass
     only results of at most _MEMO_SPINS spins, so the cache holds at most
@@ -409,8 +406,7 @@ def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _check_spins(depth)  # bounds the depth before the count
-    floor = min_ball_energy(p)
-    pattern = tuple(ball for ball, energy in _ball_table(p).items() if energy <= floor)
+    pattern = _minimal_balls(p, 0.0)
     size = _count_minima(_child_pairs(pattern), depth)
     _check_spins(depth, size)
     if size * (2 ** (depth + 1) - 1) <= _MEMO_SPINS:

@@ -43,7 +43,7 @@ class LambdaParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "beta"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if type(v) is bool or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
@@ -168,6 +168,12 @@ def min_ball_energy(p: LambdaParams) -> float:
     return min(ball_energy_catalogue(p))
 
 
+def check_tolerance(tol: float) -> None:
+    """ValueError unless tol >= 0; NaN fails, as it compares false."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
 def classify_region(p: LambdaParams, tol: float = 0.0) -> RegionReport:
     """Which of A1..A6 the coupling triple lies in (several on boundaries).
 
@@ -175,8 +181,7 @@ def classify_region(p: LambdaParams, tol: float = 0.0) -> RegionReport:
     minimum AND, for the equality slices A2/A3/A5, the two couplings being
     averaged agree within tol.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_tolerance(tol)
     catalogue = ball_energy_catalogue(p)
     lo = min(catalogue)
     by_name = {"a": p.a, "b": p.b, "c": p.c}

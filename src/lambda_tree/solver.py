@@ -34,7 +34,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError
@@ -60,7 +59,8 @@ class BoltzmannWeights:
     def __post_init__(self):
         for name in ("xw", "yw", "zw"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v)):
+            if type(v) is bool or not (isinstance(v, (int, float)) and v > 0
+                                       and math.isfinite(v)):
                 raise DomainError(f"{name} must be a positive finite number, got {v!r}")
 
     @classmethod
@@ -260,12 +260,6 @@ def _quadratic_numerators(w: BoltzmannWeights) -> tuple[int, int, int, int]:
     b = (xx * (xx + 6 * x * y + 2 * x * z + 8 * yy + 6 * y * z + zz)
          + 2 * x * y * z * (4 * y + 3 * z) - 4 * yy * yy + 2 * y * z * zz)
     return a, b, c, d ** 4
-
-
-def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
-    """(A, B, C) of the exact quotient numerator(f∘f - id)/numerator(f - id)."""
-    a, b, c, scale = _quadratic_numerators(w)
-    return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
 
 
 def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:

@@ -3,9 +3,11 @@
 Nothing in the package calls these; each re-derives a closed form or a
 recurrence the long way. Test files import them as `from oracles import ...`.
 
+- `periodic_quadratic` reads the closed form (A, B, C) that
+  `solver.two_periodic_report` decides existence on as exact fractions.
 - `quadratic_by_division` composes the invariant-line map with itself and
   divides the fixed-point numerators exactly, the derivation behind
-  `solver.periodic_quadratic`'s closed form.
+  that closed form.
 - `case_identity_check` audits the paper's printed factorized
   discriminants of three special cases against that division.
 - `vertex_normalizer` is the per-vertex factor of the partition-function
@@ -26,7 +28,7 @@ from lambda_tree.errors import InternalConsistencyError
 from lambda_tree.gibbs import boltzmann_matrix
 from lambda_tree.model import LambdaParams
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
-from lambda_tree.solver import SWEEP_COLUMNS, BoltzmannWeights
+from lambda_tree.solver import SWEEP_COLUMNS, BoltzmannWeights, _quadratic_numerators
 
 
 def exact_line_map(w: BoltzmannWeights) -> RationalFn:
@@ -35,6 +37,13 @@ def exact_line_map(w: BoltzmannWeights) -> RationalFn:
     num = Poly((2 * yf, xf))
     den = Poly((xf + zf, yf))
     return RationalFn(num * num, den * den)
+
+
+def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
+    """(A, B, C) of the exact quotient numerator(f∘f - id)/numerator(f - id),
+    from the integers the solver evaluates its closed form on."""
+    a, b, c, scale = _quadratic_numerators(w)
+    return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
 
 
 def quadratic_by_division(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:

@@ -19,10 +19,10 @@ from lambda_tree.ground import (REPRESENTATIVE_PARAMS, brute_force_minima,
                                 generators_for, realize, sample_family)
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (BoltzmannWeights, canonical_root_count,
-                                count_ti_roots, f_map, periodic_quadratic,
-                                ti_thresholds, two_periodic_report)
+                                count_ti_roots, f_map, ti_thresholds,
+                                two_periodic_report)
 from lambda_tree.tree import TreeShape
-from oracles import case_identity_check
+from oracles import case_identity_check, periodic_quadratic
 
 _ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "artifacts"
 

@@ -43,6 +43,19 @@ def test_classify_rejects_bad_values(capsys):
     assert "--a" in err
 
 
+def test_tolerance_must_be_a_number_at_least_zero(capsys):
+    # each command reads --tol; NaN used to pass it and call every ball minimal
+    couplings = ["--a", "-1", "--b", "0", "--c", "0"]
+    for command in (["classify", *couplings], ["ground", "--region", "A1"],
+                    ["ground", *couplings], ["consistency", *couplings]):
+        for tol, shown in (("nan", "nan"), ("-1", "-1.0")):
+            assert main([*command, "--tol", tol]) == 2, command
+            err = capsys.readouterr().err
+            assert f"tol must be >= 0, got {shown}" in err, (command, err)
+    payload = _run_json(capsys, ["ground", "--region", "A1", "--tol", "inf"])
+    assert all(g["ground_state"] for g in payload["catalogs"][0]["generators"])
+
+
 def test_ground_from_params(capsys):
     payload = _run_json(capsys, ["ground", "--a", "-1", "--b", "0", "--c", "0",
                                  "--depth", "2"])

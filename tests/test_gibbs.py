@@ -285,6 +285,16 @@ def test_flat_model_is_consistent():
     assert payload["pass"] is True
 
 
+def test_consistency_rejects_a_nan_or_negative_tolerance():
+    p = LambdaParams(0.0, 0.0, 0.0)
+    shape = TreeShape(2, 1)
+    for tol in (math.nan, -1e-10):
+        with pytest.raises(ValueError) as caught:
+            is_consistent(p, 3, shape, _zero_fields(shape), tol)
+        assert str(caught.value) == f"tol must be >= 0, got {tol}"
+    assert is_consistent(p, 3, shape, _zero_fields(shape), 0.0).passed
+
+
 def test_measure_csv_layout():
     p = LambdaParams(0.1, 0.2, 0.3)
     shape = TreeShape(2, 1)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -452,7 +453,7 @@ def test_certification_errors_match_realized_trees():
 
 
 def _clear_ground_caches():
-    ground._ball_table.cache_clear()
+    ground._minimal_balls.cache_clear()
     ground._cached_minima.cache_clear()
     ground._catalog.cache_clear()
 
@@ -573,12 +574,27 @@ def test_is_ground_state_matches_per_ball_energies():
             spins.extend(rng.choice(options) if options
                          else (rng.choice(SPINS), rng.choice(SPINS)))
         cfg = Configuration(shape, tuple(spins))
-        for tol in (0.0, 0.3):
+        for tol in (0.0, 0.3, math.inf):
             expected = _per_ball(cfg, p, tol)
             assert is_ground_state(cfg, p, tol) == expected
             witnesses.add(expected[1])
     assert None in witnesses
     assert {x.level for x in witnesses if x} == {0, 1, 2, 3, 4}
+
+
+def test_ground_layer_rejects_a_nan_or_negative_tolerance():
+    # NaN would otherwise pass every ball, and a negative tol fail them all
+    p = REPRESENTATIVE_PARAMS["A1"]
+    cfg = realize(LevelSequence((1, 3), period=2), 3)
+    generators = generators_for("A1").generators
+    for tol in (math.nan, -1.0, -1e-300):
+        message = f"tol must be >= 0, got {tol}"
+        assert _error(lambda: is_ground_state(cfg, p, tol)) == message
+        assert _error(lambda: verify_generators(generators, p, 3, tol)) == message
+        assert _error(lambda: verify_generators([], p, 3, tol)) == message
+    for tol in (0, 0.0, -0.0, math.inf):
+        assert is_ground_state(cfg, p, tol) == (True, None)
+        assert verify_generators(generators, p, 3, tol) == [(True, None)] * 2
 
 
 def test_is_ground_state_rejects_spins_outside_the_alphabet():
@@ -600,8 +616,9 @@ def test_is_ground_state_rejects_spins_outside_the_alphabet():
 
 
 def test_ground_layer_reads_one_ball_table(monkeypatch):
-    # on valid spins the cached table holds the only ball_energy calls: 27
-    # per coupling triple, however many configurations are scored there
+    # on valid spins the cached set of minimal balls holds the only
+    # ball_energy calls: 27 per coupling triple, however many configurations
+    # are scored there
     calls = []
 
     def counted(center, children, p):
@@ -609,7 +626,7 @@ def test_ground_layer_reads_one_ball_table(monkeypatch):
         return ball_energy(center, children, p)
 
     monkeypatch.setattr(ground, "ball_energy", counted)
-    ground._ball_table.cache_clear()
+    ground._minimal_balls.cache_clear()
     p = LambdaParams(0.0, 0.0, 0.0)
     cfg = realize(LevelSequence((2,), period=1), 10)
     generators = generators_for("A2", 14).generators
@@ -623,7 +640,7 @@ def test_ground_layer_reads_one_ball_table(monkeypatch):
     # its generators realized and scored, then the minima
     for t in product(range(-2, 3), repeat=3):
         p = LambdaParams(*t)
-        ground._ball_table.cache_clear()
+        ground._minimal_balls.cache_clear()
         calls.clear()
         for region in classify_region(p).active_regions:
             catalog = generators_for(region)
@@ -635,9 +652,9 @@ def test_ground_layer_reads_one_ball_table(monkeypatch):
 
 def test_signed_zero_triples_share_one_table():
     zero, negative = LambdaParams(0.0, 0.0, 0.0), LambdaParams(-0.0, -0.0, -0.0)
-    ground._ball_table.cache_clear()
-    assert ground._ball_table(zero) is ground._ball_table(negative)
-    assert ground._ball_table.cache_info().misses == 1
+    ground._minimal_balls.cache_clear()
+    assert ground._minimal_balls(zero, 0.0) is ground._minimal_balls(negative, 0.0)
+    assert ground._minimal_balls.cache_info().misses == 1
     rng = random.Random(3)
     configs = [realize(g, 4) for g in generators_for("A2", 5).generators]
     configs += [Configuration(TreeShape(2, 3), tuple(rng.choice(SPINS) for _ in range(15)))

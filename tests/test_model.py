@@ -1,9 +1,10 @@
+import math
 import random
 from itertools import product
 
 import pytest
 
-from lambda_tree.model import (SPINS, Configuration, LambdaParams,
+from lambda_tree.model import (REGION_NAMES, SPINS, Configuration, LambdaParams,
                                ball_energy, ball_energy_catalogue,
                                classify_region, coupling_value, hamiltonian,
                                lambda_value, min_ball_energy)
@@ -17,6 +18,11 @@ def test_params_validation():
         LambdaParams(0.0, float("inf"), 0.0)
     with pytest.raises(ValueError):
         LambdaParams(0.0, 0.0, 0.0, beta=0.0)
+    # bool is an int subclass, yet True is no coupling
+    for args in ((True, 0, 0), (0, False, 0), (0, 0, True), (0, 0, 0, True)):
+        with pytest.raises(ValueError, match="must be a finite number, got (True|False)$"):
+            LambdaParams(*args)
+    assert LambdaParams(1, 0, -2, 3).a == 1
     p = LambdaParams.from_mapping({"a": 1, "b": 2, "c": 3})
     assert (p.a, p.b, p.c, p.beta) == (1.0, 2.0, 3.0, 1.0)
     with pytest.raises(ValueError):
@@ -167,5 +173,9 @@ def test_classify_tolerance_widens():
     assert classify_region(p, tol=0.0).active_regions == ("A1",)
     wide = classify_region(p, tol=1e-5)
     assert "A2" in wide.active_regions
-    with pytest.raises(ValueError):
-        classify_region(p, tol=-1.0)
+    # NaN compares false both ways, so it must fail the check, not pass it
+    for tol in (-1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError) as caught:
+            classify_region(p, tol)
+        assert str(caught.value) == f"tol must be >= 0, got {tol}"
+    assert classify_region(p, math.inf).active_regions == REGION_NAMES

@@ -11,13 +11,12 @@ from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
                                 canonical_params, canonical_root_count,
-                                count_ti_roots, f_map, periodic_quadratic,
-                                sweep, sweep_to_csv, sweep_to_jsonl,
-                                ti_thresholds, two_periodic_report,
-                                weights_from)
+                                count_ti_roots, f_map, sweep, sweep_to_csv,
+                                sweep_to_jsonl, ti_thresholds,
+                                two_periodic_report, weights_from)
 from oracles import (bisect_cubic_root, case_identity_check,
-                     quadratic_by_division, sweep_to_csv_by_cell,
-                     sweep_to_jsonl_by_cell)
+                     periodic_quadratic, quadratic_by_division,
+                     sweep_to_csv_by_cell, sweep_to_jsonl_by_cell)
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -48,6 +47,12 @@ def test_weight_validation():
         BoltzmannWeights(1.0, 1.0, math.inf)
     with pytest.raises(ValueError):
         BoltzmannWeights.from_mapping({"xw": 1.0, "yw": 1.0})
+    # bool is an int subclass; a sweep row would print True as "true"
+    for args in ((True, 1.0, 1.0), (1.0, True, 1.0), (1.0, 1.0, True)):
+        with pytest.raises(DomainError) as caught:
+            BoltzmannWeights(*args)
+        assert str(caught.value).endswith("must be a positive finite number, got True")
+    assert BoltzmannWeights(1, 2, 3).xw == 1
 
 
 def test_two_component_map():
