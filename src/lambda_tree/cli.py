@@ -28,6 +28,10 @@ from .tree import TreeCoord, TreeShape
 
 _PARAM_NAMES = ("a", "b", "c", "beta")
 _WEIGHT_NAMES = ("xw", "yw", "zw")
+# a sweep point's names, its class, and what a missing name is called; the
+# first three names are required (beta defaults to 1)
+_SWEEP_FAMILIES = ((_PARAM_NAMES, LambdaParams, "coupling parameter"),
+                   (_WEIGHT_NAMES, BoltzmannWeights, "weight"))
 _MAX_SWEEP_POINTS = 10 ** 6
 
 
@@ -54,15 +58,27 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(_round15(obj), indent=2) + "\n", out)
 
 
+def _read_json(path: str):
+    """json.load of a file; nesting too deep to parse is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _json_float(value, what: str) -> float:
     """A number read from a JSON file (a numeric string passes too, as
-    float() takes it); anything else, true and false included, is a
-    ValueError that names `what`."""
+    float() takes it); anything else, true and false included, and an
+    integer past the float range, is a ValueError that names `what`."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             return float(value)
         except ValueError:
             pass
+        except OverflowError:
+            raise ValueError(f"{what}: a {len(str(abs(value)))}-digit integer "
+                             f"is out of float range") from None
     raise ValueError(f"{what}: expected a number, got {json.dumps(value)}")
 
 
@@ -96,6 +112,8 @@ def cmd_classify(args) -> int:
 
 def cmd_ground(args) -> int:
     if args.region:
+        if any(getattr(args, n) is not None for n in ("a", "b", "c")):
+            raise ValueError("give either --region or --a/--b/--c, not both")
         regions = [args.region]
         params = REPRESENTATIVE_PARAMS[args.region]
     else:
@@ -106,17 +124,19 @@ def cmd_ground(args) -> int:
     for region in regions:
         catalog = generators_for(region, max_period=args.max_period)
         depth = args.depth if args.depth is not None else catalog.verified_depth
-        entry = catalog.to_json()
-        entry["generators"] = []
         verdicts = verify_generators(catalog.generators, params, depth, args.tol)
-        for g, (ok, witness) in zip(catalog.generators, verdicts):
-            entry["generators"].append({
-                "period": g.period, "entries": list(g.entries),
-                "ground_state": ok,
-                "witness": str(witness) if witness else None,
-            })
-        entry["checked_depth"] = depth
-        catalogs.append(entry)
+        catalogs.append({
+            "region": catalog.region,
+            "generators": [{"period": g.period, "entries": list(g.entries),
+                            "ground_state": ok,
+                            "witness": str(witness) if witness else None}
+                           for g, (ok, witness) in zip(catalog.generators, verdicts)],
+            "families": [{"alphabet": list(f.alphabet), "anchor": f.anchor,
+                          "adjacent_must_differ": f.adjacent_must_differ,
+                          "label": f.label} for f in catalog.families],
+            "verified_depth": catalog.verified_depth,
+            "checked_depth": depth,
+        })
 
     result = {"params": {"a": params.a, "b": params.b, "c": params.c,
                          "beta": params.beta},
@@ -176,7 +196,8 @@ def _axis_count(axis: dict) -> tuple[float, float, int]:
     if not span < _MAX_SWEEP_POINTS:  # also an infinite span from a tiny step
         raise CapacityError(
             f"axis {axis['name']!r} has more than {_MAX_SWEEP_POINTS} points")
-    return start, step, max(0, math.floor(span) + 1)
+    # a span of -inf, from stop - start past the float range, has no floor
+    return start, step, math.floor(span) + 1 if span >= 0 else 0
 
 
 def _sweep_points(config: dict):
@@ -199,15 +220,13 @@ def _sweep_points(config: dict):
     fixed = {name: value if isinstance(value, str)
              else _json_float(value, f"fixed entry {name!r}")
              for name, value in fixed.items()}
-    names = [ax["name"] for ax in axes if "name" in ax] + list(fixed)
-    families = {frozenset(_PARAM_NAMES): "params", frozenset(_WEIGHT_NAMES): "weights"}
-    family = None
-    for keys, label in families.items():
-        if all(n in keys for n in names):
-            family = label
-    if family is None:
+    names = {ax["name"] for ax in axes if "name" in ax} | fixed.keys()
+    # the last family holding every name: with no names, the weights
+    family = [f for f in _SWEEP_FAMILIES if names <= set(f[0])]
+    if not family:
         raise ValueError(
             f"sweep variables must all come from {_PARAM_NAMES} or {_WEIGHT_NAMES}")
+    family_names, point, kind = family[-1]
 
     counts = [_axis_count(ax) for ax in axes]
     if any(n == 0 for _, _, n in counts):
@@ -218,30 +237,30 @@ def _sweep_points(config: dict):
     for i, name in enumerate(axis_names):
         if name in axis_names[:i]:
             raise ValueError(f"sweep axis {name!r} is given more than once")
+    # every point has the same names, so an alias to a name not yet set,
+    # then a missing name, is reported once, in that order
+    known = set(axis_names)
+    for name, value in fixed.items():
+        if isinstance(value, str) and value not in known:
+            raise ValueError(f"fixed entry {name!r} aliases unknown variable {value!r}")
+        known.add(name)
+    for name in family_names[:3]:
+        if name not in known:
+            raise ValueError(f"missing {kind} {name!r}")
     grids = [[start + i * step for i in range(n)] for start, step, n in counts]
 
     def build(combo: tuple):
         resolved = dict(zip(axis_names, combo))
         for name, value in fixed.items():
-            if isinstance(value, str):
-                if value not in resolved:
-                    raise ValueError(
-                        f"fixed entry {name!r} aliases unknown variable {value!r}")
-                resolved[name] = resolved[value]
-            else:
-                resolved[name] = value
-        if family == "params":
-            return LambdaParams.from_mapping(resolved)
-        return BoltzmannWeights.from_mapping(resolved)
+            resolved[name] = resolved[value] if isinstance(value, str) else value
+        return point(**resolved)
 
     # the first axis outermost; no axes give the one point of fixed values
     return [build(combo) for combo in itertools.product(*grids)]
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    rows = sweep(_sweep_points(config))
+    rows = sweep(_sweep_points(_read_json(args.config)))
     text = sweep_to_csv(rows) if args.format == "csv" else sweep_to_jsonl(rows)
     _emit(text, args.out)
     return 0
@@ -260,7 +279,7 @@ def cmd_consistency(args) -> int:
                                     for _ in range(q - 1))
                            for x in shape.level_vertices(shape.depth)})
     ratios = propagate_ratios(leaf, shape, p, q)
-    h = fields_from_ratios(ratios, gauge=0.0)
+    h = fields_from_ratios(ratios)
     if args.perturb:
         target = shape.level_vertices(shape.depth - 1)[0]
         hv = list(h.fields[target])
@@ -269,15 +288,15 @@ def cmd_consistency(args) -> int:
         fields[target] = tuple(hv)
         h = BoundaryFields(q, fields)
     report = is_consistent(p, q, shape, h, tol=args.tol)
-    _emit_json(report.to_json(), args.out)
+    _emit_json({"max_deviation": report.max_deviation, "pass": report.passed},
+               args.out)
     return 0
 
 
 def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ...]]:
     """The --fields file: a JSON object mapping vertex paths of the
     truncation to lists of numbers."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"--fields: expected an object mapping vertices to "
                          f"field vectors, got {json.dumps(raw)}")

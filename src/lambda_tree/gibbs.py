@@ -93,15 +93,16 @@ class ConsistencyReport:
     passed: bool
     max_deviation: float
 
-    def to_json(self) -> dict:
-        return {"max_deviation": self.max_deviation, "pass": self.passed}
-
 
 def boltzmann_matrix(p: LambdaParams, q: int) -> tuple[tuple[float, ...], ...]:
-    """exp(beta * coupling(i, j)) for i, j in 1..q."""
-    return tuple(tuple(math.exp(p.beta * coupling_value(i, j, p))
-                       for j in range(1, q + 1))
-                 for i in range(1, q + 1))
+    """exp(beta * coupling(i, j)) for i, j in 1..q; DomainError on overflow."""
+    try:
+        return tuple(tuple(math.exp(p.beta * coupling_value(i, j, p))
+                           for j in range(1, q + 1))
+                     for i in range(1, q + 1))
+    except OverflowError:
+        raise DomainError(
+            f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
 
 
 def check_enumerable(q: int, shape: TreeShape) -> None:
@@ -229,6 +230,7 @@ def push_forward(u_children: list[tuple[float, ...]], p: LambdaParams,
     For each spin index m < q the result is the product over children y of
     [sum_j exp(beta*lam(m,j))*u_{j,y} + exp(beta*lam(m,q))] /
     [sum_j exp(beta*lam(q,j))*u_{j,y} + exp(beta*lam(q,q))].
+    A denominator that underflows to 0 raises DomainError.
     """
     for u in u_children:
         if len(u) != q - 1:
@@ -237,22 +239,26 @@ def push_forward(u_children: list[tuple[float, ...]], p: LambdaParams,
             raise DomainError(f"nonpositive child ratio {u}")
     mat = boltzmann_matrix(p, q)
     out = []
-    for m in range(q - 1):
-        acc = 1.0
-        for u in u_children:
-            num = mat[m][q - 1]
-            den = mat[q - 1][q - 1]
-            for j in range(q - 1):
-                num += mat[m][j] * u[j]
-                den += mat[q - 1][j] * u[j]
-            acc *= num / den
-        out.append(acc)
+    try:
+        for m in range(q - 1):
+            acc = 1.0
+            for u in u_children:
+                num = mat[m][q - 1]
+                den = mat[q - 1][q - 1]
+                for j in range(q - 1):
+                    num += mat[m][j] * u[j]
+                    den += mat[q - 1][j] * u[j]
+                acc *= num / den
+            out.append(acc)
+    except ZeroDivisionError:
+        raise DomainError(f"a denominator of the level recursion underflows "
+                          f"to 0 at {p}") from None
     return tuple(out)
 
 
-def fields_from_ratios(u: FieldRatios, gauge: float = 0.0) -> BoundaryFields:
-    """h_{k,x} = ln u_{k,x} + gauge for k < q, h_{q,x} = gauge."""
-    fields = {x: tuple(math.log(c) + gauge for c in v) + (gauge,)
+def fields_from_ratios(u: FieldRatios) -> BoundaryFields:
+    """h_{k,x} = ln u_{k,x} for k < q, h_{q,x} = 0."""
+    fields = {x: tuple(map(math.log, v)) + (0.0,)
               for x, v in u.ratios.items()}
     return BoundaryFields(u.q, fields)
 

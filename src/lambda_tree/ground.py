@@ -87,18 +87,6 @@ class GroundStateCatalog:
     families: tuple[FamilyDescriptor, ...]
     verified_depth: int
 
-    def to_json(self) -> dict:
-        return {
-            "region": self.region,
-            "generators": [{"period": g.period, "entries": list(g.entries)}
-                           for g in self.generators],
-            "families": [{"alphabet": list(f.alphabet), "anchor": f.anchor,
-                          "adjacent_must_differ": f.adjacent_must_differ,
-                          "label": f.label}
-                         for f in self.families],
-            "verified_depth": self.verified_depth,
-        }
-
 
 def _check_spins(depth: int, configurations: int = 1) -> None:
     """CapacityError unless realizing that many configurations of the

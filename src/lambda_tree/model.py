@@ -48,15 +48,6 @@ class LambdaParams:
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
-    @classmethod
-    def from_mapping(cls, obj) -> "LambdaParams":
-        """Build from {"a": .., "b": .., "c": .., "beta": ..} (beta optional)."""
-        try:
-            return cls(float(obj["a"]), float(obj["b"]), float(obj["c"]),
-                       float(obj.get("beta", 1.0)))
-        except KeyError as e:
-            raise ValueError(f"missing coupling parameter {e.args[0]!r}") from None
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -154,14 +145,21 @@ def ball_energy(center: int, children: tuple[int, int], p: LambdaParams) -> floa
     """Energy of one ball: half the sum of the two center-child couplings."""
     if len(children) != BALLS_PER_VERTEX:
         raise ValueError(f"expected {BALLS_PER_VERTEX} child spins, got {len(children)}")
-    return (lambda_value(center, children[0], p)
-            + lambda_value(center, children[1], p)) / 2.0
+    return _average(lambda_value(center, children[0], p),
+                    lambda_value(center, children[1], p))
+
+
+def _average(x: float, y: float) -> float:
+    """(x + y) / 2, or x/2 + y/2 where the sum overflows; both ball energy
+    functions average here, so their entries stay bitwise equal."""
+    s = x + y  # halving first would round subnormals: 5e-324 twice gives 0
+    return s / 2.0 if -math.inf < s < math.inf else x / 2.0 + y / 2.0
 
 
 def ball_energy_catalogue(p: LambdaParams) -> tuple[float, ...]:
     """(U1..U6) = (a, (a+b)/2, (a+c)/2, b, (b+c)/2, c)."""
     a, b, c = p.a, p.b, p.c
-    return (a, (a + b) / 2.0, (a + c) / 2.0, b, (b + c) / 2.0, c)
+    return (a, _average(a, b), _average(a, c), b, _average(b, c), c)
 
 
 def min_ball_energy(p: LambdaParams) -> float:

@@ -63,13 +63,6 @@ class BoltzmannWeights:
                                        and math.isfinite(v)):
                 raise DomainError(f"{name} must be a positive finite number, got {v!r}")
 
-    @classmethod
-    def from_mapping(cls, obj) -> "BoltzmannWeights":
-        try:
-            return cls(float(obj["xw"]), float(obj["yw"]), float(obj["zw"]))
-        except KeyError as e:
-            raise ValueError(f"missing weight {e.args[0]!r}") from None
-
 
 @dataclass(frozen=True)
 class CanonicalParams:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,33 @@ def test_ground_by_region_name(capsys):
     gens = payload["catalogs"][0]["generators"]
     assert len(gens) == 3
     assert all(g["period"] == 1 and g["ground_state"] for g in gens)
+
+
+def test_ground_catalog_json(capsys):
+    payload = _run_json(capsys, ["ground", "--region", "A5", "--max-period", "3"])
+    assert list(payload) == ["params", "regions", "catalogs"]
+    [entry] = payload["catalogs"]
+    assert list(entry) == ["region", "generators", "families", "verified_depth",
+                           "checked_depth"]
+    assert entry["region"] == "A5"
+    assert {"period": 1, "entries": [2], "ground_state": True,
+            "witness": None} in entry["generators"]
+    assert all(list(g) == ["period", "entries", "ground_state", "witness"]
+               for g in entry["generators"])
+    [family] = entry["families"]
+    assert list(family) == ["alphabet", "anchor", "adjacent_must_differ", "label"]
+    assert family["alphabet"] == [2, 3]
+    assert entry["verified_depth"] >= 3
+    assert entry["checked_depth"] == entry["verified_depth"]
+
+
+def test_ground_region_excludes_couplings(capsys):
+    # the region's representative coupling would silently replace them
+    for couplings in (["--a", "5", "--b", "5", "--c", "5"], ["--c", "0"]):
+        assert main(["ground", "--region", "A1", *couplings, "--depth", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: give either --region or --a/--b/--c, not both\n"
+        assert captured.out == ""
 
 
 def test_ground_samples(capsys):
@@ -322,6 +350,7 @@ def test_sweep_rejects_mixed_families(tmp_path, capsys):
 def test_consistency_pass_and_perturb(capsys):
     payload = _run_json(capsys, ["consistency", "--a", "0.5", "--b", "-0.3",
                                  "--c", "1.2"])
+    assert list(payload) == ["max_deviation", "pass"]
     assert payload["pass"] is True
     assert payload["max_deviation"] < 1e-10
 
@@ -387,6 +416,24 @@ def test_consistency_verdict_when_partition_overflows(capsys):
                                  "--c", "1.2", "--perturb", "800"])
     assert payload["pass"] is False
     assert payload["max_deviation"] > 0.1
+
+
+def test_consistency_weights_out_of_float_range(capsys):
+    # exp(beta*a) overflows; every weight of spin 3 underflows to 0
+    for couplings, message in (
+            (["--a", "800", "--b", "1", "--c", "-2", "--beta", "4.26"],
+             "an edge weight exp(beta*coupling) overflows a float at "
+             "LambdaParams(a=800.0, b=1.0, c=-2.0, beta=4.26)"),
+            (["--a", "-800", "--b", "-800", "--c", "-800"],
+             "a denominator of the level recursion underflows to 0 at "
+             "LambdaParams(a=-800.0, b=-800.0, c=-800.0, beta=1.0)")):
+        assert main(["consistency", *couplings]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+    # only the weight exp(beta*a) underflows: a verdict as before
+    payload = _run_json(capsys, ["consistency", "--a", "-800", "--b", "0", "--c", "0"])
+    assert payload["pass"] is True
 
 
 def test_consistency_rejects_non_finite_fields(capsys):
@@ -510,7 +557,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
            "--fields entry '7.7': not a vertex of the k=2, depth-1 truncation"),
           ({"1": [0, 0, 0], "2": [0, 0, 0], "1.1.1": [1, 2, 3]},
            "--fields entry '1.1.1': not a vertex of the k=2, depth-1 "
-           "truncation")]),
+           "truncation"),
+          ({"1": [0, -10 ** 400, 0], "2": [0, 0, 0]},
+           "--fields entry '1': a 401-digit integer is out of float range")]),
         (["sweep", "--config"],
          [([], "sweep config: expected an object with 'axes' and 'fixed', got []"),
           ({"axes": 3, "fixed": {}},
@@ -530,7 +579,22 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
           ({"axes": [axis], "fixed": {"a": False, "b": 0.0}},
            "fixed entry 'a': expected a number, got false"),
           ({"axes": [axis, axis], "fixed": {"a": 0.0, "b": 0.0}},
-           "sweep axis 'c' is given more than once")]),
+           "sweep axis 'c' is given more than once"),
+          ({"axes": [axis], "fixed": {"a": 0.0, "b": 0.0, "beta": 10 ** 400}},
+           "fixed entry 'beta': a 401-digit integer is out of float range"),
+          ({"axes": [dict(axis, start=1.7e308, stop=-1.7e308)],
+            "fixed": {"a": 0.0, "b": 0.0}},
+           "sweep grid is empty (an axis produced no values)"),
+          # every point needs a, b and c, or xw, yw and zw
+          ({"axes": [axis], "fixed": {"a": 0.0}}, "missing coupling parameter 'b'"),
+          ({"axes": [dict(axis, name="xw", start=0.5)], "fixed": {"yw": 1.0}},
+           "missing weight 'zw'"),
+          ({"axes": [], "fixed": {}}, "missing weight 'xw'"),
+          # an alias to an unknown name is reported before a missing name
+          ({"axes": [axis], "fixed": {"a": "q"}},
+           "fixed entry 'a' aliases unknown variable 'q'"),
+          ({"axes": [axis], "fixed": {"b": "a", "a": 0.0}},
+           "fixed entry 'b' aliases unknown variable 'a'")]),
     ]
     path = tmp_path / "input.json"
     for argv, inputs in cases:
@@ -540,6 +604,18 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.err == f"error: {message}\n"
             assert captured.out == ""
+
+
+def test_deep_json_files_exit_2(tmp_path, capsys):
+    # too deep for the parser's recursion; the error names the file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["sweep", "--config", str(path)],
+                 ["measure", "--a", "0", "--b", "0", "--c", "0", "--fields", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: JSON nested too deeply\n"
+        assert captured.out == ""
 
 
 def test_unknown_command(capsys):
@@ -563,3 +639,130 @@ def test_runtime_import_leaves_poly_to_the_oracles():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+_FUZZ_NUMBERS = ("0", "1", "-1", "0.5", "1e308", "-1e308", "1.7e308", "-1.7e308",
+                 "800", "-800", "1e-320", "-1e-320")
+_FUZZ_NON_NUMBERS = ("nan", "inf", "-inf", "abc", "")
+_FUZZ_ODD_JSON = (10 ** 400, -10 ** 400, "1e5", "x", None, True, [1])
+
+
+def _fuzz_argv(rng: random.Random, write, odd_files: list) -> list:
+    """One seeded call of any command, with numbers at the ends of the float
+    range, non-numbers, and JSON files that are deep or hold huge integers.
+    write(obj) saves obj as a JSON file and returns its path."""
+    def number():
+        return rng.choice(_FUZZ_NON_NUMBERS if rng.random() < 0.05 else _FUZZ_NUMBERS)
+
+    def json_number():
+        if rng.random() < 0.1:
+            return rng.choice(_FUZZ_ODD_JSON)
+        return float(rng.choice(_FUZZ_NUMBERS))
+
+    def json_file(build):
+        return rng.choice(odd_files) if rng.random() < 0.15 else write(build())
+
+    def sweep_config():
+        family = rng.choice((("a", "b", "c", "beta"), ("xw", "yw", "zw")))
+        names = rng.sample(family, len(family))
+        n_axes = rng.randint(0, 2)
+        axes = []
+        for name in names[:n_axes]:
+            start = json_number()
+            step = rng.choice((0.5, 1, 100.0, 1e308, 1e-320, 0, -1, 10 ** 400))
+            try:
+                stop = start + step * rng.randint(0, 3)
+            except (TypeError, OverflowError):
+                stop = json_number()
+            axes.append({"name": name, "start": start, "stop": stop, "step": step})
+        fixed = {name: json_number() if rng.random() < 0.8
+                 else rng.choice(family + ("q",))  # an alias
+                 for name in names[n_axes:] if rng.random() < 0.9}
+        return {"axes": axes, "fixed": fixed}
+
+    def field_vectors():
+        keys = rng.sample(("0", "1", "2", "1.1", "1.2", "2.1", "2.2"), rng.randint(1, 4))
+        return {key: [json_number() for _ in range(3)] for key in keys}
+
+    couplings = [x for flag in ("--a", "--b", "--c") if rng.random() < 0.95
+                 for x in (flag, number())]
+    if rng.random() < 0.5:
+        couplings += ["--beta", rng.choice(("1", "4.26", "1e-320", "1e308", "0"))]
+    command = rng.choice(("classify", "ground", "solve", "sweep", "consistency",
+                          "measure"))
+    if command == "classify":
+        return ["classify", *couplings, "--tol", rng.choice(("0", "0.1", "1e308"))]
+    if command == "ground":
+        argv = ["ground"]
+        if rng.random() < 0.5:
+            argv += ["--region", rng.choice(("A1", "A2", "A3", "A4", "A5", "A6"))]
+        if rng.random() < 0.3 or len(argv) == 1:
+            argv += couplings
+        return argv + ["--depth", str(rng.randint(0, 6)),
+                       "--max-period", rng.choice(("1", "3", "8", "10000000")),
+                       "--samples", rng.choice(("0", "0", "3")),
+                       "--tol", rng.choice(("0", "0.25", "1e308"))]
+    if command == "solve":
+        if rng.random() < 0.5:
+            return ["solve", *couplings]
+        return ["solve", *[x for flag in ("--xw", "--yw", "--zw")
+                           for x in (flag, rng.choice(("1", "0.2", "3", "1e-320", "1e-300",
+                                                       "1e308", "1.7e308", "0", "inf")))]]
+    if command == "consistency":
+        # at most 4^7 states, or past the 3^13 bound
+        return ["consistency", *couplings, "--depth", rng.choice(("0", "1", "2", "3", "9")),
+                "--q", rng.choice(("1", "2", "3", "3", "4")), "--k", rng.choice(("1", "2")),
+                "--perturb", number(), "--seed", str(rng.randint(0, 9))]
+    if command == "measure":
+        argv = ["measure", *couplings, "--depth", rng.choice(("0", "1", "2")),
+                "--q", rng.choice(("1", "2", "3", "3"))]
+        if rng.random() < 0.5:
+            argv += ["--fields", json_file(field_vectors)]
+        return argv
+    return ["sweep", "--config", json_file(sweep_config),
+            "--format", rng.choice(("csv", "json"))]
+
+
+def test_seeded_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
+    # every call returns 0, 2 or 3 without raising, and no JSON output holds
+    # Infinity or NaN, which are not standard JSON
+    files = []
+
+    def write(obj) -> str:
+        path = tmp_path / f"input{len(files)}.json"
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        files.append(path)
+        return str(path)
+
+    odd_files = [write("[" * 100_000 + "]" * 100_000),
+                 write('{"1": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+                 write({"axes": [], "fixed": {"a": 10 ** 400, "b": 0, "c": 0}}),
+                 write({"1": [0, 10 ** 400, 0], "2": [0, 0, 0]}),
+                 write('{"axes": [], "fixed": {"xw": 1' + "0" * 5000 + "}}")]
+    # depths around the parser's recursion limit, wherever the stack stands
+    for depth in range(850, 1010, 10):
+        odd_files += [write("[" * depth + "]" * depth),
+                      write('{"axes": ' + "[" * depth + "]" * depth + ', "fixed": {}}'),
+                      write('{"1": ' + "[" * depth + "]" * depth + "}")]
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in JSON output")
+
+    rng = random.Random(20261018)
+    codes = []
+    for _ in range(1000):
+        argv = _fuzz_argv(rng, write, odd_files)
+        try:
+            rc = main(argv)
+        except Exception as e:  # noqa: BLE001 - the failure names the call
+            pytest.fail(f"{argv} raised {e!r}")
+        out = capsys.readouterr().out
+        assert rc in (0, 2, 3), argv
+        codes.append(rc)
+        if rc == 0 and argv[0] not in ("measure", "sweep"):
+            json.loads(out, parse_constant=reject)
+        elif rc == 0 and argv[-1] == "json":
+            for line in out.splitlines():
+                json.loads(line, parse_constant=reject)
+    # the draws reach every exit code
+    assert all(codes.count(rc) >= 10 for rc in (0, 2, 3)), Counter(codes)

@@ -197,11 +197,12 @@ def test_catalogs_are_built_once():
 
 
 def test_catalog_json_round():
-    entry = generators_for("A5", max_period=3).to_json()
-    assert entry["region"] == "A5"
-    assert {"period": 1, "entries": [2]} in entry["generators"]
-    assert entry["families"][0]["alphabet"] == [2, 3]
-    assert entry["verified_depth"] >= 3
+    # the CLI writes these fields; tests/test_cli.py checks its JSON
+    catalog = generators_for("A5", max_period=3)
+    assert catalog.region == "A5"
+    assert LevelSequence((2,), period=1) in catalog.generators
+    assert catalog.families[0].alphabet == (2, 3)
+    assert catalog.verified_depth >= 3
 
 
 def test_every_generator_verifies_deep():
@@ -666,6 +667,20 @@ def test_signed_zero_triples_share_one_table():
     assert verify_generators(generators, zero, 6) == \
         verify_generators(generators, negative, 6)
     assert brute_force_minima(zero, 2) == brute_force_minima(negative, 2)
+
+
+def test_verdicts_keep_their_pattern_at_the_float_range_edge():
+    # averages of two couplings near the float range used to overflow to
+    # +-inf, which dropped regions and called non-minimal balls minimal
+    for t in product((-1.0, 0.0, 1.0), repeat=3):
+        unit = LambdaParams(*t)
+        for s in (1e308, 1.7e308):
+            scaled = LambdaParams(*(s * v for v in t))
+            assert classify_region(scaled).active_regions == \
+                classify_region(unit).active_regions, (t, s)
+            assert ground._minimal_balls(scaled, 0.0) == \
+                ground._minimal_balls(unit, 0.0), (t, s)
+    assert len(brute_force_minima(LambdaParams(-1.7e308, -1e308, 0.0), 2)) == 2
 
 
 def test_unchecked_configurations_equal_checked_ones():

@@ -23,10 +23,8 @@ def test_params_validation():
         with pytest.raises(ValueError, match="must be a finite number, got (True|False)$"):
             LambdaParams(*args)
     assert LambdaParams(1, 0, -2, 3).a == 1
-    p = LambdaParams.from_mapping({"a": 1, "b": 2, "c": 3})
+    p = LambdaParams(**{"a": 1.0, "b": 2.0, "c": 3.0})
     assert (p.a, p.b, p.c, p.beta) == (1.0, 2.0, 3.0, 1.0)
-    with pytest.raises(ValueError):
-        LambdaParams.from_mapping({"a": 1, "b": 2})
 
 
 def test_coupling_by_distance():
@@ -131,6 +129,19 @@ def test_ball_energy_named_values():
     assert ball_energy(1, (3, 3), p) == p.a
     assert ball_energy(1, (2, 3), p) == (p.a + p.b) / 2
     assert ball_energy(2, (2, 2), p) == p.c
+
+
+def test_averages_stay_exact_at_the_ends_of_the_float_range():
+    # (x + y) / 2 unless the sum overflows; halving first would lose subnormals
+    tiny = LambdaParams(5e-324, 5e-324, 0.0)
+    assert ball_energy_catalogue(tiny)[1] == ball_energy(1, (2, 3), tiny) == 5e-324
+    huge = LambdaParams(-1.7e308, -1e308, 0.0)
+    assert ball_energy_catalogue(huge) == (-1.7e308, -1.35e308, -8.5e307,
+                                           -1e308, -5e307, 0.0)
+    for center, c1, c2 in product(SPINS, repeat=3):
+        assert ball_energy(center, (c1, c2), huge) in ball_energy_catalogue(huge)
+    assert classify_region(huge).active_regions == ("A1",)
+    assert classify_region(huge).minimal_energy == -1.7e308
 
 
 def test_classify_strict_interiors():

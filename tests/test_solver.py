@@ -45,8 +45,6 @@ def test_weight_validation():
         BoltzmannWeights(1.0, -2.0, 1.0)
     with pytest.raises(DomainError):
         BoltzmannWeights(1.0, 1.0, math.inf)
-    with pytest.raises(ValueError):
-        BoltzmannWeights.from_mapping({"xw": 1.0, "yw": 1.0})
     # bool is an int subclass; a sweep row would print True as "true"
     for args in ((True, 1.0, 1.0), (1.0, True, 1.0), (1.0, 1.0, True)):
         with pytest.raises(DomainError) as caught:
