@@ -10,8 +10,10 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import re
+import stat
 import sys
 
 from .errors import CapacityError, InternalConsistencyError, LambdaTreeError
@@ -33,6 +35,7 @@ _WEIGHT_NAMES = ("xw", "yw", "zw")
 _SWEEP_FAMILIES = ((_PARAM_NAMES, LambdaParams, "coupling parameter"),
                    (_WEIGHT_NAMES, BoltzmannWeights, "weight"))
 _MAX_SWEEP_POINTS = 10 ** 6
+_ECHO_CHARS = 80  # an error message shows at most this much of a JSON value
 
 
 def _round15(obj):
@@ -46,10 +49,23 @@ def _round15(obj):
     return obj
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """The opener of _emit: open()'s own flags less O_TRUNC, and its mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _emit(text: str, out: str | None) -> None:
+    """Print text, or write it over the file `out` and cut the file to its
+    length. On ext4, a rewrite that first truncates the file to zero starts
+    a flush when it is closed; writing in place does not. The file keeps its
+    inode, mode and any symlink, but an interrupted write can leave old
+    bytes after the new ones."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", opener=_open_in_place) as fh:
             fh.write(text)
+            # a device such as /dev/null is seekable but cannot be truncated
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         sys.stdout.write(text)
 
@@ -67,6 +83,15 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _json_echo(value) -> str:
+    """value as JSON for an error message; a long one is cut to a prefix
+    followed by its full length."""
+    text = json.dumps(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _json_float(value, what: str) -> float:
     """A number read from a JSON file (a numeric string passes too, as
     float() takes it); anything else, true and false included, and an
@@ -79,7 +104,7 @@ def _json_float(value, what: str) -> float:
         except OverflowError:
             raise ValueError(f"{what}: a {len(str(abs(value)))}-digit integer "
                              f"is out of float range") from None
-    raise ValueError(f"{what}: expected a number, got {json.dumps(value)}")
+    raise ValueError(f"{what}: expected a number, got {_json_echo(value)}")
 
 
 def _params_from_args(args) -> LambdaParams:
@@ -203,19 +228,19 @@ def _axis_count(axis: dict) -> tuple[float, float, int]:
 def _sweep_points(config: dict):
     if not isinstance(config, dict):
         raise ValueError(f"sweep config: expected an object with 'axes' and "
-                         f"'fixed', got {json.dumps(config)}")
+                         f"'fixed', got {_json_echo(config)}")
     axes = config.get("axes", [])
     fixed = config.get("fixed", {})
     if not (isinstance(axes, list) and all(isinstance(ax, dict) for ax in axes)):
         raise ValueError(f"sweep config 'axes': expected a list of objects, "
-                         f"got {json.dumps(axes)}")
+                         f"got {_json_echo(axes)}")
     if not isinstance(fixed, dict):
         raise ValueError(f"sweep config 'fixed': expected an object, "
-                         f"got {json.dumps(fixed)}")
+                         f"got {_json_echo(fixed)}")
     for ax in axes:
         if not isinstance(ax.get("name", ""), str):
             raise ValueError(f"sweep axis 'name': expected a string, "
-                             f"got {json.dumps(ax['name'])}")
+                             f"got {_json_echo(ax['name'])}")
     # a string is an alias, resolved per point; anything else must be a number
     fixed = {name: value if isinstance(value, str)
              else _json_float(value, f"fixed entry {name!r}")
@@ -299,12 +324,12 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"--fields: expected an object mapping vertices to "
-                         f"field vectors, got {json.dumps(raw)}")
+                         f"field vectors, got {_json_echo(raw)}")
     fields = {}
     for key, vec in raw.items():
         if not isinstance(vec, list):
             raise ValueError(f"--fields entry {key!r}: expected a list of numbers, "
-                             f"got {json.dumps(vec)}")
+                             f"got {_json_echo(vec)}")
         x = TreeCoord.parse(key)
         if not shape.contains(x):
             raise ValueError(f"--fields entry {key!r}: not a vertex of the "

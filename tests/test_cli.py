@@ -618,6 +618,136 @@ def test_deep_json_files_exit_2(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_long_json_values_are_cut_in_error_messages(tmp_path, capsys):
+    # the message shows a prefix of the value and its length, not 3 MB of it
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps([0] * 10 ** 6))
+    for argv, start in (
+            (["sweep", "--config", str(path)],
+             "error: sweep config: expected an object with 'axes' and 'fixed', "
+             "got [0, 0, "),
+            (["measure", "--a", "0", "--b", "0", "--c", "0", "--fields", str(path)],
+             "error: --fields: expected an object mapping vertices to field "
+             "vectors, got [0, 0, ")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(start), captured.err[:200]
+        assert captured.err.endswith("... (3000000 characters)\n")
+        assert captured.err.count("\n") == 1
+        assert len(captured.err.encode()) < 300
+        assert captured.out == ""
+
+
+# one run of each command; the tests below append --out
+_OUT_COMMANDS = {
+    "sweep csv": ["sweep", "--config", "{config}"],
+    "sweep json": ["sweep", "--config", "{config}", "--format", "json"],
+    "solve": ["solve", "--a", "0.5", "--b", "-0.3", "--c", "1.2"],
+    "measure": ["measure", "--a", "0.5", "--b", "-0.3", "--c", "1.2"],
+    "classify": ["classify", "--a", "1", "--b", "1", "--c", "2"],
+    "ground": ["ground", "--region", "A2", "--samples", "2"],
+    "consistency": ["consistency", "--a", "0.5", "--b", "-0.3", "--c", "1.2"],
+}
+
+
+def _out_argv(tmp_path, name: str) -> list:
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "axes": [{"name": "c", "start": 0.0, "stop": 1.0, "step": 0.25}],
+        "fixed": {"a": 0.0, "b": 0.0}}))
+    return [arg.format(config=config) for arg in _OUT_COMMANDS[name]]
+
+
+def _printed(capsys, argv) -> bytes:
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out.encode()
+
+
+def test_out_overwrites_a_longer_file_in_place(tmp_path, capsys):
+    # no byte of the old text survives, and the file keeps its inode
+    old = "".join(random.Random(0).choice("xyz,\n") for _ in range(10_000))
+    out = tmp_path / "out.txt"
+    for name in _OUT_COMMANDS:
+        argv = _out_argv(tmp_path, name)
+        printed = _printed(capsys, argv)
+        assert 0 < len(printed) < len(old), name
+        out.write_text(old)
+        inode = out.stat().st_ino
+        assert _printed(capsys, [*argv, "--out", str(out)]) == b"", name
+        assert out.read_bytes() == printed, name
+        assert out.stat().st_ino == inode, name
+
+
+def test_out_to_dev_null(tmp_path, capsys):
+    # /dev/null is seekable, yet a device that cannot be truncated
+    if not os.path.exists(os.devnull):
+        pytest.skip(f"no {os.devnull}")
+    for name in ("sweep csv", "measure"):
+        argv = _out_argv(tmp_path, name)
+        assert _printed(capsys, [*argv, "--out", os.devnull]) == b"", name
+
+
+def test_out_through_a_symlink(tmp_path, capsys):
+    argv = _out_argv(tmp_path, "sweep csv")
+    printed = _printed(capsys, argv)
+    target = tmp_path / "target.csv"
+    target.write_text("old text\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    _printed(capsys, [*argv, "--out", str(link)])
+    assert link.is_symlink()
+    assert target.read_bytes() == printed
+
+
+def test_new_out_file_has_the_mode_of_open(tmp_path, capsys):
+    argv = _out_argv(tmp_path, "classify")
+    old_umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        _printed(capsys, [*argv, "--out", str(tmp_path / "new")])
+    finally:
+        os.umask(old_umask)
+    assert ((tmp_path / "new").stat().st_mode
+            == (tmp_path / "reference").stat().st_mode)
+
+
+def test_sweep_out_over_its_own_config(tmp_path, capsys):
+    # the config is read in full before the CSV replaces it
+    argv = _out_argv(tmp_path, "sweep csv")
+    printed = _printed(capsys, argv)
+    config = argv[argv.index("--config") + 1]
+    _printed(capsys, [*argv, "--out", config])
+    assert Path(config).read_bytes() == printed
+
+
+def test_out_write_errors_exit_2(tmp_path, capsys):
+    argv = _out_argv(tmp_path, "sweep csv")
+    for out in (tmp_path, tmp_path / "missing" / "out.csv"):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ")
+        assert captured.out == ""
+
+
+def test_out_to_a_full_device_closes_the_file(tmp_path):
+    # a leaked descriptor would print a ResourceWarning to stderr
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "lambda_tree.cli", *_out_argv(tmp_path, "sweep csv"),
+         "--out", "/dev/full"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: [Errno 28] No space left on device\n"
+    assert done.stdout == ""
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
