@@ -83,13 +83,16 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _json_echo(value) -> str:
-    """value as JSON for an error message; a long one is cut to a prefix
-    followed by its full length."""
-    text = json.dumps(value)
+def _cut(text: str) -> str:
+    """text for an error message; a long one is cut to a prefix followed
+    by its full length."""
     if len(text) <= _ECHO_CHARS:
         return text
     return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
+def _json_echo(value) -> str:
+    return _cut(json.dumps(value))
 
 
 def _json_float(value, what: str) -> float:
@@ -267,7 +270,8 @@ def _sweep_points(config: dict):
     known = set(axis_names)
     for name, value in fixed.items():
         if isinstance(value, str) and value not in known:
-            raise ValueError(f"fixed entry {name!r} aliases unknown variable {value!r}")
+            raise ValueError(f"fixed entry {name!r} aliases unknown variable "
+                             f"{_cut(repr(value))}")
         known.add(name)
     for name in family_names[:3]:
         if name not in known:
@@ -327,14 +331,17 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
                          f"field vectors, got {_json_echo(raw)}")
     fields = {}
     for key, vec in raw.items():
+        entry = f"--fields entry {_cut(repr(key))}"
         if not isinstance(vec, list):
-            raise ValueError(f"--fields entry {key!r}: expected a list of numbers, "
-                             f"got {_json_echo(vec)}")
-        x = TreeCoord.parse(key)
+            raise ValueError(f"{entry}: expected a list of numbers, got {_json_echo(vec)}")
+        try:
+            x = TreeCoord.parse(key)
+        except ValueError:  # its message may echo the whole key, or the digit limit
+            raise ValueError(f"{entry}: not a valid vertex path") from None
         if not shape.contains(x):
-            raise ValueError(f"--fields entry {key!r}: not a vertex of the "
+            raise ValueError(f"{entry}: not a vertex of the "
                              f"k={shape.k}, depth-{shape.depth} truncation")
-        fields[x] = tuple(_json_float(v, f"--fields entry {key!r}") for v in vec)
+        fields[x] = tuple(_json_float(v, entry) for v in vec)
     return fields
 
 

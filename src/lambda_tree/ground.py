@@ -10,11 +10,14 @@ Every catalog and family member is constant on each level, so the ball
 centred at any vertex of level m has energy ball_energy(s_m, (s_{m+1},
 s_{m+1})). Catalogs are therefore certified on their level sequences, one
 level pair at a time, without realizing a tree: every generator is checked
-at the region's representative coupling before being returned. Every
-verdict reads which balls are minimal from one set per coupling triple
-and tolerance, cached across calls. The certified catalogs, and the
-minima of small truncations, are cached too: a set of minima depends on
-the coupling triple only through which balls are minimal.
+at the region's representative coupling before being returned.
+
+A ball's energy is always one of the six catalogue entries, fixed by the
+two spin distances between its center and its children. So which balls
+are minimal depends on the coupling triple and tolerance only through
+which entries are minimal: every verdict reads one of 63 sets of minimal
+balls, built once, from that mask. The certified catalogs, and the counts
+and minima of small truncations, are cached per set of minimal balls.
 """
 
 import random
@@ -25,7 +28,8 @@ from itertools import product
 
 from .errors import CapacityError, InternalConsistencyError
 from .model import (BALLS_PER_VERTEX, SPINS, Configuration, LambdaParams,
-                    ball_energy, check_tolerance, min_ball_energy)
+                    ball_energy, ball_energy_catalogue, check_tolerance,
+                    minimal_entries)
 from .tree import TreeCoord, TreeShape, balls
 
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
@@ -108,18 +112,31 @@ def _check_level_pairs(generators: int, depth: int) -> None:
             f"{_MAX_LEVEL_PAIRS} level pairs")
 
 
-@lru_cache(maxsize=16)
+# which catalogue entry a ball (s, t, u)'s energy is, by its two spin
+# distances (|s - t|, |s - u|): a at distance 2, b at 1, c at 0
+_ENTRY_BY_DISTANCES = {(2, 2): 0, (2, 1): 1, (1, 2): 1, (2, 0): 2, (0, 2): 2,
+                       (1, 1): 3, (1, 0): 4, (0, 1): 4, (0, 0): 5}
+_BALL_ENTRIES = [((s, t, u), _ENTRY_BY_DISTANCES[abs(s - t), abs(s - u)])
+                 for s, t, u in product(SPINS, repeat=3)]
+
+# the minimal balls per mask of minimal catalogue entries, for the 63 masks
+# with an entry set; each set is built in the order a scan of all 27 balls
+# would build it
+_MINIMAL_BALLS: dict[tuple[bool, ...], frozenset[tuple[int, int, int]]] = {
+    mask: frozenset(ball for ball, entry in _BALL_ENTRIES if mask[entry])
+    for mask in product((False, True), repeat=6) if any(mask)}
+
+
 def _minimal_balls(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int]]:
     """The balls (s, t, u), the center's spin then its two children's,
-    whose ball_energy is within tol of the minimum at p: the only energy
-    comparison here, made on all 27 spin triples. Cached per (p, tol);
-    equal triples (0.0 and -0.0 among them) share one entry. tol has no
-    default, which the cache would key apart from an explicit 0.0. A
-    negative or NaN tol raises ValueError."""
+    whose ball_energy is within tol of the minimum at p. A ball's energy
+    is the _average of two couplings, which is symmetric and gives v back
+    for v twice, so it equals its catalogue entry bit for bit; the set is
+    read from one table by which entries are minimal, and the same mask
+    always gives the same frozenset object. A negative or NaN tol raises
+    ValueError."""
     check_tolerance(tol)
-    limit = min_ball_energy(p) + tol
-    return frozenset((s, t, u) for s in SPINS for t, u in product(SPINS, repeat=2)
-                     if not ball_energy(s, (t, u), p) > limit)
+    return _MINIMAL_BALLS[minimal_entries(ball_energy_catalogue(p), tol)]
 
 
 def realize(seq: LevelSequence, depth: int) -> Configuration:
@@ -141,21 +158,22 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     first offending ball center as witness.
 
     At k = 2 the ball centred at position c holds positions c, 2c + 1 and
-    2c + 2, so one ordered pass over zip(spins, spins[1::2], spins[2::2])
-    meets every ball in canonical order and looks it up in the cached set
-    of minimal balls. The first ball not in it goes to ball_energy, which
-    raises for a spin outside SPINS; so does k != 2. Depth 0 raises as
-    balls does.
+    2c + 2, so zip(spins, spins[1::2], spins[2::2]) lists every ball in
+    canonical order, and one subset test against the set of minimal balls
+    decides the common case. Only when it fails are the balls scanned
+    again, up to the first one not in the set; that one goes to
+    ball_energy, which raises for a spin outside SPINS; so does k != 2.
+    Depth 0 raises as balls does.
     """
     shape, spins = sigma.shape, sigma.spins
     if shape.depth < 1 or shape.k != BALLS_PER_VERTEX:
         balls(shape)  # raises at depth 0
         ball_energy(spins[0], spins[1:shape.k + 1], p)  # raises for k != 2 children
     minimal = _minimal_balls(p, tol)
-    verdicts = list(map(minimal.__contains__, zip(spins, spins[1::2], spins[2::2])))
-    if all(verdicts):
+    if minimal.issuperset(zip(spins, spins[1::2], spins[2::2])):
         return True, None
-    center = verdicts.index(False)
+    center = next(c for c, ball in enumerate(zip(spins, spins[1::2], spins[2::2]))
+                  if ball not in minimal)
     # not minimal, or not a ball of SPINS: ball_energy raises for the latter
     ball_energy(spins[center], (spins[2 * center + 1], spins[2 * center + 2]), p)
     return False, shape.vertex_at(center)
@@ -305,11 +323,19 @@ def sample_family(region: str, count: int, seed: int,
     return [realize(LevelSequence(s), depth) for s in sorted(seen)]
 
 
-def _count_minima(allowed: dict[int, list[tuple[int, int]]], depth: int) -> int:
-    """Number of configurations of the depth-`depth` binary truncation that
-    take an allowed child pair at every ball center, or _MAX_SPINS + 1 if
-    there are more. Subtree counts are summed level by level from the
-    leaves and saturate there, so no huge integer is formed."""
+@lru_cache(maxsize=None, typed=True)
+def _count_minima(pattern: frozenset[tuple[int, int, int]], depth: int) -> int:
+    """Number of configurations of the depth-`depth` binary truncation whose
+    every ball lies in pattern, or _MAX_SPINS + 1 if there are more.
+    Subtree counts are summed level by level from the leaves and saturate
+    there, so no huge integer is formed.
+
+    Every count is kept: brute_force_minima bounds the depth by 19 first,
+    and _minimal_balls hands out 63 patterns, so the cache holds at most
+    63 x 20 counts (True counts as a depth of its own). typed=True keeps a
+    float depth from reading an int's entry: it raises TypeError, as range
+    does."""
+    allowed = _child_pairs(pattern)
     most = _MAX_SPINS + 1
     below = dict.fromkeys(SPINS, 1)  # configurations of a depth-0 subtree
     for _ in range(depth):
@@ -388,14 +414,14 @@ def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
     output size.
 
     The result depends on p only through its pattern, the balls of minimal
-    energy, of which there are at most 63. A result of at most _MEMO_SPINS
-    spins is kept per (pattern, depth) and copied into a fresh set on each
-    call, so callers may change what they get."""
+    energy, of which there are at most 63. The count is kept per (pattern,
+    depth); a result of at most _MEMO_SPINS spins is kept too, and copied
+    into a fresh set on each call, so callers may change what they get."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _check_spins(depth)  # bounds the depth before the count
     pattern = _minimal_balls(p, 0.0)
-    size = _count_minima(_child_pairs(pattern), depth)
+    size = _count_minima(pattern, depth)
     _check_spins(depth, size)
     if size * (2 ** (depth + 1) - 1) <= _MEMO_SPINS:
         return set(_cached_minima(pattern, depth))

@@ -172,6 +172,14 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tol must be >= 0, got {tol}")
 
 
+def minimal_entries(catalogue: tuple[float, ...], tol: float) -> tuple[bool, ...]:
+    """Per catalogue entry, whether it lies within tol of the minimum; the
+    one comparison both the region classifier and the ground-state layer
+    decide on."""
+    limit = min(catalogue) + tol
+    return tuple([not u > limit for u in catalogue])
+
+
 def classify_region(p: LambdaParams, tol: float = 0.0) -> RegionReport:
     """Which of A1..A6 the coupling triple lies in (several on boundaries).
 
@@ -181,11 +189,10 @@ def classify_region(p: LambdaParams, tol: float = 0.0) -> RegionReport:
     """
     check_tolerance(tol)
     catalogue = ball_energy_catalogue(p)
-    lo = min(catalogue)
     by_name = {"a": p.a, "b": p.b, "c": p.c}
     active = []
-    for name, u in zip(REGION_NAMES, catalogue):
-        if u > lo + tol:
+    for name, minimal in zip(REGION_NAMES, minimal_entries(catalogue, tol)):
+        if not minimal:
             continue
         slice_pair = _EQUALITY_SLICES.get(name)
         if slice_pair is not None:
@@ -193,4 +200,4 @@ def classify_region(p: LambdaParams, tol: float = 0.0) -> RegionReport:
             if abs(v - w) > tol:
                 continue
         active.append(name)
-    return RegionReport(tuple(active), lo, len(active) > 1)
+    return RegionReport(tuple(active), min(catalogue), len(active) > 1)

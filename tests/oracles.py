@@ -18,15 +18,19 @@ recurrence the long way. Test files import them as `from oracles import ...`.
 - `sweep_to_csv_by_cell` and `sweep_to_jsonl_by_cell` write sweep rows one
   named cell at a time, the layout `solver.sweep_to_csv` and
   `solver.sweep_to_jsonl` must reproduce byte for byte.
+- `minimal_balls_by_scan` calls `ball_energy` on all 27 spin triples, the
+  scan `ground._minimal_balls` reads off its table of catalogue entries.
 """
 
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 from lambda_tree.errors import InternalConsistencyError
 from lambda_tree.gibbs import boltzmann_matrix
-from lambda_tree.model import LambdaParams
+from lambda_tree.model import (SPINS, LambdaParams, ball_energy, check_tolerance,
+                               min_ball_energy)
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
 from lambda_tree.solver import SWEEP_COLUMNS, BoltzmannWeights, _quadratic_numerators
 
@@ -174,3 +178,12 @@ def sweep_to_jsonl_by_cell(rows) -> str:
             obj[col] = v
         lines.append(json.dumps(obj))
     return "\n".join(lines) + "\n"
+
+
+def minimal_balls_by_scan(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int]]:
+    """The balls (s, t, u) whose ball_energy is within tol of the minimum
+    at p, one ball_energy call per spin triple."""
+    check_tolerance(tol)
+    limit = min_ball_energy(p) + tol
+    return frozenset((s, t, u) for s in SPINS for t, u in product(SPINS, repeat=2)
+                     if not ball_energy(s, (t, u), p) > limit)

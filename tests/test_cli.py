@@ -176,6 +176,22 @@ def test_solve_cycle_far_from_one(capsys):
     assert r2 == pytest.approx(1e12, rel=1e-5)
 
 
+def test_solve_keeps_the_bisection_point_at_a_tangency(capsys):
+    # a_can sits 1.3e-13 relative below eps1, next to a double root where
+    # Newton's step lands at residual 1.7e-3 (exit 4); the bisection point
+    # it started from meets the gate and is reported instead
+    xw, yw, zw = 1.0, 0.1727345328512528, 0.10808465425866465
+    payload = _run_json(capsys, ["solve", "--xw", repr(xw), "--yw", repr(yw),
+                                 "--zw", repr(zw)])
+    w = solver.BoltzmannWeights(xw, yw, zw)
+    roots = solver.count_ti_roots(w).ti_roots
+    assert payload["translation_invariant"]["roots"] == \
+        [float(format(u, ".15g")) for u in roots]
+    assert roots
+    for u in roots:
+        assert abs(u - solver.f_map(u, w)) <= 1e-9 * max(1.0, u), u
+
+
 def test_two_periodic_fields_past_float_range(tmp_path, capsys):
     # xw ~ 2.7e43: existence is decided in integers, only D (~1e349) has
     # no float; it prints as null, and as an empty cell in a sweep CSV
@@ -619,23 +635,43 @@ def test_deep_json_files_exit_2(tmp_path, capsys):
 
 
 def test_long_json_values_are_cut_in_error_messages(tmp_path, capsys):
-    # the message shows a prefix of the value and its length, not 3 MB of it
-    path = tmp_path / "long.json"
-    path.write_text(json.dumps([0] * 10 ** 6))
-    for argv, start in (
-            (["sweep", "--config", str(path)],
+    # the message shows a prefix of the value and its length, not 3 MB of it;
+    # a --fields key or a sweep alias is cut the same way
+    measure = ["measure", "--a", "0", "--b", "0", "--c", "0", "--fields"]
+    cut = "... (100002 characters)"
+    for content, argv, start, end in (
+            ([0] * 10 ** 6, ["sweep", "--config"],
              "error: sweep config: expected an object with 'axes' and 'fixed', "
-             "got [0, 0, "),
-            (["measure", "--a", "0", "--b", "0", "--c", "0", "--fields", str(path)],
+             "got [0, 0, ", "... (3000000 characters)\n"),
+            ([0] * 10 ** 6, measure,
              "error: --fields: expected an object mapping vertices to field "
-             "vectors, got [0, 0, ")):
-        assert main(argv) == 2
+             "vectors, got [0, 0, ", "... (3000000 characters)\n"),
+            ({"k" * 10 ** 5: 0}, measure, "error: --fields entry 'kkk",
+             f"{cut}: expected a list of numbers, got 0\n"),
+            ({"1" * 10 ** 5: [0, 0, 0]}, measure, "error: --fields entry '111",
+             f"{cut}: not a valid vertex path\n"),
+            ({"axes": [], "fixed": {"a": 0, "b": 0, "c": "k" * 10 ** 5}},
+             ["sweep", "--config"],
+             "error: fixed entry 'c' aliases unknown variable 'kkk", f"{cut}\n")):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(content))
+        assert main([*argv, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(start), captured.err[:200]
-        assert captured.err.endswith("... (3000000 characters)\n")
+        assert captured.err.endswith(end), captured.err[-200:]
         assert captured.err.count("\n") == 1
         assert len(captured.err.encode()) < 300
         assert captured.out == ""
+
+
+def test_fields_keys_that_are_no_vertex_path(tmp_path, capsys):
+    path = tmp_path / "fields.json"
+    for key in ("x", "1.x", "1.0", "0.1", "1..2"):
+        path.write_text(json.dumps({key: [0, 0, 0]}))
+        assert main(["measure", "--a", "0", "--b", "0", "--c", "0",
+                     "--fields", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --fields entry {key!r}: not a valid vertex path\n"
 
 
 # one run of each command; the tests below append --out
@@ -777,10 +813,11 @@ _FUZZ_NON_NUMBERS = ("nan", "inf", "-inf", "abc", "")
 _FUZZ_ODD_JSON = (10 ** 400, -10 ** 400, "1e5", "x", None, True, [1])
 
 
-def _fuzz_argv(rng: random.Random, write, odd_files: list) -> list:
+def _fuzz_argv(rng: random.Random, write, odd_files: list, long_files: list) -> list:
     """One seeded call of any command, with numbers at the ends of the float
-    range, non-numbers, and JSON files that are deep or hold huge integers.
-    write(obj) saves obj as a JSON file and returns its path."""
+    range, non-numbers, and JSON files that are deep, hold huge integers or
+    hold a 100,000-character key or alias (long_files, which get a share of
+    their own). write(obj) saves obj as a JSON file and returns its path."""
     def number():
         return rng.choice(_FUZZ_NON_NUMBERS if rng.random() < 0.05 else _FUZZ_NUMBERS)
 
@@ -790,7 +827,10 @@ def _fuzz_argv(rng: random.Random, write, odd_files: list) -> list:
         return float(rng.choice(_FUZZ_NUMBERS))
 
     def json_file(build):
-        return rng.choice(odd_files) if rng.random() < 0.15 else write(build())
+        pick = rng.random()
+        if pick < 0.05:
+            return rng.choice(long_files)
+        return rng.choice(odd_files) if pick < 0.2 else write(build())
 
     def sweep_config():
         family = rng.choice((("a", "b", "c", "beta"), ("xw", "yw", "zw")))
@@ -854,8 +894,9 @@ def _fuzz_argv(rng: random.Random, write, odd_files: list) -> list:
 
 
 def test_seeded_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
-    # every call returns 0, 2 or 3 without raising, and no JSON output holds
-    # Infinity or NaN, which are not standard JSON
+    # every call returns 0, 2 or 3 without raising, every error line stays
+    # short, and no JSON output holds Infinity or NaN, which are not
+    # standard JSON
     files = []
 
     def write(obj) -> str:
@@ -869,6 +910,10 @@ def test_seeded_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
                  write({"axes": [], "fixed": {"a": 10 ** 400, "b": 0, "c": 0}}),
                  write({"1": [0, 10 ** 400, 0], "2": [0, 0, 0]}),
                  write('{"axes": [], "fixed": {"xw": 1' + "0" * 5000 + "}}")]
+    long_files = [write({"k" * 100_000: 0}),
+                  write({"1" * 100_000: [0, 0, 0]}),
+                  write({"axes": [], "fixed": {"xw": 1, "yw": 1, "zw": "k" * 100_000}})]
+    odd_files += long_files
     # depths around the parser's recursion limit, wherever the stack stands
     for depth in range(850, 1010, 10):
         odd_files += [write("[" * depth + "]" * depth),
@@ -880,19 +925,27 @@ def test_seeded_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
 
     rng = random.Random(20261018)
     codes = []
+    used = Counter()
     for _ in range(1000):
-        argv = _fuzz_argv(rng, write, odd_files)
+        argv = _fuzz_argv(rng, write, odd_files, long_files)
         try:
             rc = main(argv)
         except Exception as e:  # noqa: BLE001 - the failure names the call
             pytest.fail(f"{argv} raised {e!r}")
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert rc in (0, 2, 3), argv
+        # an error names what it refuses in a line, however long the input
+        assert all(len(line.encode()) < 300 for line in err.splitlines()
+                   if line.startswith("error:")), argv
         codes.append(rc)
+        used.update((argv[0], arg) for arg in argv if arg in long_files)
         if rc == 0 and argv[0] not in ("measure", "sweep"):
             json.loads(out, parse_constant=reject)
         elif rc == 0 and argv[-1] == "json":
             for line in out.splitlines():
                 json.loads(line, parse_constant=reject)
-    # the draws reach every exit code
+    # the draws reach every exit code, and each long file the command that
+    # echoes its key or alias
     assert all(codes.count(rc) >= 10 for rc in (0, 2, 3)), Counter(codes)
+    assert all(used[command, path] for command, path
+               in zip(("measure", "measure", "sweep"), long_files)), used

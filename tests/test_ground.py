@@ -16,6 +16,7 @@ from lambda_tree.model import (SPINS, Configuration, LambdaParams,
                                ball_energy, classify_region, lambda_value,
                                min_ball_energy)
 from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls
+from oracles import minimal_balls_by_scan
 
 
 def test_level_sequence_validation():
@@ -454,7 +455,7 @@ def test_certification_errors_match_realized_trees():
 
 
 def _clear_ground_caches():
-    ground._minimal_balls.cache_clear()
+    ground._count_minima.cache_clear()
     ground._cached_minima.cache_clear()
     ground._catalog.cache_clear()
 
@@ -514,6 +515,9 @@ def test_minima_cache_keeps_errors_out():
             brute_force_minima(tied, 3)
     info = ground._cached_minima.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    # the count that refuses depth 3 is worked out once, then read
+    info = ground._count_minima.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
     # a float depth or period never reads an int's entry
     generators_for("A2", 7)
     for call in (lambda: brute_force_minima(tied, 2.0),
@@ -528,8 +532,9 @@ def test_integer_triples_share_seven_patterns():
     _clear_ground_caches()
     for t in product(range(-2, 3), repeat=3):
         brute_force_minima(LambdaParams(*t), 2)
-    info = ground._cached_minima.cache_info()
-    assert (info.misses, info.currsize) == (7, 7)
+    for cache in (ground._count_minima, ground._cached_minima):
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (7, 7)
 
 
 def test_minima_cache_holds_at_most_its_spin_bound():
@@ -617,9 +622,9 @@ def test_is_ground_state_rejects_spins_outside_the_alphabet():
 
 
 def test_ground_layer_reads_one_ball_table(monkeypatch):
-    # on valid spins the cached set of minimal balls holds the only
-    # ball_energy calls: 27 per coupling triple, however many configurations
-    # are scored there
+    # on valid spins no verdict calls ball_energy: the minimal balls are
+    # read from the table of catalogue entries, however many configurations
+    # are scored
     calls = []
 
     def counted(center, children, p):
@@ -627,35 +632,31 @@ def test_ground_layer_reads_one_ball_table(monkeypatch):
         return ball_energy(center, children, p)
 
     monkeypatch.setattr(ground, "ball_energy", counted)
-    ground._minimal_balls.cache_clear()
+    _clear_ground_caches()
     p = LambdaParams(0.0, 0.0, 0.0)
     cfg = realize(LevelSequence((2,), period=1), 10)
     generators = generators_for("A2", 14).generators
-    for run in (lambda: brute_force_minima(p, 2),
-                lambda: is_ground_state(cfg, p),
-                lambda: verify_generators(generators, p, 20)):
-        calls.clear()
-        run()
-        assert len(calls) <= 27
+    assert brute_force_minima(p, 2) and is_ground_state(cfg, p)[0]
+    assert verify_generators(generators, p, 20) == [(True, None)] * len(generators)
     # a whole ground_states item: each active region's catalog certified,
     # its generators realized and scored, then the minima
     for t in product(range(-2, 3), repeat=3):
         p = LambdaParams(*t)
-        ground._minimal_balls.cache_clear()
-        calls.clear()
         for region in classify_region(p).active_regions:
             catalog = generators_for(region)
             for g in catalog.generators:
                 assert is_ground_state(realize(g, catalog.verified_depth), p)[0]
         brute_force_minima(p, 2)
-        assert max(Counter(calls).values()) <= 27, t
+    assert calls == []
+    # a failing ball costs one call, which checks its spins
+    assert is_ground_state(realize(LevelSequence((1, 2), period=2), 3),
+                           REPRESENTATIVE_PARAMS["A6"]) == (False, ROOT)
+    assert len(calls) == 1
 
 
 def test_signed_zero_triples_share_one_table():
     zero, negative = LambdaParams(0.0, 0.0, 0.0), LambdaParams(-0.0, -0.0, -0.0)
-    ground._minimal_balls.cache_clear()
     assert ground._minimal_balls(zero, 0.0) is ground._minimal_balls(negative, 0.0)
-    assert ground._minimal_balls.cache_info().misses == 1
     rng = random.Random(3)
     configs = [realize(g, 4) for g in generators_for("A2", 5).generators]
     configs += [Configuration(TreeShape(2, 3), tuple(rng.choice(SPINS) for _ in range(15)))
@@ -667,6 +668,27 @@ def test_signed_zero_triples_share_one_table():
     assert verify_generators(generators, zero, 6) == \
         verify_generators(generators, negative, 6)
     assert brute_force_minima(zero, 2) == brute_force_minima(negative, 2)
+
+
+def test_ball_table_matches_the_ball_energy_scan():
+    # the table gives the very set a ball_energy call per spin triple
+    # gives, and one object per set of minimal balls
+    rng = random.Random(16)
+    triples = [(p.a, p.b, p.c) for p in _oracle_triples()]
+    triples += [tuple(rng.choice((0.0, -0.0)) for _ in range(3)) for _ in range(20)]
+    # near the float range, where the averages take their overflow path
+    units = list(product((-1.0, 0.0, 1.0), repeat=3))
+    units += [tuple(rng.uniform(-1.0, 1.0) for _ in range(3)) for _ in range(100)]
+    triples += [tuple(s * v for v in t) for s in (1e308, 1.7e308) for t in units]
+    by_set = {}
+    for t in triples:
+        p = LambdaParams(*t)
+        for tol in (0.0, 1e-12, 0.3, math.inf):
+            table = ground._minimal_balls(p, tol)
+            assert table == minimal_balls_by_scan(p, tol), (t, tol)
+            assert by_set.setdefault(table, table) is table, (t, tol)
+    assert len(by_set) > 7
+    assert len(ground._MINIMAL_BALLS) == 63
 
 
 def test_verdicts_keep_their_pattern_at_the_float_range_edge():
