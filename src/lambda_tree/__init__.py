@@ -22,7 +22,7 @@ from .gibbs import (BoundaryFields, ConsistencyReport, FieldRatios,
 from .solver import (BoltzmannWeights, CanonicalParams, FixedPointReport,
                      PeriodicReport, SweepRow, canonical_params,
                      canonical_root_count, count_ti_roots, f_map, sweep,
-                     sweep_to_csv, sweep_to_jsonl, ti_thresholds,
-                     two_periodic_report, weights_from)
+                     sweep_to_csv, ti_thresholds, two_periodic_report,
+                     weights_from)
 
 __version__ = "0.1.0"

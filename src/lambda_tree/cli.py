@@ -16,15 +16,15 @@ import re
 import stat
 import sys
 
-from .errors import CapacityError, InternalConsistencyError, LambdaTreeError
+from .errors import CapacityError, InternalConsistencyError, LambdaTreeError, _cut
 from .ground import (REPRESENTATIVE_PARAMS, generators_for, is_ground_state,
                      sample_family, verify_generators)
 from .gibbs import (BoundaryFields, FieldRatios, check_enumerable,
                     fields_from_ratios, finite_volume_measure, is_consistent,
                     measure_to_csv, propagate_ratios)
 from .model import LambdaParams, classify_region
-from .solver import (BoltzmannWeights, INVARIANT_LINE_NOTE, count_ti_roots,
-                     sweep, sweep_to_csv, sweep_to_jsonl, two_periodic_report,
+from .solver import (BoltzmannWeights, INVARIANT_LINE_NOTE, SWEEP_COLUMNS,
+                     count_ti_roots, sweep, sweep_to_csv, two_periodic_report,
                      weights_from)
 from .tree import TreeCoord, TreeShape
 
@@ -35,7 +35,6 @@ _WEIGHT_NAMES = ("xw", "yw", "zw")
 _SWEEP_FAMILIES = ((_PARAM_NAMES, LambdaParams, "coupling parameter"),
                    (_WEIGHT_NAMES, BoltzmannWeights, "weight"))
 _MAX_SWEEP_POINTS = 10 ** 6
-_ECHO_CHARS = 80  # an error message shows at most this much of a JSON value
 
 
 def _round15(obj):
@@ -81,14 +80,6 @@ def _read_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
-def _cut(text: str) -> str:
-    """text for an error message; a long one is cut to a prefix followed
-    by its full length."""
-    if len(text) <= _ECHO_CHARS:
-        return text
-    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def _json_echo(value) -> str:
@@ -288,6 +279,12 @@ def _sweep_points(config: dict):
     return [build(combo) for combo in itertools.product(*grids)]
 
 
+def sweep_to_jsonl(rows) -> str:
+    """One JSON object per sweep row, its cells keyed by SWEEP_COLUMNS."""
+    lines = [json.dumps(_round15(dict(zip(SWEEP_COLUMNS, row)))) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_sweep(args) -> int:
     rows = sweep(_sweep_points(_read_json(args.config)))
     text = sweep_to_csv(rows) if args.format == "csv" else sweep_to_jsonl(rows)
@@ -336,7 +333,7 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
             raise ValueError(f"{entry}: expected a list of numbers, got {_json_echo(vec)}")
         try:
             x = TreeCoord.parse(key)
-        except ValueError:  # its message may echo the whole key, or the digit limit
+        except ValueError:  # its message is int()'s, or echoes the key a second time
             raise ValueError(f"{entry}: not a valid vertex path") from None
         if not shape.contains(x):
             raise ValueError(f"{entry}: not a vertex of the "
@@ -394,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="active coupling regions at a triple")
     _add_param_flags(sp)
     sp.add_argument("--tol", type=float, default=0.0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("ground", help="ground-state catalog and verification")
@@ -405,18 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=0.0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_ground)
 
     sp = sub.add_parser("solve", help="fixed-point and 2-periodic analysis")
     _add_param_flags(sp, with_weights=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="phase-diagram table over a parameter grid")
     sp.add_argument("--config", required=True, help="JSON sweep description")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("consistency",
@@ -428,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--perturb", type=float, default=0.0)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_consistency)
 
     sp = sub.add_parser("measure", help="finite-volume distribution as CSV")
@@ -438,8 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=3)
     sp.add_argument("--fields", default=None,
                     help="JSON file mapping vertex (e.g. '1.2') to a field vector")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_measure)
+
+    for sp in sub.choices.values():  # last, so every --help lists it last
+        sp.add_argument("--out", default=None)
     return parser
 
 
@@ -454,16 +448,10 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except CapacityError as e:
+    except (LambdaTreeError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except InternalConsistencyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (LambdaTreeError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return (3 if isinstance(e, CapacityError)
+                else 4 if isinstance(e, InternalConsistencyError) else 2)
 
 
 if __name__ == "__main__":

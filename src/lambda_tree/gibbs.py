@@ -17,7 +17,7 @@ from operator import add, mul, truediv
 from types import MappingProxyType
 
 from .errors import CapacityError, DomainError
-from .model import LambdaParams, check_tolerance, coupling_value
+from .model import LambdaParams, check_tolerance, coupling_rows, edge_weight
 from .tree import TreeCoord, TreeShape, successors
 
 _MAX_STATES = 3 ** 13
@@ -95,14 +95,8 @@ class ConsistencyReport:
 
 
 def boltzmann_matrix(p: LambdaParams, q: int) -> tuple[tuple[float, ...], ...]:
-    """exp(beta * coupling(i, j)) for i, j in 1..q; DomainError on overflow."""
-    try:
-        return tuple(tuple(math.exp(p.beta * coupling_value(i, j, p))
-                           for j in range(1, q + 1))
-                     for i in range(1, q + 1))
-    except OverflowError:
-        raise DomainError(
-            f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
+    """edge_weight of coupling(i, j) for i, j in 1..q; DomainError on overflow."""
+    return tuple(tuple(edge_weight(v, p) for v in row) for row in coupling_rows(p, q))
 
 
 def check_enumerable(q: int, shape: TreeShape) -> None:
@@ -136,8 +130,7 @@ def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
         stride = q ** (length - 1 - v)
         return cycle([x for x in values for _ in range(stride)])
 
-    lam = [[coupling_value(i, j, p) for j in range(1, q + 1)]
-           for i in range(1, q + 1)]
+    lam = coupling_rows(p, q)
     energies = [0.0] * q
     for parent, child in shape.edges():
         rows = by_spin(lam, parent, child)
@@ -204,8 +197,7 @@ def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
     if shape.depth < 1:
         raise ValueError("consistency needs depth >= 1")
     check_tolerance(tol)
-    blam = [[p.beta * coupling_value(s, t, p) for t in range(1, q + 1)]
-            for s in range(1, q + 1)]
+    blam = [[p.beta * v for v in row] for row in coupling_rows(p, q)]
 
     def logsumexp(terms: list[float]) -> float:
         top = max(terms)

@@ -28,9 +28,9 @@ from itertools import product
 
 from .errors import CapacityError, InternalConsistencyError
 from .model import (BALLS_PER_VERTEX, SPINS, Configuration, LambdaParams,
-                    ball_energy, ball_energy_catalogue, check_tolerance,
-                    minimal_entries)
-from .tree import TreeCoord, TreeShape, balls
+                    ball_energy, ball_energy_catalogue, ball_entry,
+                    check_tolerance, minimal_entries)
+from .tree import TreeCoord, TreeShape, balls, binary_ball_values
 
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
 _MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
@@ -112,12 +112,7 @@ def _check_level_pairs(generators: int, depth: int) -> None:
             f"{_MAX_LEVEL_PAIRS} level pairs")
 
 
-# which catalogue entry a ball (s, t, u)'s energy is, by its two spin
-# distances (|s - t|, |s - u|): a at distance 2, b at 1, c at 0
-_ENTRY_BY_DISTANCES = {(2, 2): 0, (2, 1): 1, (1, 2): 1, (2, 0): 2, (0, 2): 2,
-                       (1, 1): 3, (1, 0): 4, (0, 1): 4, (0, 0): 5}
-_BALL_ENTRIES = [((s, t, u), _ENTRY_BY_DISTANCES[abs(s - t), abs(s - u)])
-                 for s, t, u in product(SPINS, repeat=3)]
+_BALL_ENTRIES = [(ball, ball_entry(ball[0], ball[1:])) for ball in product(SPINS, repeat=3)]
 
 # the minimal balls per mask of minimal catalogue entries, for the 63 masks
 # with an entry set; each set is built in the order a scan of all 27 balls
@@ -129,12 +124,10 @@ _MINIMAL_BALLS: dict[tuple[bool, ...], frozenset[tuple[int, int, int]]] = {
 
 def _minimal_balls(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int]]:
     """The balls (s, t, u), the center's spin then its two children's,
-    whose ball_energy is within tol of the minimum at p. A ball's energy
-    is the _average of two couplings, which is symmetric and gives v back
-    for v twice, so it equals its catalogue entry bit for bit; the set is
-    read from one table by which entries are minimal, and the same mask
-    always gives the same frozenset object. A negative or NaN tol raises
-    ValueError."""
+    whose ball_energy is within tol of the minimum at p, read from one
+    table by which catalogue entries (model.ball_entry) are minimal; the
+    same mask always gives the same frozenset object. A negative or NaN
+    tol raises ValueError."""
     check_tolerance(tol)
     return _MINIMAL_BALLS[minimal_entries(ball_energy_catalogue(p), tol)]
 
@@ -157,25 +150,23 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     """Check every ball attains the minimal energy; on failure return the
     first offending ball center as witness.
 
-    At k = 2 the ball centred at position c holds positions c, 2c + 1 and
-    2c + 2, so zip(spins, spins[1::2], spins[2::2]) lists every ball in
-    canonical order, and one subset test against the set of minimal balls
-    decides the common case. Only when it fails are the balls scanned
-    again, up to the first one not in the set; that one goes to
-    ball_energy, which raises for a spin outside SPINS; so does k != 2.
-    Depth 0 raises as balls does.
+    tree.binary_ball_values lists every ball's spins in canonical order,
+    and one subset test against the set of minimal balls decides the
+    common case. Only when it fails are the balls listed again, up to the
+    first one not in the set; that one goes to ball_energy, which raises
+    for a spin outside SPINS; so does k != 2. Depth 0 raises as balls does.
     """
     shape, spins = sigma.shape, sigma.spins
     if shape.depth < 1 or shape.k != BALLS_PER_VERTEX:
         balls(shape)  # raises at depth 0
         ball_energy(spins[0], spins[1:shape.k + 1], p)  # raises for k != 2 children
     minimal = _minimal_balls(p, tol)
-    if minimal.issuperset(zip(spins, spins[1::2], spins[2::2])):
+    if minimal.issuperset(binary_ball_values(spins)):
         return True, None
-    center = next(c for c, ball in enumerate(zip(spins, spins[1::2], spins[2::2]))
-                  if ball not in minimal)
+    center, (s, t, u) = next((c, ball) for c, ball in enumerate(binary_ball_values(spins))
+                             if ball not in minimal)
     # not minimal, or not a ball of SPINS: ball_energy raises for the latter
-    ball_energy(spins[center], (spins[2 * center + 1], spins[2 * center + 2]), p)
+    ball_energy(s, (t, u), p)
     return False, shape.vertex_at(center)
 
 
@@ -266,8 +257,9 @@ def verify_generators(generators, p: LambdaParams, depth: int,
     generators together may check at most _MAX_LEVEL_PAIRS level pairs.
     """
     _check_level_pairs(len(generators), depth)
-    if depth < 1:  # the errors realize (depth < 0) and balls (depth 0) give
-        balls(TreeShape(2, depth))
+    shape = TreeShape(2, depth)  # realize's ValueError for depth < 0
+    if depth < 1:
+        balls(shape)
     minimal = _minimal_balls(p, tol)
     out = []
     for g in generators:
@@ -275,7 +267,7 @@ def verify_generators(generators, p: LambdaParams, depth: int,
         failing = next((m for m in range(depth)
                         if (levels[m], levels[m + 1], levels[m + 1]) not in minimal), None)
         out.append((True, None) if failing is None
-                   else (False, TreeCoord((1,) * failing)))
+                   else (False, shape.vertex_at(shape.level_positions(failing).start)))
     return out
 
 

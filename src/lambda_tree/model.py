@@ -13,11 +13,16 @@ the six-entry catalogue
 Coupling space splits into regions A1..A6 by which catalogue entry is
 minimal; A2, A3, A5 are the equality slices a = b <= c, a = c <= b, and
 b = c <= a. On boundaries several regions are active at once.
+
+The other modules read three rules from here: the coupling table
+(coupling_rows), the edge weight exp(beta*coupling) with its overflow
+error (edge_weight), and a ball's catalogue entry (ball_entry).
 """
 
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .tree import TreeShape
 
 SPINS = (1, 2, 3)
@@ -72,7 +77,7 @@ class Configuration:
 
     @staticmethod
     def _check_spin_values(spins) -> None:
-        if any(not isinstance(s, int) or s < 1 for s in spins):
+        if any(type(s) is bool or not isinstance(s, int) or s < 1 for s in spins):
             raise ValueError("spins must be integers >= 1")
 
     @classmethod
@@ -128,6 +133,21 @@ def coupling_value(i: int, j: int, p: LambdaParams) -> float:
     return p.a
 
 
+def coupling_rows(p: LambdaParams, q: int) -> list[list[float]]:
+    """coupling_value(i, j, p) for spins i, j in 1..q, one row per i."""
+    return [[coupling_value(i, j, p) for j in range(1, q + 1)]
+            for i in range(1, q + 1)]
+
+
+def edge_weight(coupling: float, p: LambdaParams) -> float:
+    """exp(p.beta * coupling); DomainError where it overflows a float."""
+    try:
+        return math.exp(p.beta * coupling)
+    except OverflowError:
+        raise DomainError(
+            f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
+
+
 def lambda_value(i: int, j: int, p: LambdaParams) -> float:
     """The three-spin coupling; arguments must lie in {1, 2, 3}."""
     if i not in SPINS or j not in SPINS:
@@ -147,6 +167,19 @@ def ball_energy(center: int, children: tuple[int, int], p: LambdaParams) -> floa
         raise ValueError(f"expected {BALLS_PER_VERTEX} child spins, got {len(children)}")
     return _average(lambda_value(center, children[0], p),
                     lambda_value(center, children[1], p))
+
+
+# which catalogue entry a ball's energy is, by the spin distances from its
+# center to its two children: a at distance 2, b at 1, c at 0
+_ENTRY_BY_DISTANCES = {(2, 2): 0, (2, 1): 1, (1, 2): 1, (2, 0): 2, (0, 2): 2,
+                       (1, 1): 3, (1, 0): 4, (0, 1): 4, (0, 0): 5}
+
+
+def ball_entry(center: int, children: tuple[int, int]) -> int:
+    """The index in ball_energy_catalogue of the ball's energy, for spins
+    in SPINS. ball_energy gives that entry bit for bit: it is the _average
+    of two couplings, which is symmetric and gives v back for v twice."""
+    return _ENTRY_BY_DISTANCES[abs(center - children[0]), abs(center - children[1])]
 
 
 def _average(x: float, y: float) -> float:

@@ -31,13 +31,12 @@ this closed form is a test oracle and is not run here.
 """
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, InternalConsistencyError
-from .model import LambdaParams
+from .model import LambdaParams, edge_weight
 
 K_CHILDREN = 2  # branching order baked into the squared map
 
@@ -89,12 +88,7 @@ class PeriodicReport:
 
 
 def weights_from(p: LambdaParams) -> BoltzmannWeights:
-    try:
-        return BoltzmannWeights(math.exp(p.beta * p.c), math.exp(p.beta * p.b),
-                                math.exp(p.beta * p.a))
-    except OverflowError:
-        raise DomainError(
-            f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
+    return BoltzmannWeights(edge_weight(p.c, p), edge_weight(p.b, p), edge_weight(p.a, p))
 
 
 def f_map(u: float, w: BoltzmannWeights) -> float:
@@ -391,9 +385,3 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
         lines.append(template.format(*row, *[_BOOL_CELLS[row[i]] for i in flags]))
     return "\n".join(lines) + "\n"
 
-
-def sweep_to_jsonl(rows: list[SweepRow]) -> str:
-    lines = [json.dumps({col: float(format(v, ".15g")) if isinstance(v, float)
-                         else v for col, v in zip(SWEEP_COLUMNS, row)})
-             for row in rows]
-    return "\n".join(lines) + "\n"

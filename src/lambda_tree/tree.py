@@ -8,12 +8,15 @@ finite truncation V_n = W_0 + ... + W_n used everywhere downstream.
 Inside a truncation, vertices are also numbered by their position in the
 canonical order: level-major, lexicographic within a level. That is
 breadth-first order, so the parent of position i is (i - 1) // k and its
-children are k*i + 1 .. k*i + k. Edges and balls are given in positions;
-this module is the only one that knows the numbering.
+children are k*i + 1 .. k*i + k. Edges and balls are given in positions,
+and binary balls also as values (binary_ball_values); this module is the
+only one that knows the numbering.
 """
 
 from dataclasses import dataclass
 from itertools import product
+
+from .errors import _cut
 
 
 @dataclass(frozen=True, order=True)
@@ -48,7 +51,7 @@ class TreeCoord:
             return cls(())
         parts = tuple(int(p) for p in text.split("."))
         if any(p < 1 for p in parts):
-            raise ValueError(f"branch indices must be >= 1: {text!r}")
+            raise ValueError(f"branch indices must be >= 1: {_cut(repr(text))}")
         return cls(parts)
 
 
@@ -148,3 +151,10 @@ def balls(shape: TreeShape) -> list[tuple[int, range]]:
     k = shape.k
     return [(i, range(k * i + 1, k * i + k + 1))
             for i in range(shape.level_positions(shape.depth).start)]
+
+
+def binary_ball_values(values):
+    """(center, child 1, child 2) of every ball of a k = 2 truncation, in
+    center order, from per-vertex values in canonical order: the ball
+    centred at position c holds positions c, 2c + 1 and 2c + 2."""
+    return zip(values, values[1::2], values[2::2])

@@ -17,7 +17,7 @@ recurrence the long way. Test files import them as `from oracles import ...`.
   for bit.
 - `sweep_to_csv_by_cell` and `sweep_to_jsonl_by_cell` write sweep rows one
   named cell at a time, the layout `solver.sweep_to_csv` and
-  `solver.sweep_to_jsonl` must reproduce byte for byte.
+  `cli.sweep_to_jsonl` must reproduce byte for byte.
 - `minimal_balls_by_scan` calls `ball_energy` on all 27 spin triples, the
   scan `ground._minimal_balls` reads off its table of catalogue entries.
 """

@@ -302,8 +302,9 @@ def _banded_sweep_configs(rng: random.Random, count: int) -> list:
 
 
 def test_sweep_output_matches_the_oracle_path(tmp_path, monkeypatch):
-    # the shipped bisection and row writers against the oracles, in one
-    # run: byte-identical files, with no stored digest to depend on libm
+    # the shipped bisection and row writers (solver's CSV writer and
+    # cli's JSON Lines writer) against the oracles, in one run:
+    # byte-identical files, with no stored digest to depend on libm
     configs = _banded_sweep_configs(random.Random(11), 40)
 
     def outputs(tag):

@@ -265,6 +265,26 @@ def test_boltzmann_matrix_entries():
             assert mat[i][j] == mat[j][i]
 
 
+def test_solver_weights_are_the_first_boltzmann_row():
+    # (xw, yw, zw) = exp(beta*(c, b, a)) is row 1 of the q = 3 matrix, bit
+    # for bit, and both name the same overflow
+    rng = random.Random(17)
+    for _ in range(500):
+        p = LambdaParams(*(rng.uniform(-50.0, 50.0) for _ in range(3)),
+                         beta=math.exp(rng.uniform(-3.0, 2.0)))
+        w = weights_from(p)
+        assert [v.hex() for v in (w.xw, w.yw, w.zw)] == \
+            [v.hex() for v in boltzmann_matrix(p, 3)[0]]
+    for p in (LambdaParams(0.0, 0.0, 1000.0), LambdaParams(800.0, 0.0, 0.0),
+              LambdaParams(0.0, 1.0, 0.0, beta=1e300)):
+        messages = set()
+        for call in (weights_from, lambda p: boltzmann_matrix(p, 3)):
+            with pytest.raises(DomainError) as caught:
+                call(p)
+            messages.add(str(caught.value))
+        assert messages == {f"an edge weight exp(beta*coupling) overflows a float at {p}"}
+
+
 def test_boundary_container_validation():
     v = TreeShape(2, 1).level_vertices(1)[0]
     with pytest.raises(ValueError):

@@ -722,15 +722,19 @@ def test_unchecked_configurations_equal_checked_ones():
 
 def test_realize_checks_level_values():
     # a level value equal to a spin without being an int is refused when
-    # the sequence is built, so realize and verify_generators never see it
-    for entries, period in (((1.0,), 1), ((2, 3.0), None), ((2, 3.0), 2)):
+    # the sequence is built, so realize and verify_generators never see it;
+    # True (== 1) is refused too, as LambdaParams refuses it
+    for entries, period in (((1.0,), 1), ((2, 3.0), None), ((2, 3.0), 2),
+                            ((True,), 1), ((True, 3), 2)):
         assert _error(lambda: LevelSequence(entries, period)) == \
             "spins must be integers >= 1"
-    # the two agree on what can be built, True (== 1) among it
+    assert _error(lambda: Configuration(TreeShape(2, 1), (True, 3, 3))) == \
+        "spins must be integers >= 1"
+    # the two agree on what can be built
     p = REPRESENTATIVE_PARAMS["A6"]
-    generators = [LevelSequence((True,), period=1), LevelSequence((1, 2), period=2)]
+    generators = [LevelSequence((1,), period=1), LevelSequence((1, 2), period=2)]
     assert verify_generators(generators, p, 3) == \
         [is_ground_state(realize(g, 3), p) for g in generators] == \
         [(True, None), (False, ROOT)]
-    assert realize(LevelSequence((True,), period=1), 2) == \
-        Configuration(TreeShape(2, 2), (True,) * 7)
+    assert realize(LevelSequence((1,), period=1), 2) == \
+        Configuration(TreeShape(2, 2), (1,) * 7)

@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from lambda_tree import solver
+from lambda_tree.cli import sweep_to_jsonl
 from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
                                 canonical_params, canonical_root_count,
                                 count_ti_roots, f_map, sweep, sweep_to_csv,
-                                sweep_to_jsonl, ti_thresholds,
-                                two_periodic_report, weights_from)
+                                ti_thresholds, two_periodic_report,
+                                weights_from)
 from oracles import (bisect_cubic_root, case_identity_check,
                      periodic_quadratic, quadratic_by_division,
                      sweep_to_csv_by_cell, sweep_to_jsonl_by_cell)
@@ -415,8 +416,9 @@ def test_sweep_csv_and_jsonl_layout():
 
 
 def test_sweep_writers_match_the_per_cell_oracles():
-    # one format per CSV row, and one zip per JSON object, against the
-    # writers that read and format each named cell on its own
+    # solver's CSV writer, one format per row, and cli's JSON Lines
+    # writer, one rounded dict per row, against the writers that read and
+    # format each named cell on its own
     rng = random.Random(5)
     points = [LambdaParams(0, 0, 100),           # int couplings, D out of range
               BoltzmannWeights(0.2, 1.0, 0.2),   # None couplings, a 2-cycle

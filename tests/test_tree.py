@@ -22,8 +22,17 @@ def test_parse_str_roundtrip():
 def test_parse_rejects_nonpositive_branch():
     with pytest.raises(ValueError):
         TreeCoord.parse("1.0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^branch indices must be >= 1: '0\.1'$"):
         TreeCoord.parse("0.1")
+
+
+def test_parse_cuts_a_long_input_in_its_message():
+    # the message echoes at most 80 characters of the input, then its length
+    with pytest.raises(ValueError) as caught:
+        TreeCoord.parse("1.0" * 50000)
+    message = str(caught.value)
+    assert len(message) < 300
+    assert message.endswith("... (150002 characters)")
 
 
 def test_parent_child_inverse():
