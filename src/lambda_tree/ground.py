@@ -18,6 +18,11 @@ are minimal depends on the coupling triple and tolerance only through
 which entries are minimal: every verdict reads one of 63 sets of minimal
 balls, built once, from that mask. The certified catalogs, and the counts
 and minima of small truncations, are cached per set of minimal balls.
+realize keeps the last 256 configurations of at most 2^10 spins it built,
+per (level sequence, depth), so the cache holds at most 2^18 spins; deeper
+trees are built afresh. Each configuration keeps its own set of distinct
+balls (Configuration.binary_balls, at most 27), so scoring a kept tree
+again is one subset test of that set.
 """
 
 import random
@@ -35,6 +40,7 @@ from .tree import TreeCoord, TreeShape, balls, binary_ball_values
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
 _MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
 _MEMO_SPINS = 2 ** 14  # largest set of minima (count x |V| spins) brute_force_minima caches
+_REALIZED_SPINS = 2 ** 10  # largest configuration realize caches
 
 # one coupling triple per region making its catalogue entry minimal
 REPRESENTATIVE_PARAMS: dict[str, LambdaParams] = {
@@ -135,8 +141,28 @@ def _minimal_balls(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int
 def realize(seq: LevelSequence, depth: int) -> Configuration:
     """Level-constant configuration on the binary truncation with seq's
     value on each level. LevelSequence checks its entries as Configuration
-    checks spins, so the tree's spins are not checked again."""
-    _check_spins(depth)
+    checks spins, so the tree's spins are not checked again.
+
+    A configuration of at most _REALIZED_SPINS spins is built once per
+    (seq, depth) and the same object handed out again (see
+    _cached_realize); a deeper tree is built on every call. A call that
+    raises stores nothing."""
+    _check_spins(depth)  # bounds the depth before 2^depth is formed
+    if 2 ** (depth + 1) - 1 <= _REALIZED_SPINS:
+        return _cached_realize(seq, depth)
+    return _realize(seq, depth)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _cached_realize(seq: LevelSequence, depth: int) -> Configuration:
+    """_realize, kept for the last 256 (seq, depth) pairs. realize passes
+    only trees of at most _REALIZED_SPINS spins, so the cache holds at
+    most 256 x 2^10 = 2^18 spins. typed=True keeps a float depth from
+    reading an int's entry: it raises TypeError, as range does."""
+    return _realize(seq, depth)
+
+
+def _realize(seq: LevelSequence, depth: int) -> Configuration:
     shape = TreeShape(2, depth)
     spins = []
     for m in range(depth + 1):
@@ -150,9 +176,10 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     """Check every ball attains the minimal energy; on failure return the
     first offending ball center as witness.
 
-    tree.binary_ball_values lists every ball's spins in canonical order,
-    and one subset test against the set of minimal balls decides the
-    common case. Only when it fails are the balls listed again, up to the
+    One subset test of the configuration's distinct balls
+    (Configuration.binary_balls, kept on the instance) against the set of
+    minimal balls decides the common case. Only when it fails are the
+    balls listed in canonical order (tree.binary_ball_values), up to the
     first one not in the set; that one goes to ball_energy, which raises
     for a spin outside SPINS; so does k != 2. Depth 0 raises as balls does.
     """
@@ -161,7 +188,7 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
         balls(shape)  # raises at depth 0
         ball_energy(spins[0], spins[1:shape.k + 1], p)  # raises for k != 2 children
     minimal = _minimal_balls(p, tol)
-    if minimal.issuperset(binary_ball_values(spins)):
+    if minimal.issuperset(sigma.binary_balls):
         return True, None
     center, (s, t, u) = next((c, ball) for c, ball in enumerate(binary_ball_values(spins))
                              if ball not in minimal)

@@ -21,9 +21,10 @@ error (edge_weight), and a ball's catalogue entry (ball_entry).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
-from .tree import TreeShape
+from .tree import TreeShape, binary_ball_values
 
 SPINS = (1, 2, 3)
 
@@ -98,6 +99,14 @@ class Configuration:
         # dataclass __eq__ without hashing the shape as well
         return hash(self.spins)
 
+    @cached_property
+    def binary_balls(self) -> frozenset[tuple[int, ...]]:
+        """The distinct balls (center, child 1, child 2) of a k = 2
+        truncation, as spin triples: at most 27 over SPINS. Built on first
+        use and kept on the instance; equality and hashing read only the
+        shape and spins."""
+        return frozenset(binary_ball_values(self.spins))
+
     def level_spins(self) -> tuple[int, ...] | None:
         """Per-level values if the configuration is constant on each level."""
         out = []
@@ -140,12 +149,16 @@ def coupling_rows(p: LambdaParams, q: int) -> list[list[float]]:
 
 
 def edge_weight(coupling: float, p: LambdaParams) -> float:
-    """exp(p.beta * coupling); DomainError where it overflows a float."""
+    """exp(p.beta * coupling); DomainError where it overflows a float,
+    also where the product p.beta * coupling already does."""
     try:
-        return math.exp(p.beta * coupling)
+        weight = math.exp(p.beta * coupling)
     except OverflowError:
+        weight = math.inf
+    if weight == math.inf:
         raise DomainError(
-            f"an edge weight exp(beta*coupling) overflows a float at {p}") from None
+            f"an edge weight exp(beta*coupling) overflows a float at {p}")
+    return weight
 
 
 def lambda_value(i: int, j: int, p: LambdaParams) -> float:

@@ -20,6 +20,8 @@ recurrence the long way. Test files import them as `from oracles import ...`.
   `cli.sweep_to_jsonl` must reproduce byte for byte.
 - `minimal_balls_by_scan` calls `ball_energy` on all 27 spin triples, the
   scan `ground._minimal_balls` reads off its table of catalogue entries.
+- `realize_uncached` builds a level-constant tree afresh on every call,
+  the configuration `ground.realize` keeps and hands out again.
 """
 
 import json
@@ -29,10 +31,12 @@ from itertools import product
 
 from lambda_tree.errors import InternalConsistencyError
 from lambda_tree.gibbs import boltzmann_matrix
-from lambda_tree.model import (SPINS, LambdaParams, ball_energy, check_tolerance,
-                               min_ball_energy)
+from lambda_tree.ground import LevelSequence, _check_spins
+from lambda_tree.model import (SPINS, Configuration, LambdaParams, ball_energy,
+                               check_tolerance, min_ball_energy)
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
 from lambda_tree.solver import SWEEP_COLUMNS, BoltzmannWeights, _quadratic_numerators
+from lambda_tree.tree import TreeShape
 
 
 def exact_line_map(w: BoltzmannWeights) -> RationalFn:
@@ -187,3 +191,14 @@ def minimal_balls_by_scan(p: LambdaParams, tol: float) -> frozenset[tuple[int, i
     limit = min_ball_energy(p) + tol
     return frozenset((s, t, u) for s in SPINS for t, u in product(SPINS, repeat=2)
                      if not ball_energy(s, (t, u), p) > limit)
+
+
+def realize_uncached(seq: LevelSequence, depth: int) -> Configuration:
+    """Level-constant configuration on the binary truncation with seq's
+    value on each level, built on every call."""
+    _check_spins(depth)
+    shape = TreeShape(2, depth)
+    spins = []
+    for m in range(depth + 1):
+        spins += [seq.value_at(m)] * shape.level_size(m)
+    return Configuration(shape, tuple(spins))

@@ -221,6 +221,11 @@ def test_solve_rejects_weights_out_of_float_range(capsys):
                  ["--xw", "1e300", "--yw", "1", "--zw", "1"]):
         assert main(["solve", *argv]) == 2
         assert "error:" in capsys.readouterr().err
+    # beta*a overflows before exp does: the same error as exp's overflow
+    assert main(["solve", "--a", "1e308", "--b", "0", "--c", "0", "--beta", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: an edge weight exp(beta*coupling) overflows a float at "
+        "LambdaParams(a=1e+308, b=0.0, c=0.0, beta=10.0)\n")
 
 
 def test_sweep_csv_roundtrip(tmp_path, capsys):
@@ -441,6 +446,10 @@ def test_consistency_weights_out_of_float_range(capsys):
             (["--a", "800", "--b", "1", "--c", "-2", "--beta", "4.26"],
              "an edge weight exp(beta*coupling) overflows a float at "
              "LambdaParams(a=800.0, b=1.0, c=-2.0, beta=4.26)"),
+            # beta*a itself overflows to inf, as exp(beta*a) does above
+            (["--a", "1e308", "--b", "0", "--c", "0", "--beta", "10"],
+             "an edge weight exp(beta*coupling) overflows a float at "
+             "LambdaParams(a=1e+308, b=0.0, c=0.0, beta=10.0)"),
             (["--a", "-800", "--b", "-800", "--c", "-800"],
              "a denominator of the level recursion underflows to 0 at "
              "LambdaParams(a=-800.0, b=-800.0, c=-800.0, beta=1.0)")):

@@ -16,7 +16,7 @@ from lambda_tree.model import (SPINS, Configuration, LambdaParams,
                                ball_energy, classify_region, lambda_value,
                                min_ball_energy)
 from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls
-from oracles import minimal_balls_by_scan
+from oracles import minimal_balls_by_scan, realize_uncached
 
 
 def test_level_sequence_validation():
@@ -458,6 +458,7 @@ def _clear_ground_caches():
     ground._count_minima.cache_clear()
     ground._cached_minima.cache_clear()
     ground._catalog.cache_clear()
+    ground._cached_realize.cache_clear()
 
 
 def test_minima_match_enumeration():
@@ -562,24 +563,29 @@ def test_minima_cache_holds_at_most_its_spin_bound():
     assert stored > 16  # entries were evicted along the way
 
 
+def _grown_configuration(rng: random.Random, p: LambdaParams, depth: int,
+                         keep: float) -> Configuration:
+    """A configuration grown top-down from minimal balls, each center
+    taking a random child pair instead with probability 1 - keep, so that
+    balls fail at every depth."""
+    shape = TreeShape(2, depth)
+    floor = min_ball_energy(p)
+    minimal = {s: [tu for tu in product(SPINS, repeat=2)
+                   if ball_energy(s, tu, p) <= floor] for s in SPINS}
+    spins = [rng.choice(SPINS)]
+    for _ in range(shape.vertex_count() // 2):
+        center = spins[len(spins) // 2]
+        options = minimal[center] if rng.random() < keep else []
+        spins.extend(rng.choice(options) if options
+                     else (rng.choice(SPINS), rng.choice(SPINS)))
+    return Configuration(shape, tuple(spins))
+
+
 def test_is_ground_state_matches_per_ball_energies():
     rng = random.Random(11)
     witnesses = set()
     for p in _oracle_triples():
-        depth = rng.randint(1, 5)
-        shape = TreeShape(2, depth)
-        floor = min_ball_energy(p)
-        # grow top-down from minimal balls, with a few random child pairs
-        # so that balls fail at every depth
-        minimal = {s: [tu for tu in product(SPINS, repeat=2)
-                       if ball_energy(s, tu, p) <= floor] for s in SPINS}
-        spins = [rng.choice(SPINS)]
-        for _ in range(shape.vertex_count() // 2):
-            center = spins[len(spins) // 2]
-            options = minimal[center] if rng.random() < 0.97 else []
-            spins.extend(rng.choice(options) if options
-                         else (rng.choice(SPINS), rng.choice(SPINS)))
-        cfg = Configuration(shape, tuple(spins))
+        cfg = _grown_configuration(rng, p, rng.randint(1, 5), keep=0.97)
         for tol in (0.0, 0.3, math.inf):
             expected = _per_ball(cfg, p, tol)
             assert is_ground_state(cfg, p, tol) == expected
@@ -738,3 +744,119 @@ def test_realize_checks_level_values():
         [(True, None), (False, ROOT)]
     assert realize(LevelSequence((1,), period=1), 2) == \
         Configuration(TreeShape(2, 2), (1,) * 7)
+
+
+# --- the realize cache and the per-configuration ball sets -------------------
+
+def test_realize_cache_changes_no_configuration():
+    # every catalog generator, and every family sequence up to depth 6, is
+    # realized as the uncached oracle realizes it; a repeat call hands out
+    # the very object
+    _clear_ground_caches()
+    cases = [(g, generators_for(region, n).verified_depth)
+             for region in REPRESENTATIVE_PARAMS for n in range(1, 8)
+             for g in generators_for(region, n).generators]
+    for region in ("A2", "A5"):
+        for depth in range(1, 7):
+            drawn = sample_family(region, 2 ** depth, seed=0, depth=depth)
+            assert len(drawn) == 2 ** depth
+            cases += [(LevelSequence(cfg.level_spins()), depth) for cfg in drawn]
+            for cfg in drawn:
+                assert realize(LevelSequence(cfg.level_spins()), depth) is cfg
+    assert len(cases) > 300
+    for seq, depth in cases:
+        cfg = realize(seq, depth)
+        oracle = realize_uncached(seq, depth)
+        assert cfg == oracle and type(cfg.spins) is tuple, (seq, depth)
+        assert realize(seq, depth) is cfg
+
+
+def test_realize_cache_keeps_errors_and_deep_trees_out():
+    _clear_ground_caches()
+    seq = LevelSequence((1, 3), period=2)
+    kept = realize(seq, 9)  # 1023 spins
+    assert realize(seq, 9) is kept and kept == realize_uncached(seq, 9)
+    # 2047 spins: built afresh on each call, equal every time
+    deep = realize(seq, 10)
+    assert deep == realize_uncached(seq, 10) == realize(seq, 10)
+    assert realize(seq, 10) is not deep
+    assert ground._cached_realize.cache_info().currsize == 1
+    for bad_seq, depth in ((seq, -1), (seq, 20), (seq, 10 ** 12),
+                           (LevelSequence((1, 2)), 3), (seq, 2.0)):
+        before = ground._cached_realize.cache_info()
+        with pytest.raises((ValueError, CapacityError, TypeError)) as caught:
+            realize(bad_seq, depth)
+        with pytest.raises(caught.type) as again:
+            realize_uncached(bad_seq, depth)
+        assert str(again.value) == str(caught.value)
+        assert ground._cached_realize.cache_info().currsize == before.currsize == 1
+    assert realize(seq, 9) is kept
+
+
+def test_realize_cache_holds_at_most_its_spin_bound():
+    # every stored configuration holds at most _REALIZED_SPINS spins, and
+    # at most 256 are stored, so the cache never holds more than 2^18 spins
+    assert 256 * ground._REALIZED_SPINS == 2 ** 18
+    _clear_ground_caches()
+    stored = 0
+    sequences = [LevelSequence(entries, period=n) for n in range(1, 6)
+                 for entries in product(SPINS, repeat=n)]
+    for i, seq in enumerate(sequences):
+        depth = i % 12
+        before = ground._cached_realize.cache_info()
+        cfg = realize(seq, depth)
+        after = ground._cached_realize.cache_info()
+        if len(cfg.spins) > ground._REALIZED_SPINS:
+            assert after == before, (seq, depth)
+        else:
+            assert after.misses == before.misses + 1 and after.hits == before.hits
+            stored += 1
+        assert after.currsize <= 256
+    assert stored > 256  # entries were evicted along the way
+
+
+def test_ball_sets_keep_verdicts_and_witnesses():
+    # each configuration, never level-constant, is scored twice: the
+    # second call reads the ball set the first one kept, and both agree
+    # with a per-ball scan
+    rng = random.Random(27)
+    witnesses = set()
+    for p in _oracle_triples():
+        depth = rng.randint(1, 6)
+        cfg = _grown_configuration(rng, p, depth, keep=0.95)
+        while cfg.level_spins() is not None:
+            cfg = _grown_configuration(rng, p, depth, keep=0.95)
+        for tol in (0.0, 0.3):
+            expected = _per_ball(cfg, p, tol)
+            assert is_ground_state(cfg, p, tol) == expected
+            assert is_ground_state(cfg, p, tol) == expected
+            witnesses.add(expected[1])
+        assert cfg.binary_balls is cfg.binary_balls
+        assert cfg.binary_balls == {
+            tuple(cfg.spins[i] for i in (c, *kids)) for c, kids in balls(cfg.shape)}
+    assert None in witnesses
+    assert {x.level for x in witnesses if x} == {0, 1, 2, 3, 4, 5}
+
+
+def test_ball_sets_keep_raising_for_spins_outside_the_alphabet():
+    # a spin 4 in an otherwise minimal tree raises on every call, the one
+    # that keeps the ball set and the ones that read it
+    p = REPRESENTATIVE_PARAMS["A1"]
+    base = realize(LevelSequence((1, 3), period=2), 5)
+    for position in range(len(base.spins)):
+        spins = list(base.spins)
+        spins[position] = 4
+        cfg = Configuration(base.shape, tuple(spins))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"spins must be in \(1, 2, 3\)"):
+                is_ground_state(cfg, p)
+    assert is_ground_state(base, p) == is_ground_state(base, p) == (True, None)
+
+
+def test_ball_sets_leave_equality_and_hashing_alone():
+    cfg = realize(LevelSequence((2, 3), period=2), 4)
+    fresh = Configuration(cfg.shape, cfg.spins)
+    assert cfg.binary_balls == fresh.binary_balls == {(2, 3, 3), (3, 2, 2)}
+    other = Configuration(cfg.shape, cfg.spins)
+    assert fresh == other and hash(fresh) == hash(other) == hash(cfg.spins)
+    assert "binary_balls" in vars(fresh) and "binary_balls" not in vars(other)

@@ -4,10 +4,12 @@ from itertools import product
 
 import pytest
 
+from lambda_tree.errors import DomainError
+from lambda_tree.gibbs import push_forward
 from lambda_tree.model import (REGION_NAMES, SPINS, Configuration, LambdaParams,
                                ball_energy, ball_energy_catalogue,
-                               classify_region, coupling_value, hamiltonian,
-                               lambda_value, min_ball_energy)
+                               classify_region, coupling_value, edge_weight,
+                               hamiltonian, lambda_value, min_ball_energy)
 from lambda_tree.tree import ROOT, TreeShape, balls
 
 
@@ -190,3 +192,22 @@ def test_classify_tolerance_widens():
             classify_region(p, tol)
         assert str(caught.value) == f"tol must be >= 0, got {tol}"
     assert classify_region(p, math.inf).active_regions == REGION_NAMES
+
+
+def test_edge_weight_raises_where_the_product_overflows():
+    # beta * coupling itself overflows to +inf, where math.exp returns inf
+    # rather than raising; both overflows name the same error
+    for p, coupling in ((LambdaParams(1e308, 0, 0, 10), 1e308),
+                        (LambdaParams(0, 0, 0, 1e300), 1e300),
+                        (LambdaParams(800, 0, 0), 800.0)):
+        with pytest.raises(DomainError) as caught:
+            edge_weight(coupling, p)
+        assert str(caught.value) == \
+            f"an edge weight exp(beta*coupling) overflows a float at {p}"
+    p = LambdaParams(1e308, 0, 0, 10)
+    with pytest.raises(DomainError, match="overflows a float"):
+        push_forward([(1.0, 1.0), (1.0, 1.0)], p)
+    # the largest finite weights, and those that underflow, are returned
+    assert edge_weight(709.0, LambdaParams(0, 0, 0)) == math.exp(709.0)
+    assert edge_weight(-1e308, p) == 0.0
+    assert edge_weight(0.0, p) == 1.0
