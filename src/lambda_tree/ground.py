@@ -16,8 +16,11 @@ A ball's energy is always one of the six catalogue entries, fixed by the
 two spin distances between its center and its children. So which balls
 are minimal depends on the coupling triple and tolerance only through
 which entries are minimal: every verdict reads one of 63 sets of minimal
-balls, built once, from that mask. The certified catalogs, and the counts
-and minima of small truncations, are cached per set of minimal balls.
+balls, built once, from that mask. The mask itself is decided once per
+key (a, b, c, tol) by model.minimal_entries, which keeps the last 8 keys,
+so scoring many configurations at one triple builds its catalogue once.
+The certified catalogs, and the counts and minima of small truncations,
+are cached per set of minimal balls.
 realize keeps the last 256 configurations of at most 2^10 spins it built,
 per (level sequence, depth), so the cache holds at most 2^18 spins; deeper
 trees are built afresh. Each configuration keeps its own set of distinct
@@ -33,8 +36,7 @@ from itertools import product
 
 from .errors import CapacityError, InternalConsistencyError
 from .model import (BALLS_PER_VERTEX, SPINS, Configuration, LambdaParams,
-                    ball_energy, ball_energy_catalogue, ball_entry,
-                    check_tolerance, minimal_entries)
+                    ball_energy, ball_entry, minimal_entries)
 from .tree import TreeCoord, TreeShape, balls, binary_ball_values
 
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
@@ -132,10 +134,10 @@ def _minimal_balls(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int
     """The balls (s, t, u), the center's spin then its two children's,
     whose ball_energy is within tol of the minimum at p, read from one
     table by which catalogue entries (model.ball_entry) are minimal; the
-    same mask always gives the same frozenset object. A negative or NaN
-    tol raises ValueError."""
-    check_tolerance(tol)
-    return _MINIMAL_BALLS[minimal_entries(ball_energy_catalogue(p), tol)]
+    same mask always gives the same frozenset object. The mask comes from
+    model.minimal_entries, cached for the last 8 keys (a, b, c, tol), so
+    p's beta is never read. A negative or NaN tol raises ValueError."""
+    return _MINIMAL_BALLS[minimal_entries(p.a, p.b, p.c, tol)]
 
 
 def realize(seq: LevelSequence, depth: int) -> Configuration:
@@ -178,7 +180,10 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
 
     One subset test of the configuration's distinct balls
     (Configuration.binary_balls, kept on the instance) against the set of
-    minimal balls decides the common case. Only when it fails are the
+    minimal balls decides the common case; that set is looked up by the mask of
+    minimal catalogue entries, which model.minimal_entries keeps for the
+    last 8 keys (a, b, c, tol), so scoring many configurations at one
+    triple decides the mask once. Only when it fails are the
     balls listed in canonical order (tree.binary_ball_values), up to the
     first one not in the set; that one goes to ball_energy, which raises
     for a spin outside SPINS; so does k != 2. Depth 0 raises as balls does.
@@ -299,17 +304,16 @@ def verify_generators(generators, p: LambdaParams, depth: int,
 
 
 def _family_sequences(region: str):
-    """The family's level sequences as (anchor, choices-per-level), read
-    from its descriptor; both families happen to have exactly 2 admissible
-    values at every level."""
+    """The family's level sequences as (anchor, the values that may follow
+    each spin), read from its descriptor; both families happen to have
+    exactly 2 admissible values at every level."""
     family = _FAMILIES.get(region)
     if family is None:
         raise ValueError(
             f"region {region} has no uncountable family to sample")
-
-    def options(prev: int) -> tuple[int, ...]:
-        return tuple(s for s in family.alphabet
-                     if not (family.adjacent_must_differ and s == prev))
+    options = {prev: tuple(s for s in family.alphabet
+                           if not (family.adjacent_must_differ and s == prev))
+               for prev in SPINS}
     return family.anchor, options
 
 
@@ -330,14 +334,14 @@ def sample_family(region: str, count: int, seed: int,
         for tail in product((0, 1), repeat=depth):
             entries = [anchor]
             for pick in tail:
-                entries.append(options(entries[-1])[pick])
+                entries.append(options[entries[-1]][pick])
             seen.add(tuple(entries))
     else:
         rng = random.Random(seed)
         while len(seen) < count:
             entries = [anchor]
             for _ in range(depth):
-                entries.append(rng.choice(options(entries[-1])))
+                entries.append(rng.choice(options[entries[-1]]))
             seen.add(tuple(entries))
     return [realize(LevelSequence(s), depth) for s in sorted(seen)]
 

@@ -14,16 +14,20 @@ Coupling space splits into regions A1..A6 by which catalogue entry is
 minimal; A2, A3, A5 are the equality slices a = b <= c, a = c <= b, and
 b = c <= a. On boundaries several regions are active at once.
 
-The other modules read three rules from here: the coupling table
+The other modules read four rules from here: the coupling table
 (coupling_rows), the edge weight exp(beta*coupling) with its overflow
-error (edge_weight), and a ball's catalogue entry (ball_entry).
+error (edge_weight), a ball's catalogue entry (ball_entry), and which
+catalogue entries are minimal (minimal_entries). That last one is a mask
+of six bools, decided once per (a, b, c, tol) and kept for the last 8
+such keys in an lru_cache; beta never enters it, and the region
+classifier and every ground-state verdict read it.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, _echo_number
 from .tree import TreeShape, binary_ball_values
 
 SPINS = (1, 2, 3)
@@ -35,6 +39,17 @@ REGION_NAMES = ("A1", "A2", "A3", "A4", "A5", "A6")
 # regions whose catalogue entry is an average of two distinct couplings;
 # they are active only on the corresponding equality slice
 _EQUALITY_SLICES = {"A2": ("a", "b"), "A3": ("a", "c"), "A5": ("b", "c")}
+
+
+def finite_number(v) -> bool:
+    """Whether v is an int or float, not a bool, that is finite as a
+    float; an int past the float range is not."""
+    if type(v) is bool or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large to convert to float
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,8 +64,8 @@ class LambdaParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "beta"):
             v = getattr(self, name)
-            if type(v) is bool or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+            if not finite_number(v):
+                raise ValueError(f"{name} must be a finite number, got {_echo_number(v)}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
@@ -204,7 +219,10 @@ def _average(x: float, y: float) -> float:
 
 def ball_energy_catalogue(p: LambdaParams) -> tuple[float, ...]:
     """(U1..U6) = (a, (a+b)/2, (a+c)/2, b, (b+c)/2, c)."""
-    a, b, c = p.a, p.b, p.c
+    return _catalogue(p.a, p.b, p.c)
+
+
+def _catalogue(a: float, b: float, c: float) -> tuple[float, ...]:
     return (a, _average(a, b), _average(a, c), b, _average(b, c), c)
 
 
@@ -218,10 +236,20 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tol must be >= 0, got {tol}")
 
 
-def minimal_entries(catalogue: tuple[float, ...], tol: float) -> tuple[bool, ...]:
-    """Per catalogue entry, whether it lies within tol of the minimum; the
-    one comparison both the region classifier and the ground-state layer
-    decide on."""
+@lru_cache(maxsize=8, typed=True)
+def minimal_entries(a: float, b: float, c: float, tol: float) -> tuple[bool, ...]:
+    """Per entry of the catalogue at couplings (a, b, c), whether it lies
+    within tol of the minimum; the one comparison both the region
+    classifier and the ground-state layer decide on.
+
+    The mask is kept for the last 8 keys (a, b, c, tol): beta never enters
+    it, and the couplings are the key rather than LambdaParams, as floats
+    hash in C. It comes from comparisons only, so the signed zeros, which
+    share a key, share their mask too. A NaN or negative tol raises
+    ValueError and stores nothing. typed=True keeps int and float keys
+    apart, as the package's other caches do; both give the same mask."""
+    check_tolerance(tol)
+    catalogue = _catalogue(a, b, c)
     limit = min(catalogue) + tol
     return tuple([not u > limit for u in catalogue])
 
@@ -230,14 +258,14 @@ def classify_region(p: LambdaParams, tol: float = 0.0) -> RegionReport:
     """Which of A1..A6 the coupling triple lies in (several on boundaries).
 
     A region is active when its catalogue entry is within tol of the
-    minimum AND, for the equality slices A2/A3/A5, the two couplings being
-    averaged agree within tol.
+    minimum (the cached minimal_entries mask) AND, for the equality slices
+    A2/A3/A5, the two couplings being averaged agree within tol. The
+    minimal energy is that of p's own catalogue, signed zero included.
     """
-    check_tolerance(tol)
-    catalogue = ball_energy_catalogue(p)
+    mask = minimal_entries(p.a, p.b, p.c, tol)
     by_name = {"a": p.a, "b": p.b, "c": p.c}
     active = []
-    for name, minimal in zip(REGION_NAMES, minimal_entries(catalogue, tol)):
+    for name, minimal in zip(REGION_NAMES, mask):
         if not minimal:
             continue
         slice_pair = _EQUALITY_SLICES.get(name)
@@ -246,4 +274,4 @@ def classify_region(p: LambdaParams, tol: float = 0.0) -> RegionReport:
             if abs(v - w) > tol:
                 continue
         active.append(name)
-    return RegionReport(tuple(active), min(catalogue), len(active) > 1)
+    return RegionReport(tuple(active), min_ball_energy(p), len(active) > 1)

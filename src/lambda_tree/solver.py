@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, InternalConsistencyError
-from .model import LambdaParams, edge_weight
+from .errors import DomainError, InternalConsistencyError, _echo_number
+from .model import LambdaParams, edge_weight, finite_number
 
 K_CHILDREN = 2  # branching order baked into the squared map
 
@@ -58,9 +58,9 @@ class BoltzmannWeights:
     def __post_init__(self):
         for name in ("xw", "yw", "zw"):
             v = getattr(self, name)
-            if type(v) is bool or not (isinstance(v, (int, float)) and v > 0
-                                       and math.isfinite(v)):
-                raise DomainError(f"{name} must be a positive finite number, got {v!r}")
+            if not (finite_number(v) and v > 0):
+                raise DomainError(
+                    f"{name} must be a positive finite number, got {_echo_number(v)}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from lambda_tree.ground import (REPRESENTATIVE_PARAMS, LevelSequence,
                                 verify_generators)
 from lambda_tree.model import (SPINS, Configuration, LambdaParams,
                                ball_energy, classify_region, lambda_value,
-                               min_ball_energy)
+                               min_ball_energy, minimal_entries)
 from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls
 from oracles import minimal_balls_by_scan, realize_uncached
 
@@ -455,6 +455,7 @@ def test_certification_errors_match_realized_trees():
 
 
 def _clear_ground_caches():
+    minimal_entries.cache_clear()
     ground._count_minima.cache_clear()
     ground._cached_minima.cache_clear()
     ground._catalog.cache_clear()
@@ -860,3 +861,83 @@ def test_ball_sets_leave_equality_and_hashing_alone():
     other = Configuration(cfg.shape, cfg.spins)
     assert fresh == other and hash(fresh) == hash(other) == hash(cfg.spins)
     assert "binary_balls" in vars(fresh) and "binary_balls" not in vars(other)
+
+
+# --- the cache of minimal-entry masks ------------------------------------------
+
+def test_clearing_the_ground_caches_clears_the_mask_cache():
+    classify_region(LambdaParams(1.0, 2.0, 3.0))
+    assert minimal_entries.cache_info().currsize >= 1
+    _clear_ground_caches()
+    info = minimal_entries.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_mask_cache_holds_at_most_eight_entries():
+    assert minimal_entries.cache_info().maxsize == 8
+    _clear_ground_caches()
+    for i, p in enumerate(_oracle_triples()[:40]):
+        is_ground_state(realize(LevelSequence((1, 3), period=2), 3), p, i % 3 / 10)
+        assert minimal_entries.cache_info().currsize == min(i + 1, 8)
+    assert minimal_entries.cache_info().misses == 40
+
+
+def test_mask_cache_keeps_bad_tolerances_out():
+    p = LambdaParams(0.5, -1.0, 2.0)
+    cfg = realize(LevelSequence((2,), period=1), 2)
+    _clear_ground_caches()
+    for tol in (math.nan, -1.0, -1e-300, -math.inf):
+        message = f"tol must be >= 0, got {tol}"
+        assert _error(lambda: classify_region(p, tol)) == message
+        assert _error(lambda: is_ground_state(cfg, p, tol)) == message
+        assert _error(lambda: minimal_entries(p.a, p.b, p.c, tol)) == message
+    info = minimal_entries.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+
+
+def test_betas_share_one_mask():
+    # beta never enters the mask, so it is no part of the key
+    _clear_ground_caches()
+    reports = [classify_region(LambdaParams(1.0, 1.0, 2.0, beta))
+               for beta in (0.25, 1.0, 7.5)]
+    assert reports[0] == reports[1] == reports[2]
+    info = minimal_entries.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+def test_cold_and_warm_masks_give_the_scanned_balls():
+    for p in _oracle_triples():
+        for tol in (0.0, 1e-12, 0.3, math.inf):
+            minimal_entries.cache_clear()
+            cold = ground._minimal_balls(p, tol)
+            warm = ground._minimal_balls(p, tol)
+            assert minimal_entries.cache_info().hits == 1
+            assert cold is warm and cold == minimal_balls_by_scan(p, tol), (p, tol)
+
+
+def test_one_ground_states_item_decides_its_mask_once():
+    # classify, then realize and score every generator of each active
+    # region's catalog, sample the families and count the minima, as one
+    # item of the ground_states benchmark does: one miss per triple, and
+    # every later verdict at it a hit
+    _clear_ground_caches()
+    for region in REPRESENTATIVE_PARAMS:
+        generators_for(region)  # certified at the representative triples
+    rng = random.Random(19)
+    triples = [LambdaParams(*t) for t in product(range(-2, 3), repeat=3)]
+    triples += [LambdaParams(*(rng.randint(-8, 8) / 4 for _ in range(3)))
+                for _ in range(60)]
+    for p in triples:
+        minimal_entries.cache_clear()
+        regions = classify_region(p).active_regions
+        scored = 0
+        for region in regions:
+            catalog = generators_for(region)
+            for g in catalog.generators:
+                assert is_ground_state(realize(g, catalog.verified_depth), p)[0]
+                scored += 1
+            if region in ("A2", "A5"):
+                sample_family(region, 4, 1, 6)
+        brute_force_minima(p, 2)
+        info = minimal_entries.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, scored + 1, 1), p

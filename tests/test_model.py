@@ -9,7 +9,8 @@ from lambda_tree.gibbs import push_forward
 from lambda_tree.model import (REGION_NAMES, SPINS, Configuration, LambdaParams,
                                ball_energy, ball_energy_catalogue,
                                classify_region, coupling_value, edge_weight,
-                               hamiltonian, lambda_value, min_ball_energy)
+                               hamiltonian, lambda_value, min_ball_energy,
+                               minimal_entries)
 from lambda_tree.tree import ROOT, TreeShape, balls
 
 
@@ -25,8 +26,25 @@ def test_params_validation():
         with pytest.raises(ValueError, match="must be a finite number, got (True|False)$"):
             LambdaParams(*args)
     assert LambdaParams(1, 0, -2, 3).a == 1
+    assert LambdaParams(10 ** 308, 0, 0).a == 10 ** 308
     p = LambdaParams(**{"a": 1.0, "b": 2.0, "c": 3.0})
     assert (p.a, p.b, p.c, p.beta) == (1.0, 2.0, 3.0, 1.0)
+
+
+def test_params_past_the_float_range_are_refused():
+    # an int too large for a float is no finite number; the message names
+    # its size, never its digits (repr fails past 4300 of them)
+    for big, bits in ((10 ** 400, 1329), (-10 ** 400, 1329), (10 ** 5000, 16610),
+                      (2 ** 1024, 1025), (2 ** 1024 - 1, 1024)):
+        for args, name in (((big, 0, 0), "a"), ((0, big, 0), "b"),
+                           ((0, 0, big), "c"), ((0, 0, 0, big), "beta")):
+            with pytest.raises(ValueError) as caught:
+                LambdaParams(*args)
+            message = str(caught.value)
+            assert message == f"{name} must be a finite number, got an integer of {bits} bits"
+            assert len(message.encode()) < 300
+    # the largest int a float still holds is a coupling
+    assert LambdaParams(0, 0, 2 ** 1024 - 2 ** 971).c == 2 ** 1024 - 2 ** 971
 
 
 def test_coupling_by_distance():
@@ -192,6 +210,19 @@ def test_classify_tolerance_widens():
             classify_region(p, tol)
         assert str(caught.value) == f"tol must be >= 0, got {tol}"
     assert classify_region(p, math.inf).active_regions == REGION_NAMES
+
+
+def test_signed_zero_minimum_does_not_depend_on_call_order():
+    # the cached mask is shared by 0.0 and -0.0, yet each triple's minimal
+    # energy is read off its own catalogue, sign included
+    zero, negative = LambdaParams(0.0, 0.0, 0.0), LambdaParams(-0.0, -0.0, -0.0)
+    for order in ((zero, negative), (negative, zero), (negative, negative, zero)):
+        minimal_entries.cache_clear()
+        for p in order:
+            energy = classify_region(p).minimal_energy
+            assert energy == 0.0 and math.copysign(1.0, energy) == math.copysign(1.0, p.a)
+        assert minimal_entries.cache_info().misses == 1
+    assert classify_region(zero).active_regions == classify_region(negative).active_regions
 
 
 def test_edge_weight_raises_where_the_product_overflows():

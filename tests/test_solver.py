@@ -52,6 +52,15 @@ def test_weight_validation():
             BoltzmannWeights(*args)
         assert str(caught.value).endswith("must be a positive finite number, got True")
     assert BoltzmannWeights(1, 2, 3).xw == 1
+    # an int too large for a float names its size, not its digits
+    for big in (10 ** 400, 10 ** 5000):
+        with pytest.raises(DomainError) as caught:
+            BoltzmannWeights(big, 1, 1)
+        assert str(caught.value) == \
+            f"xw must be a positive finite number, got an integer of {big.bit_length()} bits"
+    with pytest.raises(DomainError) as caught:
+        BoltzmannWeights(1, 1, -10 ** 400)
+    assert str(caught.value).startswith("zw must be a positive finite number, got an integer")
 
 
 def test_two_component_map():
