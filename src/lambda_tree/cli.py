@@ -74,10 +74,20 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _read_json(path: str):
-    """json.load of a file; nesting too deep to parse is a ValueError."""
+    """json.load of a file; nesting too deep to parse is a ValueError, and
+    so is an integer past Python's limit on digits converted to int (4300
+    by default), which no float holds either."""
+
+    def parse_int(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # json hands over only digits, so past the limit
+            raise ValueError(f"{path}: a {len(text.lstrip('-'))}-digit integer "
+                             f"is out of float range") from None
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

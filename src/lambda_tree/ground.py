@@ -16,16 +16,23 @@ A ball's energy is always one of the six catalogue entries, fixed by the
 two spin distances between its center and its children. So which balls
 are minimal depends on the coupling triple and tolerance only through
 which entries are minimal: every verdict reads one of 63 sets of minimal
-balls, built once, from that mask. The mask itself is decided once per
-key (a, b, c, tol) by model.minimal_entries, which keeps the last 8 keys,
-so scoring many configurations at one triple builds its catalogue once.
-The certified catalogs, and the counts and minima of small truncations,
-are cached per set of minimal balls.
-realize keeps the last 256 configurations of at most 2^10 spins it built,
-per (level sequence, depth), so the cache holds at most 2^18 spins; deeper
-trees are built afresh. Each configuration keeps its own set of distinct
-balls (Configuration.binary_balls, at most 27), so scoring a kept tree
-again is one subset test of that set.
+balls, built once, from that mask.
+
+Each cache, with its key and its bound:
+
+- model.minimal_entries: the mask, per (a, b, c, tol); the last 8 keys.
+- _catalog: the certified catalog, per (region, max_period); the last 8,
+  each of at most 2^20 level values.
+- _realize: the configuration, per (level sequence, depth) of depth at
+  most 9; the last 256, so at most 256 x 2^10 spins. Deeper trees are
+  built afresh.
+- _minima: the number of ball-minimal configurations, per (pattern of
+  minimal balls, depth), with the configurations themselves when they
+  hold at most 2^14 spins; the last 16, so at most 16 x 2^14 spins.
+
+Each configuration also keeps its own set of distinct balls
+(Configuration.binary_balls, at most 27), so scoring a kept tree again is
+one subset test of that set.
 """
 
 import random
@@ -42,7 +49,7 @@ from .tree import TreeCoord, TreeShape, balls, binary_ball_values
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
 _MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
 _MEMO_SPINS = 2 ** 14  # largest set of minima (count x |V| spins) brute_force_minima caches
-_REALIZED_SPINS = 2 ** 10  # largest configuration realize caches
+_REALIZED_DEPTH = 9  # deepest tree (2^10 - 1 spins) realize caches
 
 # one coupling triple per region making its catalogue entry minimal
 REPRESENTATIVE_PARAMS: dict[str, LambdaParams] = {
@@ -145,26 +152,24 @@ def realize(seq: LevelSequence, depth: int) -> Configuration:
     value on each level. LevelSequence checks its entries as Configuration
     checks spins, so the tree's spins are not checked again.
 
-    A configuration of at most _REALIZED_SPINS spins is built once per
-    (seq, depth) and the same object handed out again (see
-    _cached_realize); a deeper tree is built on every call. A call that
-    raises stores nothing."""
-    _check_spins(depth)  # bounds the depth before 2^depth is formed
-    if 2 ** (depth + 1) - 1 <= _REALIZED_SPINS:
-        return _cached_realize(seq, depth)
+    A tree of depth at most _REALIZED_DEPTH is built once per (seq, depth)
+    and the same object handed out again (see _realize); a deeper tree is
+    bounded by _check_spins, then built on every call. A call that raises
+    stores nothing."""
+    # compared as _check_spins compares first, so a depth that is no
+    # number raises the same TypeError
+    if depth >= _REALIZED_DEPTH + 1:
+        _check_spins(depth)
+        return _realize.__wrapped__(seq, depth)
     return _realize(seq, depth)
 
 
 @lru_cache(maxsize=256, typed=True)
-def _cached_realize(seq: LevelSequence, depth: int) -> Configuration:
-    """_realize, kept for the last 256 (seq, depth) pairs. realize passes
-    only trees of at most _REALIZED_SPINS spins, so the cache holds at
+def _realize(seq: LevelSequence, depth: int) -> Configuration:
+    """realize's tree, kept for the last 256 (seq, depth) pairs; realize
+    passes only depths of at most _REALIZED_DEPTH, so the cache holds at
     most 256 x 2^10 = 2^18 spins. typed=True keeps a float depth from
     reading an int's entry: it raises TypeError, as range does."""
-    return _realize(seq, depth)
-
-
-def _realize(seq: LevelSequence, depth: int) -> Configuration:
     shape = TreeShape(2, depth)
     spins = []
     for m in range(depth + 1):
@@ -303,10 +308,19 @@ def verify_generators(generators, p: LambdaParams, depth: int,
     return out
 
 
-def _family_sequences(region: str):
-    """The family's level sequences as (anchor, the values that may follow
-    each spin), read from its descriptor; both families happen to have
-    exactly 2 admissible values at every level."""
+def sample_family(region: str, count: int, seed: int,
+                  depth: int) -> list[Configuration]:
+    """Draw distinct members of a region's uncountable family, realized to
+    the given depth. Only A2 and A5 qualify. If fewer than count distinct
+    sequences exist up to this depth (there are 2^depth), all are returned.
+    The draw may realize at most _MAX_SPINS spins in all.
+
+    Sequences are drawn level by level from the seeded generator until
+    min(count, 2^depth) distinct ones are found, then sorted. Both
+    families happen to have exactly 2 admissible values at every level,
+    read from the descriptor."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     family = _FAMILIES.get(region)
     if family is None:
         raise ValueError(
@@ -314,57 +328,17 @@ def _family_sequences(region: str):
     options = {prev: tuple(s for s in family.alphabet
                            if not (family.adjacent_must_differ and s == prev))
                for prev in SPINS}
-    return family.anchor, options
-
-
-def sample_family(region: str, count: int, seed: int,
-                  depth: int) -> list[Configuration]:
-    """Draw distinct members of a region's uncountable family, realized to
-    the given depth. Only A2 and A5 qualify. If fewer than count distinct
-    sequences exist up to this depth (there are 2^depth), all are returned.
-    The draw may realize at most _MAX_SPINS spins in all."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    anchor, options = _family_sequences(region)
     _check_spins(depth)  # bounds the depth before 2^depth is formed
-    space = 2 ** depth
-    _check_spins(depth, min(count, space))
+    wanted = min(count, 2 ** depth)
+    _check_spins(depth, wanted)
+    rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
-    if count >= space:
-        for tail in product((0, 1), repeat=depth):
-            entries = [anchor]
-            for pick in tail:
-                entries.append(options[entries[-1]][pick])
-            seen.add(tuple(entries))
-    else:
-        rng = random.Random(seed)
-        while len(seen) < count:
-            entries = [anchor]
-            for _ in range(depth):
-                entries.append(rng.choice(options[entries[-1]]))
-            seen.add(tuple(entries))
+    while len(seen) < wanted:
+        entries = [family.anchor]
+        for _ in range(depth):
+            entries.append(rng.choice(options[entries[-1]]))
+        seen.add(tuple(entries))
     return [realize(LevelSequence(s), depth) for s in sorted(seen)]
-
-
-@lru_cache(maxsize=None, typed=True)
-def _count_minima(pattern: frozenset[tuple[int, int, int]], depth: int) -> int:
-    """Number of configurations of the depth-`depth` binary truncation whose
-    every ball lies in pattern, or _MAX_SPINS + 1 if there are more.
-    Subtree counts are summed level by level from the leaves and saturate
-    there, so no huge integer is formed.
-
-    Every count is kept: brute_force_minima bounds the depth by 19 first,
-    and _minimal_balls hands out 63 patterns, so the cache holds at most
-    63 x 20 counts (True counts as a depth of its own). typed=True keeps a
-    float depth from reading an int's entry: it raises TypeError, as range
-    does."""
-    allowed = _child_pairs(pattern)
-    most = _MAX_SPINS + 1
-    below = dict.fromkeys(SPINS, 1)  # configurations of a depth-0 subtree
-    for _ in range(depth):
-        below = {s: min(sum(below[t] * below[u] for t, u in pairs), most)
-                 for s, pairs in allowed.items()}
-    return min(sum(below.values()), most)
 
 
 def _child_levels(level: tuple[int, ...], allowed: dict[int, list[tuple[int, int]]],
@@ -384,21 +358,6 @@ def _child_levels(level: tuple[int, ...], allowed: dict[int, list[tuple[int, int
     return out
 
 
-def _minimal_spins(shape: TreeShape,
-                   allowed: dict[int, list[tuple[int, int]]]) -> list[tuple[int, ...]]:
-    """The spins of every configuration of the shape that takes an allowed
-    child pair at each ball center, built from the root one level at a
-    time: each prefix ends with a whole level and grows by every level
-    that can follow it."""
-    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    partial = [(s,) for s in SPINS]
-    for m in range(shape.depth):
-        start = shape.level_positions(m).start
-        partial = [spins + below for spins in partial
-                   for below in _child_levels(spins[start:], allowed, memo)]
-    return partial
-
-
 def _child_pairs(
         pattern: frozenset[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
     """The child pairs (t, u) each center spin s takes in the balls
@@ -409,22 +368,46 @@ def _child_pairs(
     return allowed
 
 
-def _minima(pattern: frozenset[tuple[int, int, int]],
-            depth: int) -> Iterator[Configuration]:
-    """Every configuration of the depth-`depth` binary truncation whose
-    every ball lies in pattern. Spins come only from SPINS, so they are
-    not checked again."""
+def _built_minima(allowed: dict[int, list[tuple[int, int]]],
+                  depth: int) -> Iterator[Configuration]:
+    """Every configuration of the depth-`depth` binary truncation that takes
+    an allowed child pair at each ball center, built from the root one
+    level at a time: each prefix ends with a whole level and grows by
+    every level that can follow it. Spins come only from SPINS, so they
+    are not checked again."""
     shape = TreeShape(2, depth)
-    return Configuration._unchecked(shape, _minimal_spins(shape, _child_pairs(pattern)))
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    partial = [(s,) for s in SPINS]
+    for m in range(depth):
+        start = shape.level_positions(m).start
+        partial = [spins + below for spins in partial
+                   for below in _child_levels(spins[start:], allowed, memo)]
+    return Configuration._unchecked(shape, partial)
 
 
 @lru_cache(maxsize=16, typed=True)
-def _cached_minima(pattern: frozenset[tuple[int, int, int]],
-                   depth: int) -> frozenset[Configuration]:
-    """_minima, kept for the last 16 (pattern, depth) pairs. Callers pass
-    only results of at most _MEMO_SPINS spins, so the cache holds at most
-    16 x 2^14 = 2^18 spins."""
-    return frozenset(_minima(pattern, depth))
+def _minima(pattern: frozenset[tuple[int, int, int]],
+            depth: int) -> tuple[int, frozenset[Configuration] | None]:
+    """The number of configurations of the depth-`depth` binary truncation
+    whose every ball lies in pattern, or _MAX_SPINS + 1 if there are more,
+    and those configurations when they hold at most _MEMO_SPINS spins in
+    all (None otherwise). Subtree counts are summed level by level from
+    the leaves and saturate there, so no huge integer is formed.
+
+    Kept for the last 16 (pattern, depth) pairs, so the cache holds at
+    most 16 x 2^14 = 2^18 spins. brute_force_minima bounds the depth by 19
+    first. typed=True keeps a float depth from reading an int's entry: it
+    raises TypeError, as range does."""
+    allowed = _child_pairs(pattern)
+    most = _MAX_SPINS + 1
+    below = dict.fromkeys(SPINS, 1)  # configurations of a depth-0 subtree
+    for _ in range(depth):
+        below = {s: min(sum(below[t] * below[u] for t, u in pairs), most)
+                 for s, pairs in allowed.items()}
+    count = min(sum(below.values()), most)
+    if count * (2 ** (depth + 1) - 1) > _MEMO_SPINS:
+        return count, None
+    return count, frozenset(_built_minima(allowed, depth))
 
 
 def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
@@ -437,15 +420,16 @@ def brute_force_minima(p: LambdaParams, depth: int) -> set[Configuration]:
     output size.
 
     The result depends on p only through its pattern, the balls of minimal
-    energy, of which there are at most 63. The count is kept per (pattern,
-    depth); a result of at most _MEMO_SPINS spins is kept too, and copied
-    into a fresh set on each call, so callers may change what they get."""
+    energy, of which there are at most 63. One entry of the _minima cache
+    per (pattern, depth) gives the count and, for a result of at most
+    _MEMO_SPINS spins, the result, copied into a fresh set on each call,
+    so callers may change what they get."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _check_spins(depth)  # bounds the depth before the count
     pattern = _minimal_balls(p, 0.0)
-    size = _count_minima(pattern, depth)
+    size, kept = _minima(pattern, depth)
     _check_spins(depth, size)
-    if size * (2 ** (depth + 1) - 1) <= _MEMO_SPINS:
-        return set(_cached_minima(pattern, depth))
-    return set(_minima(pattern, depth))
+    if kept is None:
+        kept = _built_minima(_child_pairs(pattern), depth)
+    return set(kept)

@@ -211,10 +211,17 @@ def ball_entry(center: int, children: tuple[int, int]) -> int:
 
 
 def _average(x: float, y: float) -> float:
-    """(x + y) / 2, or x/2 + y/2 where the sum overflows; both ball energy
-    functions average here, so their entries stay bitwise equal."""
+    """(x + y) / 2, or x/2 + y/2 where the sum leaves the float range (a
+    float sum overflows; an exact int sum of int couplings cannot be
+    converted); both ball energy functions average here, so their entries
+    stay bitwise equal."""
     s = x + y  # halving first would round subnormals: 5e-324 twice gives 0
-    return s / 2.0 if -math.inf < s < math.inf else x / 2.0 + y / 2.0
+    if -math.inf < s < math.inf:
+        try:
+            return s / 2.0
+        except OverflowError:  # an int sum too large to convert to float
+            pass
+    return x / 2.0 + y / 2.0
 
 
 def ball_energy_catalogue(p: LambdaParams) -> tuple[float, ...]:
@@ -247,9 +254,12 @@ def minimal_entries(a: float, b: float, c: float, tol: float) -> tuple[bool, ...
     hash in C. It comes from comparisons only, so the signed zeros, which
     share a key, share their mask too. A NaN or negative tol raises
     ValueError and stores nothing. typed=True keeps int and float keys
-    apart, as the package's other caches do; both give the same mask."""
+    apart, as the package's other caches do; both give the same mask, as
+    it is decided on the couplings as floats (an int such as 10**308 that
+    no float equals would otherwise fall outside min + tol, which rounds).
+    """
     check_tolerance(tol)
-    catalogue = _catalogue(a, b, c)
+    catalogue = _catalogue(float(a), float(b), float(c))
     limit = min(catalogue) + tol
     return tuple([not u > limit for u in catalogue])
 

@@ -43,6 +43,7 @@ K_CHILDREN = 2  # branching order baked into the squared map
 _THRESHOLD_EQ_TOL = 1e-10    # |a_can - eps| below this times eps is on-boundary
 _FIXED_POINT_RESIDUAL = 1e-9  # relative to max(1, u)
 _PROPERNESS_GAP = 1e-6
+_MODERATE_WEIGHTS = (2.0 ** -256, 2.0 ** 256)  # weights used as given, not rescaled
 
 INVARIANT_LINE_NOTE = ("invariant-line analysis only: first ratio component "
                        "pinned to 1; solutions off the line are out of scope")
@@ -96,10 +97,30 @@ def f_map(u: float, w: BoltzmannWeights) -> float:
     return ((w.xw * u + 2.0 * w.yw) / (w.yw * u + (w.xw + w.zw))) ** K_CHILDREN
 
 
-def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
+def _moderate(w: BoltzmannWeights) -> BoltzmannWeights:
+    """w itself while every weight lies in [2^-256, 2^256]; otherwise the
+    three weights times the power of two that puts yw in [1, 2). The
+    canonical parameters, the map's fixed points and the 2-periodic roots
+    depend on the weights only through their ratios, and a power of two
+    scales a float exactly, so a common factor of e^300 or more changes no
+    verdict. w comes back if the rescale would leave the positive floats."""
+    lo, hi = _MODERATE_WEIGHTS
+    if lo <= w.xw <= hi and lo <= w.yw <= hi and lo <= w.zw <= hi:
+        return w
+    shift = 1 - math.frexp(w.yw)[1]
     try:
-        a_can = 2.0 * w.yw ** 3 / w.xw ** 3
-        b_can = w.xw * (w.xw + w.zw) / (2.0 * w.yw ** 2)
+        return BoltzmannWeights(*(math.ldexp(v, shift) for v in (w.xw, w.yw, w.zw)))
+    except (DomainError, OverflowError):  # a weight underflows or overflows
+        return w
+
+
+def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
+    """(a_can, b_can) of the weights, computed on _moderate(w); a
+    DomainError names the caller's w."""
+    v = _moderate(w)
+    try:
+        a_can = 2.0 * v.yw ** 3 / v.xw ** 3
+        b_can = v.xw * (v.xw + v.zw) / (2.0 * v.yw ** 2)
     except (OverflowError, ZeroDivisionError):
         a_can = b_can = math.nan  # rejected below
     if not (0.0 < a_can < math.inf and 0.0 < b_can < math.inf):
@@ -194,9 +215,11 @@ def canonical_root_count(a_can: float, b_can: float):
 
 
 def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
-    """Translation-invariant fixed points on the invariant line."""
+    """Translation-invariant fixed points on the invariant line, found
+    and polished on _moderate(w)."""
     can = canonical_params(w)
     roots_x, regime, thresholds = canonical_root_count(can.a_can, can.b_can)
+    w = _moderate(w)
     scale = 2.0 * w.yw / w.xw
     u_roots = []
     for x in roots_x:
@@ -263,7 +286,8 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     to the quadratic having two positive roots). A, B, C or D past the
     float range is reported as None. Near D = 0 the root pair
     degenerates toward a translation-invariant point and the properness
-    gap |r - f(r)| > 1e-6 empties the list.
+    gap |r - f(r)| > 1e-6 empties the list. The roots are checked on
+    _moderate(w), as f is.
     """
     a, b, c, scale = _quadratic_numerators(w)
     disc = b * b - 4 * a * c  # D times scale^2
@@ -291,6 +315,7 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     elif disc == 0:
         roots = [-b / (2 * a)]
 
+    w = _moderate(w)
     proper = []
     for r in roots:
         if r <= 0:

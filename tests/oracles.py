@@ -22,13 +22,18 @@ recurrence the long way. Test files import them as `from oracles import ...`.
   scan `ground._minimal_balls` reads off its table of catalogue entries.
 - `realize_uncached` builds a level-constant tree afresh on every call,
   the configuration `ground.realize` keeps and hands out again.
+- `clear_caches` clears every functools cache of the package, found by
+  walking the globals of its modules, so no test keeps a list of them.
 """
 
+import importlib
 import json
 import math
+import pkgutil
 from fractions import Fraction
 from itertools import product
 
+import lambda_tree
 from lambda_tree.errors import InternalConsistencyError
 from lambda_tree.gibbs import boltzmann_matrix
 from lambda_tree.ground import LevelSequence, _check_spins
@@ -202,3 +207,18 @@ def realize_uncached(seq: LevelSequence, depth: int) -> Configuration:
     for m in range(depth + 1):
         spins += [seq.value_at(m)] * shape.level_size(m)
     return Configuration(shape, tuple(spins))
+
+
+def clear_caches() -> list:
+    """Clear every functools cache (lru_cache or cache) that a module of
+    the package defines, each once, and return them."""
+    caches = []
+    for info in pkgutil.iter_modules(lambda_tree.__path__):
+        module = importlib.import_module(f"lambda_tree.{info.name}")
+        for value in vars(module).values():
+            if (hasattr(value, "cache_clear") and hasattr(value, "cache_info")
+                    and value.__module__.startswith("lambda_tree.")
+                    and value not in caches):
+                value.cache_clear()
+                caches.append(value)
+    return caches

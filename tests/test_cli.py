@@ -152,6 +152,21 @@ def test_solve_from_couplings(capsys):
     assert payload["weights"] == {"xw": 1.0, "yw": 1.0, "zw": 1.0}
 
 
+def test_solve_ignores_a_common_factor_of_the_weights(capsys):
+    # all three weights e^300 (or e^-300) give the verdicts of e^0; A, B, C
+    # and D stay those of the weights given, here out of float range
+    plain = _run_json(capsys, ["solve", "--a", "0", "--b", "0", "--c", "0"])
+    for shift in ("300", "-300"):
+        payload = _run_json(capsys, ["solve", "--a", shift, "--b", shift, "--c", shift])
+        assert payload["canonical"] == {"a_can": 2.0, "b_can": 1.0}
+        assert payload["translation_invariant"] == plain["translation_invariant"]
+        per = payload["two_periodic"]
+        assert per["exists"] is False and per["proper_roots"] == []
+        assert per["discriminant"] == 0.0
+        assert (per["A"], per["B"], per["C"]) == \
+            ((None,) * 3 if shift == "300" else (0.0,) * 3)
+
+
 def test_solve_rejects_mixed_inputs(capsys):
     rc = main(["solve", "--a", "0", "--b", "0", "--c", "0", "--xw", "1",
                "--yw", "1", "--zw", "1"])
@@ -671,6 +686,22 @@ def test_long_json_values_are_cut_in_error_messages(tmp_path, capsys):
         assert captured.err.endswith(end), captured.err[-200:]
         assert captured.err.count("\n") == 1
         assert len(captured.err.encode()) < 300
+        assert captured.out == ""
+    # an integer past Python's 4300-digit limit on int conversion is named
+    # by the file and its length; up to the limit, by the entry it fills
+    path = tmp_path / "digits.json"
+    for digits, argv, text, where in (
+            (4300, ["sweep", "--config"], '{"axes": [], "fixed": {"a": %s, "b": 0, "c": 0}}',
+             "fixed entry 'a'"),
+            (5000, ["sweep", "--config"], '{"axes": [], "fixed": {"a": %s, "b": 0, "c": 0}}',
+             str(path)),
+            (4301, measure, '{"1": [0, -%s, 0]}', str(path)),
+            (10 ** 5, measure, '{"1": [0, %s, 0]}', str(path))):
+        path.write_text(text % ("9" * digits))
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"error: {where}: a {digits}-digit integer is out of float range\n"
         assert captured.out == ""
 
 

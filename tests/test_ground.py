@@ -16,7 +16,7 @@ from lambda_tree.model import (SPINS, Configuration, LambdaParams,
                                ball_energy, classify_region, lambda_value,
                                min_ball_energy, minimal_entries)
 from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls
-from oracles import minimal_balls_by_scan, realize_uncached
+from oracles import clear_caches, minimal_balls_by_scan, realize_uncached
 
 
 def test_level_sequence_validation():
@@ -188,7 +188,7 @@ def test_catalog_shapes():
 
 
 def test_catalogs_are_built_once():
-    _clear_ground_caches()
+    clear_caches()
     for region in REPRESENTATIVE_PARAMS:
         assert generators_for(region) is generators_for(region, 7)
     cached = generators_for("A2", 9)
@@ -454,14 +454,6 @@ def test_certification_errors_match_realized_trees():
     assert verify_generators([short], p, 2) == [(False, ROOT)]
 
 
-def _clear_ground_caches():
-    minimal_entries.cache_clear()
-    ground._count_minima.cache_clear()
-    ground._cached_minima.cache_clear()
-    ground._catalog.cache_clear()
-    ground._cached_realize.cache_clear()
-
-
 def test_minima_match_enumeration():
     # each result is built with every cache cleared, then read warm
     for p in _oracle_triples():
@@ -475,7 +467,7 @@ def test_minima_match_enumeration():
                         for spins in product(SPINS, repeat=len(vertices))
                         if all(ball_energy(spins[c], (spins[l], spins[r]), p) <= floor
                                for c, l, r in inner)}
-            _clear_ground_caches()
+            clear_caches()
             assert brute_force_minima(p, depth) == expected, (p, depth)
             assert brute_force_minima(p, depth) == expected, (p, depth)
 
@@ -487,7 +479,7 @@ def test_cached_minima_at_depth_three():
         count = _minimal_count(p, 3)
         if count * 15 > ground._MEMO_SPINS:
             continue
-        _clear_ground_caches()
+        clear_caches()
         cold = brute_force_minima(p, 3)
         assert len(cold) == count, p
         assert all(is_ground_state(cfg, p)[0] for cfg in cold), p
@@ -507,19 +499,18 @@ def test_minima_cache_hands_out_copies():
 
 
 def test_minima_cache_keeps_errors_out():
-    # the count is checked before the cache is read, so the all-tied
-    # triple raises at depth 3 on every call, and the cache never sees it
+    # the count that refuses the all-tied triple at depth 3 is worked out
+    # once and kept without the minima, then read: it raises on every call
     tied = LambdaParams(0.0, 0.0, 0.0)
-    _clear_ground_caches()
+    clear_caches()
     brute_force_minima(tied, 2)
     for _ in range(3):
         with pytest.raises(CapacityError):
             brute_force_minima(tied, 3)
-    info = ground._cached_minima.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
-    # the count that refuses depth 3 is worked out once, then read
-    info = ground._count_minima.cache_info()
+    info = ground._minima.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+    pattern = ground._minimal_balls(tied, 0.0)
+    assert ground._minima(pattern, 3) == (ground._MAX_SPINS + 1, None)
     # a float depth or period never reads an int's entry
     generators_for("A2", 7)
     for call in (lambda: brute_force_minima(tied, 2.0),
@@ -531,37 +522,36 @@ def test_minima_cache_keeps_errors_out():
 def test_integer_triples_share_seven_patterns():
     # which of the six catalogue entries a, b, c and their averages are
     # minimal: a, b or c alone, two of them tied, or all three
-    _clear_ground_caches()
+    clear_caches()
     for t in product(range(-2, 3), repeat=3):
         brute_force_minima(LambdaParams(*t), 2)
-    for cache in (ground._count_minima, ground._cached_minima):
-        info = cache.cache_info()
-        assert (info.misses, info.currsize) == (7, 7)
+    info = ground._minima.cache_info()
+    assert (info.misses, info.currsize) == (7, 7)
 
 
 def test_minima_cache_holds_at_most_its_spin_bound():
-    # every stored result holds at most _MEMO_SPINS spins, and at most 16
-    # are stored, so the cache never holds more than 2^18 spins
+    # every entry keeps a count, and the minima only where they hold at
+    # most _MEMO_SPINS spins; at most 16 entries are kept, so the cache
+    # never holds more than 2^18 spins
     assert 16 * ground._MEMO_SPINS == 2 ** 18
-    _clear_ground_caches()
-    stored = 0
+    clear_caches()
     for depth in (1, 2, 3):
         for p in _oracle_triples():
-            before = ground._cached_minima.cache_info()
+            before = ground._minima.cache_info()
             try:
                 minima = brute_force_minima(p, depth)
             except CapacityError:
-                assert ground._cached_minima.cache_info() == before
-                continue
-            after = ground._cached_minima.cache_info()
-            spins = len(minima) * (2 ** (depth + 1) - 1)
-            if spins > ground._MEMO_SPINS:
-                assert after == before, (p, depth)
-            else:
-                assert after.hits + after.misses == before.hits + before.misses + 1
-                stored += after.misses - before.misses
+                minima = None
+            after = ground._minima.cache_info()
+            # one entry read per call, refused or not
+            assert after.hits + after.misses == before.hits + before.misses + 1
             assert after.currsize <= 16
-    assert stored > 16  # entries were evicted along the way
+            count, kept = ground._minima(ground._minimal_balls(p, 0.0), depth)
+            spins = count * (2 ** (depth + 1) - 1)
+            assert (kept is None) == (spins > ground._MEMO_SPINS), (p, depth)
+            assert minima is None or (len(minima) == count and kept in (None, minima))
+    # more entries were stored than are kept: some were evicted
+    assert ground._minima.cache_info().misses > 16
 
 
 def _grown_configuration(rng: random.Random, p: LambdaParams, depth: int,
@@ -639,7 +629,7 @@ def test_ground_layer_reads_one_ball_table(monkeypatch):
         return ball_energy(center, children, p)
 
     monkeypatch.setattr(ground, "ball_energy", counted)
-    _clear_ground_caches()
+    clear_caches()
     p = LambdaParams(0.0, 0.0, 0.0)
     cfg = realize(LevelSequence((2,), period=1), 10)
     generators = generators_for("A2", 14).generators
@@ -753,7 +743,7 @@ def test_realize_cache_changes_no_configuration():
     # every catalog generator, and every family sequence up to depth 6, is
     # realized as the uncached oracle realizes it; a repeat call hands out
     # the very object
-    _clear_ground_caches()
+    clear_caches()
     cases = [(g, generators_for(region, n).verified_depth)
              for region in REPRESENTATIVE_PARAMS for n in range(1, 8)
              for g in generators_for(region, n).generators]
@@ -773,7 +763,7 @@ def test_realize_cache_changes_no_configuration():
 
 
 def test_realize_cache_keeps_errors_and_deep_trees_out():
-    _clear_ground_caches()
+    clear_caches()
     seq = LevelSequence((1, 3), period=2)
     kept = realize(seq, 9)  # 1023 spins
     assert realize(seq, 9) is kept and kept == realize_uncached(seq, 9)
@@ -781,36 +771,55 @@ def test_realize_cache_keeps_errors_and_deep_trees_out():
     deep = realize(seq, 10)
     assert deep == realize_uncached(seq, 10) == realize(seq, 10)
     assert realize(seq, 10) is not deep
-    assert ground._cached_realize.cache_info().currsize == 1
+    assert ground._realize.cache_info().currsize == 1
     for bad_seq, depth in ((seq, -1), (seq, 20), (seq, 10 ** 12),
-                           (LevelSequence((1, 2)), 3), (seq, 2.0)):
-        before = ground._cached_realize.cache_info()
+                           (LevelSequence((1, 2)), 3), (seq, 2.0), (seq, None)):
+        before = ground._realize.cache_info()
         with pytest.raises((ValueError, CapacityError, TypeError)) as caught:
             realize(bad_seq, depth)
         with pytest.raises(caught.type) as again:
             realize_uncached(bad_seq, depth)
         assert str(again.value) == str(caught.value)
-        assert ground._cached_realize.cache_info().currsize == before.currsize == 1
+        assert ground._realize.cache_info().currsize == before.currsize == 1
     assert realize(seq, 9) is kept
 
 
+def test_realize_checks_the_spin_bound_only_past_its_cache(monkeypatch):
+    checked, check = [], ground._check_spins
+
+    def counted(depth, configurations=1):
+        checked.append(depth)
+        return check(depth, configurations)
+
+    monkeypatch.setattr(ground, "_check_spins", counted)
+    seq = LevelSequence((1, 3), period=2)
+    for depth in range(12):
+        assert realize(seq, depth) == realize_uncached(seq, depth)
+    assert checked == [10, 11]
+    with pytest.raises(CapacityError):
+        realize(seq, 20)
+    assert checked == [10, 11, 20]
+
+
 def test_realize_cache_holds_at_most_its_spin_bound():
-    # every stored configuration holds at most _REALIZED_SPINS spins, and
-    # at most 256 are stored, so the cache never holds more than 2^18 spins
-    assert 256 * ground._REALIZED_SPINS == 2 ** 18
-    _clear_ground_caches()
+    # every stored configuration has depth at most _REALIZED_DEPTH, so
+    # fewer than 2^10 spins, and at most 256 are stored, so the cache never
+    # holds more than 2^18 spins
+    assert 256 * 2 ** (ground._REALIZED_DEPTH + 1) == 2 ** 18
+    clear_caches()
     stored = 0
     sequences = [LevelSequence(entries, period=n) for n in range(1, 6)
                  for entries in product(SPINS, repeat=n)]
     for i, seq in enumerate(sequences):
         depth = i % 12
-        before = ground._cached_realize.cache_info()
+        before = ground._realize.cache_info()
         cfg = realize(seq, depth)
-        after = ground._cached_realize.cache_info()
-        if len(cfg.spins) > ground._REALIZED_SPINS:
+        after = ground._realize.cache_info()
+        if depth > ground._REALIZED_DEPTH:
             assert after == before, (seq, depth)
         else:
             assert after.misses == before.misses + 1 and after.hits == before.hits
+            assert len(cfg.spins) < 2 ** 10
             stored += 1
         assert after.currsize <= 256
     assert stored > 256  # entries were evicted along the way
@@ -868,14 +877,32 @@ def test_ball_sets_leave_equality_and_hashing_alone():
 def test_clearing_the_ground_caches_clears_the_mask_cache():
     classify_region(LambdaParams(1.0, 2.0, 3.0))
     assert minimal_entries.cache_info().currsize >= 1
-    _clear_ground_caches()
+    clear_caches()
     info = minimal_entries.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
+def test_clear_caches_empties_every_cache_one_item_fills():
+    # one ground_states item fills the ground caches and the mask cache;
+    # the helper finds each of them by walking the package's modules
+    p = LambdaParams(-1.0, -1.0, 0.0)
+    for region in classify_region(p).active_regions:
+        catalog = generators_for(region)
+        for g in catalog.generators:
+            is_ground_state(realize(g, catalog.verified_depth), p)
+        if region in ("A2", "A5"):
+            sample_family(region, 4, 1, 6)
+    brute_force_minima(p, 2)
+    filled = [ground._catalog, ground._realize, ground._minima, minimal_entries]
+    assert all(cache.cache_info().currsize > 0 for cache in filled)
+    found = clear_caches()
+    assert all(any(cache is f for f in found) for cache in filled)
+    assert all(cache.cache_info().currsize == 0 for cache in found)
+
+
 def test_mask_cache_holds_at_most_eight_entries():
     assert minimal_entries.cache_info().maxsize == 8
-    _clear_ground_caches()
+    clear_caches()
     for i, p in enumerate(_oracle_triples()[:40]):
         is_ground_state(realize(LevelSequence((1, 3), period=2), 3), p, i % 3 / 10)
         assert minimal_entries.cache_info().currsize == min(i + 1, 8)
@@ -885,7 +912,7 @@ def test_mask_cache_holds_at_most_eight_entries():
 def test_mask_cache_keeps_bad_tolerances_out():
     p = LambdaParams(0.5, -1.0, 2.0)
     cfg = realize(LevelSequence((2,), period=1), 2)
-    _clear_ground_caches()
+    clear_caches()
     for tol in (math.nan, -1.0, -1e-300, -math.inf):
         message = f"tol must be >= 0, got {tol}"
         assert _error(lambda: classify_region(p, tol)) == message
@@ -897,7 +924,7 @@ def test_mask_cache_keeps_bad_tolerances_out():
 
 def test_betas_share_one_mask():
     # beta never enters the mask, so it is no part of the key
-    _clear_ground_caches()
+    clear_caches()
     reports = [classify_region(LambdaParams(1.0, 1.0, 2.0, beta))
                for beta in (0.25, 1.0, 7.5)]
     assert reports[0] == reports[1] == reports[2]
@@ -908,7 +935,7 @@ def test_betas_share_one_mask():
 def test_cold_and_warm_masks_give_the_scanned_balls():
     for p in _oracle_triples():
         for tol in (0.0, 1e-12, 0.3, math.inf):
-            minimal_entries.cache_clear()
+            clear_caches()
             cold = ground._minimal_balls(p, tol)
             warm = ground._minimal_balls(p, tol)
             assert minimal_entries.cache_info().hits == 1
@@ -920,7 +947,7 @@ def test_one_ground_states_item_decides_its_mask_once():
     # region's catalog, sample the families and count the minima, as one
     # item of the ground_states benchmark does: one miss per triple, and
     # every later verdict at it a hit
-    _clear_ground_caches()
+    clear_caches()
     for region in REPRESENTATIVE_PARAMS:
         generators_for(region)  # certified at the representative triples
     rng = random.Random(19)

@@ -4,14 +4,17 @@ from itertools import product
 
 import pytest
 
+from lambda_tree import ground
 from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
+from lambda_tree.ground import brute_force_minima
 from lambda_tree.model import (REGION_NAMES, SPINS, Configuration, LambdaParams,
                                ball_energy, ball_energy_catalogue,
                                classify_region, coupling_value, edge_weight,
                                hamiltonian, lambda_value, min_ball_energy,
                                minimal_entries)
 from lambda_tree.tree import ROOT, TreeShape, balls
+from oracles import clear_caches
 
 
 def test_params_validation():
@@ -164,6 +167,27 @@ def test_averages_stay_exact_at_the_ends_of_the_float_range():
     assert classify_region(huge).minimal_energy == -1.7e308
 
 
+def test_int_couplings_decide_as_their_float_values():
+    # an exact int sum past the float range is averaged as x/2 + y/2, and
+    # the mask is decided on floats, so 10**308, which no float equals,
+    # does not fall outside its own rounded min + tol
+    p = LambdaParams(10 ** 308, 10 ** 308, 0)
+    assert classify_region(p).active_regions == ("A6",)
+    assert ball_energy(1, (3, 3), p) == 1e308
+    assert len(brute_force_minima(p, 1)) == 3
+    assert minimal_entries(10 ** 308, 10 ** 308, 0, 0.0) == (False,) * 5 + (True,)
+    values = (0, 1, -1, 10 ** 308, -10 ** 308, 2 ** 1023, -2 ** 1023)
+    for t in product(values, repeat=3):
+        exact, rounded = LambdaParams(*t), LambdaParams(*map(float, t))
+        for tol in (0.0, 0.5, math.inf):
+            assert classify_region(exact, tol).active_regions == \
+                classify_region(rounded, tol).active_regions, (t, tol)
+            assert ground._minimal_balls(exact, tol) is ground._minimal_balls(rounded, tol)
+        # the energies themselves may round apart from the float triple's
+        for center, c1, c2 in product(SPINS, repeat=3):
+            assert math.isfinite(ball_energy(center, (c1, c2), exact)), t
+
+
 def test_classify_strict_interiors():
     assert classify_region(LambdaParams(0, 1, 2)).active_regions == ("A1",)
     assert classify_region(LambdaParams(2, 2, 0)).active_regions == ("A6",)
@@ -217,7 +241,7 @@ def test_signed_zero_minimum_does_not_depend_on_call_order():
     # energy is read off its own catalogue, sign included
     zero, negative = LambdaParams(0.0, 0.0, 0.0), LambdaParams(-0.0, -0.0, -0.0)
     for order in ((zero, negative), (negative, zero), (negative, negative, zero)):
-        minimal_entries.cache_clear()
+        clear_caches()
         for p in order:
             energy = classify_region(p).minimal_energy
             assert energy == 0.0 and math.copysign(1.0, energy) == math.copysign(1.0, p.a)

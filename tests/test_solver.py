@@ -308,6 +308,45 @@ def test_log_uniform_weights_fuzz():
         assert report.regime == regimes[count], point
 
 
+def _float_or_none(value: Fraction) -> float | None:
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def test_a_common_factor_of_the_weights_changes_no_verdict():
+    # weights shifted by e^300 or more are rescaled by a power of two before
+    # the canonical parameters, the roots and the properness check; every
+    # verdict matches the unshifted weights', and A, B, C, D stay the
+    # caller's
+    rng = random.Random(20)
+    compared = 0
+    for span in (3, 12):
+        for _ in range(60):
+            logs = [rng.uniform(-span, span) for _ in range(3)]
+            base = BoltzmannWeights(*map(math.exp, logs))
+            ti, per = count_ti_roots(base), two_periodic_report(base)
+            for shift in (300, -300, 600, -600, 700, -700, rng.uniform(-700, 700)):
+                if not all(-745 < v + shift < 709 for v in logs):
+                    continue
+                w = BoltzmannWeights(*(math.exp(v + shift) for v in logs))
+                shifted_ti, shifted_per = count_ti_roots(w), two_periodic_report(w)
+                assert shifted_ti.regime == ti.regime, (logs, shift)
+                assert shifted_ti.ti_roots == pytest.approx(ti.ti_roots, rel=1e-9)
+                assert (shifted_ti.canonical.a_can, shifted_ti.canonical.b_can) == \
+                    pytest.approx((ti.canonical.a_can, ti.canonical.b_can), rel=1e-9)
+                assert shifted_per.two_periodic_exists == per.two_periodic_exists
+                assert len(shifted_per.proper_roots) == len(per.proper_roots)
+                assert shifted_per.proper_roots == pytest.approx(per.proper_roots, rel=1e-6)
+                assert shifted_per.quad[1] == _float_or_none(periodic_quadratic(w)[1])
+                compared += 1
+    assert compared > 500
+    # inside [2^-256, 2^256] the weights are used as given
+    w = BoltzmannWeights(2.0 ** 256, 3.0, 2.0 ** -256)
+    assert solver._moderate(w) is w
+
+
 def test_out_of_float_range_is_a_domain_error():
     with pytest.raises(DomainError):
         weights_from(LambdaParams(0.0, 0.0, 1000.0))
