@@ -316,9 +316,10 @@ def sample_family(region: str, count: int, seed: int,
     The draw may realize at most _MAX_SPINS spins in all.
 
     Sequences are drawn level by level from the seeded generator until
-    min(count, 2^depth) distinct ones are found, then sorted. Both
-    families happen to have exactly 2 admissible values at every level,
-    read from the descriptor."""
+    min(count, 2^depth) distinct ones are found, then sorted; when count
+    is at least 2^depth, every sequence is built level by level instead,
+    with no draws. Both families happen to have exactly 2 admissible
+    values at every level, read from the descriptor."""
     if count < 0:
         raise ValueError("count must be >= 0")
     family = _FAMILIES.get(region)
@@ -331,14 +332,19 @@ def sample_family(region: str, count: int, seed: int,
     _check_spins(depth)  # bounds the depth before 2^depth is formed
     wanted = min(count, 2 ** depth)
     _check_spins(depth, wanted)
+    sequences: set[tuple[int, ...]] = set()
+    if wanted == 2 ** depth:
+        level = [(family.anchor,)]
+        for _ in range(depth):
+            level = [s + (t,) for s in level for t in options[s[-1]]]
+        sequences.update(level)
     rng = random.Random(seed)
-    seen: set[tuple[int, ...]] = set()
-    while len(seen) < wanted:
+    while len(sequences) < wanted:
         entries = [family.anchor]
         for _ in range(depth):
             entries.append(rng.choice(options[entries[-1]]))
-        seen.add(tuple(entries))
-    return [realize(LevelSequence(s), depth) for s in sorted(seen)]
+        sequences.add(tuple(entries))
+    return [realize(LevelSequence(s), depth) for s in sorted(sequences)]
 
 
 def _child_levels(level: tuple[int, ...], allowed: dict[int, list[tuple[int, int]]],

@@ -190,11 +190,14 @@ def hamiltonian(sigma: Configuration, p: LambdaParams) -> float:
 
 
 def ball_energy(center: int, children: tuple[int, int], p: LambdaParams) -> float:
-    """Energy of one ball: half the sum of the two center-child couplings."""
+    """Energy of one ball: half the sum of the two center-child couplings,
+    read off the catalogue as entry ball_entry(center, children), so it has
+    that entry's value and type (int couplings can give an int)."""
     if len(children) != BALLS_PER_VERTEX:
         raise ValueError(f"expected {BALLS_PER_VERTEX} child spins, got {len(children)}")
-    return _average(lambda_value(center, children[0], p),
-                    lambda_value(center, children[1], p))
+    for child in children:
+        lambda_value(center, child, p)  # raises for a spin outside SPINS
+    return ball_energy_catalogue(p)[ball_entry(center, children)]
 
 
 # which catalogue entry a ball's energy is, by the spin distances from its
@@ -205,8 +208,9 @@ _ENTRY_BY_DISTANCES = {(2, 2): 0, (2, 1): 1, (1, 2): 1, (2, 0): 2, (0, 2): 2,
 
 def ball_entry(center: int, children: tuple[int, int]) -> int:
     """The index in ball_energy_catalogue of the ball's energy, for spins
-    in SPINS. ball_energy gives that entry bit for bit: it is the _average
-    of two couplings, which is symmetric and gives v back for v twice."""
+    in SPINS. The entry is the _average of the ball's two couplings, which
+    is symmetric and gives v back for v twice, so the index depends only
+    on the two spin distances."""
     return _ENTRY_BY_DISTANCES[abs(center - children[0]), abs(center - children[1])]
 
 

@@ -11,11 +11,13 @@ the one-dimensional map is
 Translation-invariant measures correspond to u = f(u); reducing by
 x = u*xw/(2*yw) turns that into the cubic a*x*(b+x)^2 = (1+x)^2 in the
 canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2). For b <= 9
-it has one positive root. For b > 9 the tangency points x1 < x2 and their
-thresholds eps_1 < eps_2 decide the count, and they also split (0, inf)
-into the brackets (0, x1), (x1, x2), (x2, inf), each holding at most one
-root; every root is found by sign bisection inside its bracket and then
-polished by Newton steps on f(u) - u.
+it has one positive root. For b > 9 it has one, two or three, counted
+exactly from the signs of the cubic's integer coefficients and
+discriminant at the floats (a, b); no tolerance enters the count. The
+tangency points x1 < x2 (with thresholds eps_1 < eps_2, where a root is
+double) split (0, inf) into the brackets (0, x1), (x1, x2), (x2, inf),
+each holding at most one root; every root is found by sign bisection
+inside its bracket and then polished by Newton steps on f(u) - u.
 
 Proper 2-periodic measures solve u = f(f(u)) but not u = f(u). The exact
 quotient num(f∘f - id) / num(f - id) is a quadratic A*u^2 + B*u + C with
@@ -38,11 +40,7 @@ from typing import NamedTuple
 from .errors import DomainError, InternalConsistencyError, _echo_number
 from .model import LambdaParams, edge_weight, finite_number
 
-K_CHILDREN = 2  # branching order baked into the squared map
-
-_THRESHOLD_EQ_TOL = 1e-10    # |a_can - eps| below this times eps is on-boundary
 _FIXED_POINT_RESIDUAL = 1e-9  # relative to max(1, u)
-_PROPERNESS_GAP = 1e-6
 _MODERATE_WEIGHTS = (2.0 ** -256, 2.0 ** 256)  # weights used as given, not rescaled
 
 INVARIANT_LINE_NOTE = ("invariant-line analysis only: first ratio component "
@@ -94,7 +92,7 @@ def weights_from(p: LambdaParams) -> BoltzmannWeights:
 
 def f_map(u: float, w: BoltzmannWeights) -> float:
     """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
-    return ((w.xw * u + 2.0 * w.yw) / (w.yw * u + (w.xw + w.zw))) ** K_CHILDREN
+    return ((w.xw * u + 2.0 * w.yw) / (w.yw * u + (w.xw + w.zw))) ** 2
 
 
 def _moderate(w: BoltzmannWeights) -> BoltzmannWeights:
@@ -180,14 +178,42 @@ def _bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
             hi = mid
 
 
+def _exact_root_count(a: float, b: float) -> int:
+    """Distinct positive roots of a*x*(b+x)^2 - (1+x)^2, read at a and b
+    as the binary fractions they are.
+
+    The cubic times e = da*db^2 has the integer coefficients c3..c0 below,
+    with c0 < 0 < c3. Descartes' rule allows three positive roots only when
+    c2 < 0 < c1, and then no root is negative, so the discriminant's sign
+    decides: 3 above zero, 1 below, 2 at zero unless c2^2 = 3*c3*c1 makes
+    the root triple.
+    """
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    e = da * db * db
+    c3, c2, c1, c0 = na * db * db, 2 * na * nb * db - e, na * nb * nb - 2 * e, -e
+    if not c2 < 0 < c1:
+        return 1
+    disc = (18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 * c2 * c1 * c1
+            - 4 * c3 * c1 ** 3 - 27 * c3 * c3 * c0 * c0)
+    if disc > 0:
+        return 3
+    return 2 if disc == 0 and c2 * c2 != 3 * c3 * c1 else 1
+
+
 def canonical_root_count(a_can: float, b_can: float):
     """Positive roots of the reduced cubic plus the regime verdict.
 
-    Returns (roots_x, regime, thresholds): regime follows the threshold
-    case analysis — unique for b <= 9, three strictly inside (eps1, eps2),
-    two within 1e-10 relative of eps1 or eps2 (the tangency point there is
-    reported as the double root), unique otherwise. The same comparisons
-    choose the brackets searched, so the root count matches the regime.
+    Returns (roots_x, regime, thresholds). The regime is the exact count
+    of distinct positive roots at the floats (a_can, b_can): unique for
+    b <= 9, and for b > 9 three, one, or two where a_can is exactly a
+    tangency threshold. Three roots are bisected in the brackets
+    (0, x1), (x1, x2), (x2, inf) when the bisection's sign test tells
+    them apart at x1 and x2. Otherwise one root is bisected, past x2 when
+    a_can is nearer eps1 (in ratio) and short of x1 when nearer eps2, and
+    the tangency point on the other side stands for the count's remaining
+    roots, which floats cannot separate: the double root of regime two,
+    or two of the three.
     """
     a, b = a_can, b_can
     if a <= 0 or b <= 0:
@@ -199,19 +225,16 @@ def canonical_root_count(a_can: float, b_can: float):
     if b <= 9:
         return (_bisect_cubic_root(a, b, lo, hi),), "unique", None
     x1, x2, eps1, eps2 = ti_thresholds(b)
-    if abs(a - eps1) <= _THRESHOLD_EQ_TOL * eps1:
-        roots, regime = (x1, _bisect_cubic_root(a, b, x2, hi)), "two"
-    elif abs(a - eps2) <= _THRESHOLD_EQ_TOL * eps2:
-        roots, regime = (_bisect_cubic_root(a, b, lo, x1), x2), "two"
-    elif eps1 < a < eps2:
+    count = _exact_root_count(a, b)
+    r1, r2 = (b + x1) / (1.0 + x1), (b + x2) / (1.0 + x2)
+    if count == 3 and a * x1 * r1 * r1 > 1.0 > a * x2 * r2 * r2:
         roots = tuple(_bisect_cubic_root(a, b, *bracket)
                       for bracket in ((lo, x1), (x1, x2), (x2, hi)))
-        regime = "three"
+    elif a / eps1 < eps2 / a:
+        roots = (x1,) * (count - 1) + (_bisect_cubic_root(a, b, x2, hi),)
     else:
-        # one root, past x2 below eps1 and short of x1 above eps2
-        bracket = (x2, hi) if a < eps1 else (lo, x1)
-        roots, regime = (_bisect_cubic_root(a, b, *bracket),), "unique"
-    return roots, regime, (eps1, eps2)
+        roots = (_bisect_cubic_root(a, b, lo, x1),) + (x2,) * (count - 1)
+    return roots, ("unique", "two", "three")[count - 1], (eps1, eps2)
 
 
 def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
@@ -283,11 +306,12 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
 
     Existence is decided exactly: B < 0 and D > 0 in integer arithmetic
     (A and C are positive for all positive weights, so this is equivalent
-    to the quadratic having two positive roots). A, B, C or D past the
-    float range is reported as None. Near D = 0 the root pair
-    degenerates toward a translation-invariant point and the properness
-    gap |r - f(r)| > 1e-6 empties the list. The roots are checked on
-    _moderate(w), as f is.
+    to the quadratic having two distinct positive roots). Neither is a
+    fixed point of f: a fixed point that solves the quadratic has
+    f' = -1 there, where u = f(f(u)) has a triple root and D = 0. So
+    where the pair exists both roots are reported, each checked against
+    u = f(f(u)) on _moderate(w), as f is. A, B, C or D past the float
+    range is reported as None.
     """
     a, b, c, scale = _quadratic_numerators(w)
     disc = b * b - 4 * a * c  # D times scale^2
@@ -302,31 +326,23 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     quad = (as_float(a, scale), as_float(b, scale), as_float(c, scale))
     disc_f = as_float(disc, scale * scale)
 
-    roots: list[float] = []
-    if disc > 0:
+    roots: tuple[float, ...] = ()
+    if exists:
         # the roots are the same for any common factor of a, b and c; a
         # power of two near their size keeps the floats in range and,
         # where quad is in range, gives the same roots bit for bit
         norm = 2 ** max(a, abs(b), c).bit_length()
         af, bf, cf = a / norm, b / norm, c / norm
-        s = math.sqrt(disc / (norm * norm))
-        q = -(bf + math.copysign(s, bf)) / 2.0
-        roots = [q / af, cf / q]
-    elif disc == 0:
-        roots = [-b / (2 * a)]
-
-    w = _moderate(w)
-    proper = []
-    for r in roots:
-        if r <= 0:
-            continue
-        fr = f_map(r, w)
-        if not abs(r - f_map(fr, w)) < _FIXED_POINT_RESIDUAL * max(1.0, r):
-            raise InternalConsistencyError(
-                f"2-periodic residual too large at root {r}")
-        if abs(r - fr) > _PROPERNESS_GAP:
-            proper.append(r)
-    return PeriodicReport(quad, disc_f, tuple(sorted(proper)), exists)
+        q = (math.sqrt(disc / (norm * norm)) - bf) / 2.0  # B < 0: no cancellation
+        roots = tuple(sorted((q / af, cf / q)))
+        if not (0.0 < roots[0] and roots[1] < math.inf):
+            raise DomainError(f"2-periodic roots of {w} are out of float range")
+        w = _moderate(w)
+        for r in roots:
+            if not abs(r - f_map(f_map(r, w), w)) < _FIXED_POINT_RESIDUAL * max(1.0, r):
+                raise InternalConsistencyError(
+                    f"2-periodic residual too large at root {r}")
+    return PeriodicReport(quad, disc_f, roots, exists)
 
 
 class SweepRow(NamedTuple):

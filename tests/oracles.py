@@ -12,6 +12,11 @@ recurrence the long way. Test files import them as `from oracles import ...`.
   discriminants of three special cases against that division.
 - `vertex_normalizer` is the per-vertex factor of the partition-function
   recurrence Z_{m+1} = A_m * Z_m.
+- `positive_root_count` counts the distinct positive roots of an exact
+  polynomial by Sturm's theorem in Fractions; `canonical_cubic_root_count`
+  applies it to the reduced cubic a*x*(b+x)^2 - (1+x)^2 at two floats,
+  the count `solver.canonical_root_count` decides on integer signs, and
+  `ti_polynomial_root_count` to the weights' fixed-point cubic.
 - `bisect_cubic_root` is the reduced cubic's sign bisection with one loop
   and a sign closure, which `solver._bisect_cubic_root` must match bit
   for bit.
@@ -136,6 +141,48 @@ def vertex_normalizer(own_field: tuple[float, ...],
     for hv in child_fields:
         acc *= math.fsum(mat[q - 1][j] * math.exp(hv[j]) for j in range(q))
     return acc / math.exp(own_field[q - 1])
+
+
+def positive_root_count(coeffs: list) -> int:
+    """Distinct roots in (0, inf) of the polynomial with these ascending
+    exact coefficients and a nonzero constant term: Sturm's chain p, p',
+    -rem, ... read at 0 and at inf, repeated roots counted once."""
+    if coeffs[0] == 0:
+        raise ValueError("p(0) must be nonzero")
+    chain = [list(coeffs), [i * c for i, c in enumerate(coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        rem, den = list(chain[-2]), chain[-1]
+        while len(rem) >= len(den):
+            t = rem[-1] / den[-1]
+            for i, c in enumerate(den):
+                rem[len(rem) - len(den) + i] -= t * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(values) -> int:
+        signs = [v > 0 for v in values if v != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(q[0] for q in chain) - variations(q[-1] for q in chain)
+
+
+def canonical_cubic_root_count(a: float, b: float) -> int:
+    """Distinct positive roots of a*x*(b+x)^2 - (1+x)^2 at the floats a
+    and b, read as exact fractions."""
+    af, bf = Fraction(a), Fraction(b)
+    return positive_root_count([Fraction(-1), af * bf * bf - 2, 2 * af * bf - 1, af])
+
+
+def ti_polynomial_root_count(w: BoltzmannWeights) -> int:
+    """Distinct translation-invariant fixed points of the weights: positive
+    roots of u*(yw*u + xw + zw)^2 - (xw*u + 2*yw)^2, exactly."""
+    x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
+    s = x + z
+    return positive_root_count([-4 * y * y, s * s - 4 * x * y, 2 * y * s - x * x, y * y])
 
 
 def bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:

@@ -13,7 +13,8 @@ import pytest
 
 from lambda_tree import cli, solver
 from lambda_tree.cli import build_parser, main
-from oracles import bisect_cubic_root, sweep_to_csv_by_cell, sweep_to_jsonl_by_cell
+from oracles import (bisect_cubic_root, sweep_to_csv_by_cell, sweep_to_jsonl_by_cell,
+                     ti_polynomial_root_count)
 
 
 def _run_json(capsys, argv):
@@ -192,9 +193,9 @@ def test_solve_cycle_far_from_one(capsys):
 
 
 def test_solve_keeps_the_bisection_point_at_a_tangency(capsys):
-    # a_can sits 1.3e-13 relative below eps1, next to a double root where
-    # Newton's step lands at residual 1.7e-3 (exit 4); the bisection point
-    # it started from meets the gate and is reported instead
+    # a_can sits 1.3e-13 relative below eps1, next to a tangency where
+    # Newton's step once landed at residual 1.7e-3 (exit 4); every root
+    # printed meets the gate
     xw, yw, zw = 1.0, 0.1727345328512528, 0.10808465425866465
     payload = _run_json(capsys, ["solve", "--xw", repr(xw), "--yw", repr(yw),
                                  "--zw", repr(zw)])
@@ -205,6 +206,49 @@ def test_solve_keeps_the_bisection_point_at_a_tangency(capsys):
     assert roots
     for u in roots:
         assert abs(u - solver.f_map(u, w)) <= 1e-9 * max(1.0, u), u
+
+
+def test_solve_counts_exactly_next_to_a_threshold(capsys):
+    # the same point, 1.3e-13 relative from eps1: it has one fixed point
+    # exactly, and no tolerance band turns it into regime "two"
+    xw, yw, zw = 1.0, 0.1727345328512528, 0.10808465425866465
+    payload = _run_json(capsys, ["solve", "--xw", repr(xw), "--yw", repr(yw),
+                                 "--zw", repr(zw)])
+    assert ti_polynomial_root_count(solver.BoltzmannWeights(xw, yw, zw)) == 1
+    ti = payload["translation_invariant"]
+    assert ti["regime"] == "unique"
+    assert ti["roots"] == [19.7860228148825]
+    assert ti["phase_transition"] is False
+
+
+def test_solve_prints_the_tangency_point_for_roots_floats_cannot_separate(capsys):
+    # a_can is one ulp above eps1: three fixed points exactly, two of them
+    # closer than the bisection's sign test can tell apart at x1, so the
+    # tangency point stands for both; Newton steps off it, and the point
+    # itself, which meets the gate, is printed
+    w = solver.BoltzmannWeights(1.0, 0.16190538300905066, 0.0796367441077308)
+    payload = _run_json(capsys, ["solve", "--xw", "1", "--yw", repr(w.yw),
+                                 "--zw", repr(w.zw)])
+    assert ti_polynomial_root_count(w) == 3
+    ti = payload["translation_invariant"]
+    assert ti["regime"] == "three" and ti["phase_transition"] is True
+    assert ti["roots"] == [0.40828842935344, 0.40828842935344, 23.9952813455985]
+    for u in solver.count_ti_roots(w).ti_roots:
+        assert abs(u - solver.f_map(u, w)) <= 1e-9 * max(1.0, u), u
+
+
+def test_solve_reports_both_points_of_a_narrow_cycle(capsys):
+    # D ~ 1e-14: the cycle's two points lie 1.7e-7 apart, around the fixed
+    # point; exact B < 0 < D makes both proper, with no gap asked of them
+    w = solver.BoltzmannWeights(0.3235915534880761, 1.0, 0.3235915534880761)
+    payload = _run_json(capsys, ["solve", "--xw", repr(w.xw), "--yw", "1",
+                                 "--zw", repr(w.zw)])
+    per = payload["two_periodic"]
+    assert per["exists"] is True
+    assert per["proper_roots"] == [1.41779049175744, 1.41779066621927]
+    for r in solver.two_periodic_report(w).proper_roots:
+        assert abs(r - solver.f_map(solver.f_map(r, w), w)) < 1e-9 * max(1.0, r)
+        assert r != solver.f_map(r, w)
 
 
 def test_two_periodic_fields_past_float_range(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -379,6 +380,35 @@ def test_sample_family_exhausts_small_depth():
     # returns all of them
     drawn = sample_family("A5", 50, seed=0, depth=2)
     assert len(drawn) == 4
+
+
+def test_sample_family_lists_every_sequence_without_drawing():
+    # count >= 2^depth gives every admissible sequence, sorted, whatever
+    # the seed: the list the draw-until-all-met loop gave, at no draws
+    families = {"A2": ((1, 2, 3), 1, True), "A5": ((2, 3), 2, False)}
+    for region, (alphabet, anchor, must_differ) in families.items():
+        for depth in range(10):
+            every = ((anchor, *rest) for rest in product(alphabet, repeat=depth))
+            expected = [seq for seq in every
+                        if not (must_differ and any(s == t for s, t in zip(seq, seq[1:])))]
+            assert len(expected) == 2 ** depth
+            for count in (2 ** depth, 2 ** depth + 5, 10 ** 6):
+                drawn = sample_family(region, count, seed=count + depth, depth=depth)
+                assert [cfg.level_spins() for cfg in drawn] == expected, (region, depth, count)
+
+
+def test_sample_family_draws_stay_as_they_were():
+    # below 2^depth the seeded draws are unchanged; the digest is of the
+    # level values of every configuration drawn, in order
+    digest = hashlib.sha256()
+    for region in ("A2", "A5"):
+        for depth in range(1, 8):
+            for count in (1, 4, 2 ** depth - 1):
+                for seed in (0, 1, 13):
+                    for cfg in sample_family(region, count, seed, depth):
+                        digest.update(repr(cfg.level_spins()).encode())
+    assert digest.hexdigest() == \
+        "4fa4dec3ef41e3cfab920110e01f98b73588df94e497c693e756f5be2b91213e"
 
 
 def test_sample_family_deterministic():

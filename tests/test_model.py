@@ -9,7 +9,7 @@ from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.ground import brute_force_minima
 from lambda_tree.model import (REGION_NAMES, SPINS, Configuration, LambdaParams,
-                               ball_energy, ball_energy_catalogue,
+                               ball_energy, ball_energy_catalogue, ball_entry,
                                classify_region, coupling_value, edge_weight,
                                hamiltonian, lambda_value, min_ball_energy,
                                minimal_entries)
@@ -167,13 +167,39 @@ def test_averages_stay_exact_at_the_ends_of_the_float_range():
     assert classify_region(huge).minimal_energy == -1.7e308
 
 
+def test_ball_energy_is_its_catalogue_entry():
+    # value and type, for int couplings that no float equals as well: an
+    # entry that is a coupling itself stays that int
+    values = (0, 1, -1, 10 ** 308, -10 ** 308)
+    for t in product(values, repeat=3):
+        p = LambdaParams(*t)
+        catalogue = ball_energy_catalogue(p)
+        for center, c1, c2 in product(SPINS, repeat=3):
+            energy = ball_energy(center, (c1, c2), p)
+            entry = catalogue[ball_entry(center, (c1, c2))]
+            assert energy == entry and type(energy) is type(entry), (t, center, c1, c2)
+    # floats are the average of the ball's two couplings, bit for bit
+    rng = random.Random(3)
+    floats = (0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, -2.5)
+    for _ in range(200):
+        p = LambdaParams(*(rng.choice(floats) * rng.choice((1.0, rng.random()))
+                           for _ in range(3)))
+        for center, c1, c2 in product(SPINS, repeat=3):
+            u, v = lambda_value(center, c1, p), lambda_value(center, c2, p)
+            mean = (u + v) / 2.0 if math.isfinite(u + v) else u / 2.0 + v / 2.0
+            assert math.copysign(1.0, ball_energy(center, (c1, c2), p)) == \
+                math.copysign(1.0, mean)
+            assert ball_energy(center, (c1, c2), p) == mean, (p, center, c1, c2)
+
+
 def test_int_couplings_decide_as_their_float_values():
     # an exact int sum past the float range is averaged as x/2 + y/2, and
     # the mask is decided on floats, so 10**308, which no float equals,
     # does not fall outside its own rounded min + tol
     p = LambdaParams(10 ** 308, 10 ** 308, 0)
     assert classify_region(p).active_regions == ("A6",)
-    assert ball_energy(1, (3, 3), p) == 1e308
+    assert ball_energy(1, (2, 3), p) == 1e308  # (a + b) / 2
+    assert ball_energy(1, (3, 3), p) == 10 ** 308  # a itself, the catalogue's U1
     assert len(brute_force_minima(p, 1)) == 3
     assert minimal_entries(10 ** 308, 10 ** 308, 0, 0.0) == (False,) * 5 + (True,)
     values = (0, 1, -1, 10 ** 308, -10 ** 308, 2 ** 1023, -2 ** 1023)

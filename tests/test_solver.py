@@ -15,9 +15,10 @@ from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
                                 count_ti_roots, f_map, sweep, sweep_to_csv,
                                 ti_thresholds, two_periodic_report,
                                 weights_from)
-from oracles import (bisect_cubic_root, case_identity_check,
-                     periodic_quadratic, quadratic_by_division,
-                     sweep_to_csv_by_cell, sweep_to_jsonl_by_cell)
+from oracles import (bisect_cubic_root, canonical_cubic_root_count,
+                     case_identity_check, periodic_quadratic,
+                     quadratic_by_division, sweep_to_csv_by_cell,
+                     sweep_to_jsonl_by_cell, ti_polynomial_root_count)
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -137,9 +138,14 @@ def test_root_count_regimes():
     roots, regime, _ = canonical_root_count(0.031625, 10.0)
     assert regime == "three" and len(roots) == 3
 
-    roots, regime, _ = canonical_root_count(0.032, 10.0)
+    # at b = 10 the tangency points are x1 = 2 and x2 = 5, and eps1 = 1/32
+    # is a float, so a_can = 0.03125 is exactly tangent; eps2 = 4/125 is
+    # not, and the float 0.032 lies just above it
+    roots, regime, _ = canonical_root_count(0.03125, 10.0)
     assert regime == "two" and len(roots) == 2
-    assert roots[1] == 5.0  # the tangency point x2 is the double root
+    assert roots[0] == 2.0  # the tangency point x1 is the double root
+    roots, regime, _ = canonical_root_count(0.032, 10.0)
+    assert regime == "unique" and len(roots) == 1 and roots[0] < 2.0
 
     roots, regime, thr = canonical_root_count(0.5, 4.0)
     assert regime == "unique" and thr is None and len(roots) == 1
@@ -162,8 +168,9 @@ def test_bisection_matches_the_closure_oracle(monkeypatch):
     shipped = [canonical_root_count(a, b) for a, b in cases]
     monkeypatch.setattr(solver, "_bisect_cubic_root", bisect_cubic_root)
     assert [canonical_root_count(a, b) for a, b in cases] == shipped
-    # both tangency cases of regime "two", at eps1 and at eps2
-    assert [len(roots) for roots, _, _ in shipped[:4]] == [1, 3, 2, 2]
+    # regime "two" at the exact tangency eps1 = 0.03125; the float 0.032
+    # lies just above eps2 = 4/125
+    assert [len(roots) for roots, _, _ in shipped[:4]] == [1, 3, 2, 1]
     assert {regime for _, regime, _ in shipped[7:]} == {"unique", "three"}
 
 
@@ -261,38 +268,12 @@ def test_shifted_edge_weights_never_cycle():
     assert not two_periodic_report(w).two_periodic_exists
 
 
-def _exact_ti_count(w: BoltzmannWeights) -> int:
-    """Distinct positive roots of u*(yw*u + xw + zw)^2 - (xw*u + 2*yw)^2,
-    counted by Sturm's theorem in exact rationals."""
-    x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
-    s = x + z
-    p = [-4 * y * y, s * s - 4 * x * y, 2 * y * s - x * x, y * y]  # ascending
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        rem, den = list(chain[-2]), chain[-1]
-        while len(rem) >= len(den):
-            t = rem[-1] / den[-1]
-            for i, c in enumerate(den):
-                rem[len(rem) - len(den) + i] -= t * c
-            rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-
-    def variations(values) -> int:
-        signs = [v > 0 for v in values if v != 0]
-        return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
-
-    return variations(q[0] for q in chain) - variations(q[-1] for q in chain)
-
-
 def test_log_uniform_weights_fuzz():
     # regime and root count against an exact count, over twelve e-folds of
     # each weight; the three fixed points were misjudged by absolute
     # tolerances and the float Sturm chain (regime "two" with three roots,
-    # no root found, a false 2-periodic residual failure)
+    # no root found, a false 2-periodic residual failure). Both cycle
+    # points are reported exactly when the cycle exists.
     rng = random.Random(0)
     points = [(7.522, 0.002513, 0.9258), (0.00255, 48.08, 1.405),
               (1e-3, 1e3, 1e-3)]
@@ -302,10 +283,46 @@ def test_log_uniform_weights_fuzz():
     for point in points:
         w = BoltzmannWeights(*point)
         report = count_ti_roots(w)
-        two_periodic_report(w)
-        count = _exact_ti_count(w)
+        per = two_periodic_report(w)
+        count = ti_polynomial_root_count(w)
         assert len(report.ti_roots) == count, point
         assert report.regime == regimes[count], point
+        assert len(per.proper_roots) == (2 if per.two_periodic_exists else 0), point
+
+
+def test_threshold_draws_count_exactly():
+    # a_can within 1e-9 relative of eps1 or eps2, exact ones included, at
+    # xw = 1: the regime is the exact count of the canonical cubic at the
+    # printed floats, with no tolerance band around the thresholds; once
+    # the draw clears the rounding of a_can itself it is also the weights'
+    # count; every root is a fixed point, and nothing exits 4
+    rng = random.Random(21)
+    regimes = {1: "unique", 2: "two", 3: "three"}
+    seen = {"far": set(), "near": set()}
+    drawn = 0
+    while drawn < 800:
+        b = math.exp(rng.uniform(math.log(9.5), math.log(1e4)))
+        eps = ti_thresholds(b)[2 + rng.randrange(2)]
+        delta = 0.0 if rng.random() < 0.1 else \
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17, -9)
+        yw = (eps * (1.0 + delta) / 2.0) ** (1.0 / 3.0)  # a_can = 2*yw^3
+        zw = 2.0 * b * yw * yw - 1.0  # b_can = (1 + zw) / (2*yw^2)
+        if not zw > 0:
+            continue
+        drawn += 1
+        w = BoltzmannWeights(1.0, yw, zw)
+        report = count_ti_roots(w)
+        two_periodic_report(w)
+        can = report.canonical
+        count = canonical_cubic_root_count(can.a_can, can.b_can)
+        assert len(report.ti_roots) == count, (w, delta)
+        assert report.regime == regimes[count], (w, delta)
+        if abs(delta) >= 1e-14:
+            assert count == ti_polynomial_root_count(w), (w, delta)
+        seen["far" if abs(delta) >= 1e-14 else "near"].add(count)
+        for u in report.ti_roots:
+            assert abs(u - f_map(u, w)) <= 1e-9 * max(1.0, u), (w, u)
+    assert seen["far"] == {1, 3} and seen["near"] >= {1, 3}
 
 
 def _float_or_none(value: Fraction) -> float | None:
@@ -507,3 +524,19 @@ def test_sweep_remark_point_unique_yet_cycling():
     assert row.a_can == pytest.approx(250.0, rel=1e-12)
     assert row.b_can == pytest.approx(0.04, rel=1e-12)
     assert row.two_periodic and row.phase_transition
+
+
+def test_cycle_points_past_the_float_range_are_a_domain_error():
+    # the cycle exists exactly, but its points round to 0.0 and 2.7e185,
+    # then to inf and 0.0; count_ti_roots rejects these weights too, as
+    # their canonical parameters leave the float range
+    for w in (BoltzmannWeights(8.92071352562227e-90, 1.9035259606087756e+126,
+                               7.350533831364753e+33),
+              BoltzmannWeights(4.142210446430142e-140, 5.599564072834964e+49,
+                               9.748178529516666e-106)):
+        a, b, c = periodic_quadratic(w)
+        assert b < 0 < b * b - 4 * a * c
+        with pytest.raises(DomainError, match="2-periodic roots .* out of float range"):
+            two_periodic_report(w)
+        with pytest.raises(DomainError):
+            count_ti_roots(w)
