@@ -19,7 +19,7 @@ import sys
 from .errors import CapacityError, InternalConsistencyError, LambdaTreeError, _cut
 from .ground import (REPRESENTATIVE_PARAMS, generators_for, is_ground_state,
                      sample_family, verify_generators)
-from .gibbs import (BoundaryFields, FieldRatios, check_enumerable,
+from .gibbs import (_MAX_STATES, BoundaryFields, FieldRatios, check_enumerable,
                     fields_from_ratios, finite_volume_measure, is_consistent,
                     measure_to_csv, propagate_ratios)
 from .model import LambdaParams, classify_region
@@ -310,6 +310,12 @@ def cmd_consistency(args) -> int:
     check_enumerable(q, TreeShape(shape.k, max(0, shape.depth - 1)))
     if shape.depth < 1:  # before --perturb reaches for level depth - 1
         raise ValueError("consistency needs depth >= 1")
+    # propagate_ratios and is_consistent's fold take each of the k^depth
+    # boundary vectors through a q x q table; the check above leaves depth
+    # at most 21, and k at most 20 past depth 1, so k^depth stays small
+    if shape.k ** shape.depth * q * q > _MAX_STATES:
+        raise CapacityError(f"{shape.k}^{shape.depth} boundary vectors times {q}^2 "
+                            f"exceed the enumeration bound 3^13 = {_MAX_STATES}")
     rng = random.Random(args.seed)
     leaf = FieldRatios(q, {x: tuple(math.exp(rng.uniform(-1.0, 1.0))
                                     for _ in range(q - 1))

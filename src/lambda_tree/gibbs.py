@@ -100,10 +100,14 @@ def boltzmann_matrix(p: LambdaParams, q: int) -> tuple[tuple[float, ...], ...]:
 
 
 def check_enumerable(q: int, shape: TreeShape) -> None:
-    """Raise unless q >= 2 and the q^|V_depth| configurations of the shape
-    are within the enumeration bound; cheap at any depth and k."""
+    """Raise unless q >= 2 and both the q^|V_depth| configurations of the
+    shape and the q x q coupling table every enumeration builds are within
+    the enumeration bound; cheap at any depth and k."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    if q * q > _MAX_STATES:  # binds only at depth 0, where |V| = 1
+        raise CapacityError(f"a {q} x {q} coupling table exceeds the enumeration "
+                            f"bound 3^13 = {_MAX_STATES}")
     # q >= 2 and 2^21 > 3^13, so past 20 vertices the bound fails; depth
     # and k are compared first, so k^depth and q^|V| stay small
     most = _MAX_STATES.bit_length() - 1

@@ -39,7 +39,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .errors import CapacityError, InternalConsistencyError
 from .model import (BALLS_PER_VERTEX, SPINS, Configuration, LambdaParams,
@@ -347,23 +347,6 @@ def sample_family(region: str, count: int, seed: int,
     return [realize(LevelSequence(s), depth) for s in sorted(sequences)]
 
 
-def _child_levels(level: tuple[int, ...], allowed: dict[int, list[tuple[int, int]]],
-                  memo: dict) -> list[tuple[int, ...]]:
-    """Every level that can follow `level`: one allowed child pair per vertex,
-    in canonical order. The two halves of the level are expanded apart and
-    memoized, so long levels cost time linear in what they produce."""
-    out = memo.get(level)
-    if out is None:
-        if len(level) == 1:
-            out = allowed[level[0]]
-        else:
-            half = len(level) // 2
-            out = [left + right for left in _child_levels(level[:half], allowed, memo)
-                   for right in _child_levels(level[half:], allowed, memo)]
-        memo[level] = out
-    return out
-
-
 def _child_pairs(
         pattern: frozenset[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
     """The child pairs (t, u) each center spin s takes in the balls
@@ -379,15 +362,15 @@ def _built_minima(allowed: dict[int, list[tuple[int, int]]],
     """Every configuration of the depth-`depth` binary truncation that takes
     an allowed child pair at each ball center, built from the root one
     level at a time: each prefix ends with a whole level and grows by
-    every level that can follow it. Spins come only from SPINS, so they
-    are not checked again."""
+    every level that can follow it, one allowed child pair per vertex with
+    the leftmost vertex's varying slowest. Spins come only from SPINS, so
+    they are not checked again."""
     shape = TreeShape(2, depth)
-    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     partial = [(s,) for s in SPINS]
     for m in range(depth):
         start = shape.level_positions(m).start
-        partial = [spins + below for spins in partial
-                   for below in _child_levels(spins[start:], allowed, memo)]
+        partial = [spins + tuple(chain.from_iterable(pairs)) for spins in partial
+                   for pairs in product(*[allowed[s] for s in spins[start:]])]
     return Configuration._unchecked(shape, partial)
 
 

@@ -169,10 +169,12 @@ def test_solve_ignores_a_common_factor_of_the_weights(capsys):
 
 
 def test_solve_rejects_mixed_inputs(capsys):
-    rc = main(["solve", "--a", "0", "--b", "0", "--c", "0", "--xw", "1",
-               "--yw", "1", "--zw", "1"])
-    assert rc == 2
-    assert "not both" in capsys.readouterr().err
+    for flags, message in (
+            (["--a", "0", "--b", "0", "--c", "0", "--xw", "1", "--yw", "1", "--zw", "1"],
+             "not both"),
+            (["--xw", "1", "--yw", "1"], "all three of --xw --yw --zw are required")):
+        assert main(["solve", *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_solve_rejects_nonpositive_weight(capsys):
@@ -444,12 +446,13 @@ def test_consistency_pass_and_perturb(capsys):
 def test_consistency_depth_capacity(capsys):
     # depth 4 would enumerate the 3^15 states of V_3; deeper requests are
     # refused before any field is built
-    for depth in ("4", "18", "1000000000"):
+    for flags in (["--depth", "4"], ["--depth", "18"], ["--depth", "1000000000"],
+                  # k^depth boundary vectors times a q x q table
+                  ["--depth", "1", "--k", "1000000000"], ["--depth", "1", "--q", "1263"]):
         start = time.perf_counter()
-        assert main(["consistency", "--a", "0", "--b", "0", "--c", "0",
-                     "--depth", depth]) == 3
+        assert main(["consistency", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
         assert time.perf_counter() - start < 2.0
-        assert "error:" in capsys.readouterr().err
+        assert "enumeration bound 3^13" in capsys.readouterr().err
 
 
 def test_float_flags_take_negative_forms(capsys):
@@ -555,7 +558,7 @@ def test_measure_with_field_file(tmp_path, capsys):
 def test_measure_capacity(capsys):
     # refused before any field is built, without writing out q^|V|
     for flags in (["--depth", "5"], ["--depth", "13"], ["--depth", "1000000000"],
-                  ["--depth", "1", "--k", "1000000000"]):
+                  ["--depth", "1", "--k", "1000000000"], ["--depth", "0", "--q", "1263"]):
         start = time.perf_counter()
         assert main(["measure", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
         assert time.perf_counter() - start < 2.0
@@ -661,6 +664,8 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
            "fixed entry 'a': expected a number, got [0.0]"),
           ({"axes": [dict(axis, step=True)], "fixed": {"a": 0.0, "b": 0.0}},
            "axis 'c' step: expected a number, got true"),
+          ({"axes": [{"name": "c", "start": 0.0, "stop": 1.0}], "fixed": {"a": 0.0, "b": 0.0}},
+           "sweep axis missing 'step'"),
           ({"axes": [axis], "fixed": {"a": False, "b": 0.0}},
            "fixed entry 'a': expected a number, got false"),
           ({"axes": [axis, axis], "fixed": {"a": 0.0, "b": 0.0}},

@@ -297,8 +297,11 @@ def test_boundary_container_validation():
         FieldRatios(3, {v: (1.0,)})
     shape = TreeShape(2, 1)
     h = BoundaryFields(3, {w: (0.0, 0.0, 0.0) for w in shape.level_vertices(1)})
+    root = shape.level_vertices(0)[0]
     with pytest.raises(ValueError):
-        h.at(shape.level_vertices(0)[0])
+        h.at(root)
+    with pytest.raises(ValueError, match=f"no field ratios assigned at vertex {root}"):
+        FieldRatios(3, {v: (1.0, 1.0)}).at(root)
 
 
 def test_flat_model_is_consistent():
@@ -317,6 +320,9 @@ def test_consistency_rejects_a_nan_or_negative_tolerance():
             is_consistent(p, 3, shape, _zero_fields(shape), tol)
         assert str(caught.value) == f"tol must be >= 0, got {tol}"
     assert is_consistent(p, 3, shape, _zero_fields(shape), 0.0).passed
+    flat = TreeShape(2, 0)
+    with pytest.raises(ValueError, match="consistency needs depth >= 1"):
+        is_consistent(p, 3, flat, _zero_fields(flat))
 
 
 def test_measure_csv_layout():

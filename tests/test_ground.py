@@ -516,6 +516,29 @@ def test_cached_minima_at_depth_three():
         assert brute_force_minima(p, 3) == cold, p
 
 
+def test_built_minima_over_all_patterns():
+    # every one of the 63 sets of minimal balls, not only those the seeded
+    # triples meet: at depths 1 and 2 against a filter over all 3^|V| spin
+    # tuples, and at depth 3, within the 2^20-spin cap and mostly past the
+    # minima cache, by count, distinctness and every ball lying in the set
+    for pattern in ground._MINIMAL_BALLS.values():
+        allowed = ground._child_pairs(pattern)
+        for depth in (1, 2):
+            centers = range(2 ** depth - 1)  # ball (c, 2c + 1, 2c + 2), canonical order
+            expected = {spins for spins in product(SPINS, repeat=2 ** (depth + 1) - 1)
+                        if all((spins[c], spins[2 * c + 1], spins[2 * c + 2]) in pattern
+                               for c in centers)}
+            built = {cfg.spins for cfg in ground._built_minima(allowed, depth)}
+            assert built == expected, (sorted(pattern), depth)
+        count, _ = ground._minima(pattern, 3)
+        if count * 15 > ground._MAX_SPINS:
+            continue
+        built = [cfg.spins for cfg in ground._built_minima(allowed, 3)]
+        assert len(set(built)) == len(built) == count, sorted(pattern)
+        assert all((spins[c], spins[2 * c + 1], spins[2 * c + 2]) in pattern
+                   for spins in built for c in range(7)), sorted(pattern)
+
+
 def test_minima_cache_hands_out_copies():
     p = LambdaParams(0.0, 0.0, 0.0)
     first = brute_force_minima(p, 2)

@@ -481,7 +481,7 @@ def test_sweep_csv_and_jsonl_layout():
 
 
 def test_sweep_writers_match_the_per_cell_oracles():
-    # solver's CSV writer, one format per row, and cli's JSON Lines
+    # solver's CSV writer, one conditional per cell, and cli's JSON Lines
     # writer, one rounded dict per row, against the writers that read and
     # format each named cell on its own
     rng = random.Random(5)

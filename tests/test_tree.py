@@ -149,5 +149,7 @@ def test_shape_validation():
         TreeShape(2, -1)
     with pytest.raises(ValueError):
         TreeShape(2, 2).level_size(3)
+    with pytest.raises(ValueError, match=r"level 3 outside 0\.\.2"):
+        TreeShape(2, 2).level_vertices(3)
     with pytest.raises(ValueError):
         balls(TreeShape(2, 0))
