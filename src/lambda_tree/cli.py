@@ -1,8 +1,11 @@
 """Command-line front end: classify, ground, solve, sweep, consistency, measure.
 
-Exit codes: 0 success, 2 usage/parse error, 3 capacity error, 4 internal
-consistency failure. All floating-point output is printed with 15
-significant digits so reruns diff cleanly.
+Each command maps its parsed flags to its output text and writes nothing;
+main parses the flags, writes the text to stdout or --out, and maps errors
+to exit codes: 0 success, 2 usage/parse error, 3 capacity error, 4 internal
+consistency failure. Nothing is written unless the command returns. All
+floating-point output is printed with 15 significant digits so reruns diff
+cleanly.
 """
 
 import argparse
@@ -69,8 +72,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(_round15(obj), indent=2) + "\n", out)
+def _json_text(obj) -> str:
+    return json.dumps(_round15(obj), indent=2) + "\n"
 
 
 def _read_json(path: str):
@@ -131,15 +134,14 @@ def _weights_from_args(args) -> BoltzmannWeights:
     return weights_from(_params_from_args(args))
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     report = classify_region(_params_from_args(args), tol=args.tol)
-    _emit_json({"regions": list(report.active_regions),
-                "minimal_energy": report.minimal_energy,
-                "boundary": report.boundary}, args.out)
-    return 0
+    return _json_text({"regions": list(report.active_regions),
+                       "minimal_energy": report.minimal_energy,
+                       "boundary": report.boundary})
 
 
-def cmd_ground(args) -> int:
+def cmd_ground(args) -> str:
     if args.region:
         if any(getattr(args, n) is not None for n in ("a", "b", "c")):
             raise ValueError("give either --region or --a/--b/--c, not both")
@@ -180,16 +182,15 @@ def cmd_ground(args) -> int:
             "levels": list(cfg.level_spins()),
             "ground_state": is_ground_state(cfg, params, tol=args.tol)[0],
         } for cfg in drawn]
-    _emit_json(result, args.out)
-    return 0
+    return _json_text(result)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> str:
     w = _weights_from_args(args)
     fp = count_ti_roots(w)
     can = fp.canonical
     pr = two_periodic_report(w)
-    _emit_json({
+    return _json_text({
         "weights": {"xw": w.xw, "yw": w.yw, "zw": w.zw},
         "canonical": {"a_can": can.a_can, "b_can": can.b_can},
         "translation_invariant": {
@@ -205,8 +206,7 @@ def cmd_solve(args) -> int:
             "exists": pr.two_periodic_exists,
         },
         "note": INVARIANT_LINE_NOTE,
-    }, args.out)
-    return 0
+    })
 
 
 def _axis_count(axis: dict) -> tuple[float, float, int]:
@@ -295,14 +295,12 @@ def sweep_to_jsonl(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     rows = sweep(_sweep_points(_read_json(args.config)))
-    text = sweep_to_csv(rows) if args.format == "csv" else sweep_to_jsonl(rows)
-    _emit(text, args.out)
-    return 0
+    return sweep_to_csv(rows) if args.format == "csv" else sweep_to_jsonl(rows)
 
 
-def cmd_consistency(args) -> int:
+def cmd_consistency(args) -> str:
     p = _params_from_args(args)
     shape = TreeShape(args.k, args.depth)
     q = args.q
@@ -312,9 +310,11 @@ def cmd_consistency(args) -> int:
         raise ValueError("consistency needs depth >= 1")
     # propagate_ratios and is_consistent's fold take each of the k^depth
     # boundary vectors through a q x q table; the check above leaves depth
-    # at most 21, and k at most 20 past depth 1, so k^depth stays small
-    if shape.k ** shape.depth * q * q > _MAX_STATES:
-        raise CapacityError(f"{shape.k}^{shape.depth} boundary vectors times {q}^2 "
+    # at most 21, and k at most 20 past depth 1, so k^depth stays small.
+    # A boundary vertex costs about as much memory at q = 2 as at q = 3,
+    # so q = 2 is counted as q = 3
+    if shape.k ** shape.depth * max(q, 3) ** 2 > _MAX_STATES:
+        raise CapacityError(f"{shape.k}^{shape.depth} boundary vectors times {max(q, 3)}^2 "
                             f"exceed the enumeration bound 3^13 = {_MAX_STATES}")
     rng = random.Random(args.seed)
     leaf = FieldRatios(q, {x: tuple(math.exp(rng.uniform(-1.0, 1.0))
@@ -330,9 +330,7 @@ def cmd_consistency(args) -> int:
         fields[target] = tuple(hv)
         h = BoundaryFields(q, fields)
     report = is_consistent(p, q, shape, h, tol=args.tol)
-    _emit_json({"max_deviation": report.max_deviation, "pass": report.passed},
-               args.out)
-    return 0
+    return _json_text({"max_deviation": report.max_deviation, "pass": report.passed})
 
 
 def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ...]]:
@@ -358,7 +356,7 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
     return fields
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> str:
     p = _params_from_args(args)
     shape = TreeShape(args.k, args.depth)
     q = args.q
@@ -368,8 +366,7 @@ def cmd_measure(args) -> int:
     else:
         fields = {x: (0.0,) * q for x in shape.level_vertices(shape.depth)}
     measure = finite_volume_measure(p, q, shape, BoundaryFields(q, fields))
-    _emit(measure_to_csv(measure), args.out)
-    return 0
+    return measure_to_csv(measure)
 
 
 def _add_param_flags(sp, with_weights: bool = False) -> None:
@@ -463,11 +460,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
     except (LambdaTreeError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return (3 if isinstance(e, CapacityError)
                 else 4 if isinstance(e, InternalConsistencyError) else 2)
+    return 0
 
 
 if __name__ == "__main__":

@@ -226,7 +226,8 @@ def push_forward(u_children: list[tuple[float, ...]], p: LambdaParams,
     For each spin index m < q the result is the product over children y of
     [sum_j exp(beta*lam(m,j))*u_{j,y} + exp(beta*lam(m,q))] /
     [sum_j exp(beta*lam(q,j))*u_{j,y} + exp(beta*lam(q,q))].
-    A denominator that underflows to 0 raises DomainError.
+    A denominator that underflows to 0 raises DomainError, and so does a
+    product that leaves the float range (0 or inf) or is NaN.
     """
     for u in u_children:
         if len(u) != q - 1:
@@ -249,6 +250,9 @@ def push_forward(u_children: list[tuple[float, ...]], p: LambdaParams,
     except ZeroDivisionError:
         raise DomainError(f"a denominator of the level recursion underflows "
                           f"to 0 at {p}") from None
+    if not all(0.0 < v < math.inf for v in out):
+        raise DomainError(f"a product of the level recursion over {len(u_children)} "
+                          f"children leaves the float range at {p}")
     return tuple(out)
 
 

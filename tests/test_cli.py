@@ -448,7 +448,9 @@ def test_consistency_depth_capacity(capsys):
     # refused before any field is built
     for flags in (["--depth", "4"], ["--depth", "18"], ["--depth", "1000000000"],
                   # k^depth boundary vectors times a q x q table
-                  ["--depth", "1", "--k", "1000000000"], ["--depth", "1", "--q", "1263"]):
+                  ["--depth", "1", "--k", "1000000000"], ["--depth", "1", "--q", "1263"],
+                  # q = 2 is counted as q = 3
+                  ["--depth", "1", "--q", "2", "--k", "177148"]):
         start = time.perf_counter()
         assert main(["consistency", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
         assert time.perf_counter() - start < 2.0
@@ -514,7 +516,12 @@ def test_consistency_weights_out_of_float_range(capsys):
              "LambdaParams(a=1e+308, b=0.0, c=0.0, beta=10.0)"),
             (["--a", "-800", "--b", "-800", "--c", "-800"],
              "a denominator of the level recursion underflows to 0 at "
-             "LambdaParams(a=-800.0, b=-800.0, c=-800.0, beta=1.0)")):
+             "LambdaParams(a=-800.0, b=-800.0, c=-800.0, beta=1.0)"),
+            # a product over 20000 children underflows to 0
+            (["--k", "20000", "--depth", "1", "--q", "3", "--perturb", "0.01",
+              "--a", "0.5", "--b", "-0.3", "--c", "1.2"],
+             "a product of the level recursion over 20000 children leaves the "
+             "float range at LambdaParams(a=0.5, b=-0.3, c=1.2, beta=1.0)")):
         assert main(["consistency", *couplings]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
@@ -798,6 +805,10 @@ def test_out_overwrites_a_longer_file_in_place(tmp_path, capsys):
     for name in _OUT_COMMANDS:
         argv = _out_argv(tmp_path, name)
         printed = _printed(capsys, argv)
+        # each command returns exactly the text main writes
+        args = build_parser().parse_args(argv)
+        text = args.func(args)
+        assert isinstance(text, str) and text.encode() == printed, name
         assert 0 < len(printed) < len(old), name
         out.write_text(old)
         inode = out.stat().st_ino
@@ -847,6 +858,22 @@ def test_sweep_out_over_its_own_config(tmp_path, capsys):
     config = argv[argv.index("--config") + 1]
     _printed(capsys, [*argv, "--out", config])
     assert Path(config).read_bytes() == printed
+
+
+def test_internal_consistency_error_exits_4_and_writes_nothing(tmp_path, capsys,
+                                                                monkeypatch):
+    # a map whose fixed points fail the residual check
+    monkeypatch.setattr(solver, "f_map", lambda u, w: u + 1.0)
+    argv = ["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: fixed-point residual")
+    assert captured.out == ""
+    out = tmp_path / "out.json"
+    out.write_text("old text\n")
+    assert main([*argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"old text\n"
 
 
 def test_out_write_errors_exit_2(tmp_path, capsys):

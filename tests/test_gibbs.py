@@ -183,6 +183,12 @@ def test_push_forward_rejects_bad_input():
         push_forward([(1.0, -2.0), (1.0, 1.0)], p)
     with pytest.raises(ValueError):
         push_forward([(1.0,), (1.0, 1.0)], p)
+    # a product that leaves the float range, or a NaN from an inf ratio
+    p = LambdaParams(0.5, -0.3, 1.2)
+    for u_children, n in (([(0.5, 2.0)] * 20000, 20000), ([(math.inf, 1.0)] * 2, 2)):
+        with pytest.raises(DomainError, match=f"a product of the level recursion "
+                                              f"over {n} children leaves the float range"):
+            push_forward(u_children, p)
 
 
 def test_ratio_field_round_trip():
