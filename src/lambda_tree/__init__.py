@@ -11,7 +11,7 @@ from .errors import (CapacityError, DomainError, InternalConsistencyError,
 from .tree import ROOT, TreeCoord, TreeShape, balls, successors
 from .model import (Configuration, LambdaParams, RegionReport, SPINS,
                     ball_energy, ball_energy_catalogue, classify_region,
-                    coupling_value, hamiltonian, lambda_value, min_ball_energy)
+                    hamiltonian, lambda_value, min_ball_energy)
 from .ground import (FamilyDescriptor, GroundStateCatalog, LevelSequence,
                      REPRESENTATIVE_PARAMS, brute_force_minima, generators_for,
                      is_ground_state, realize, sample_family, verify_generators)

@@ -118,15 +118,15 @@ def _params_from_args(args) -> LambdaParams:
     missing = [n for n in ("a", "b", "c") if getattr(args, n) is None]
     if missing:
         raise ValueError(f"missing coupling flags: {', '.join('--' + n for n in missing)}")
-    return LambdaParams(args.a, args.b, args.c, args.beta)
+    return LambdaParams(args.a, args.b, args.c, 1.0 if args.beta is None else args.beta)
 
 
 def _weights_from_args(args) -> BoltzmannWeights:
     """Weights either directly (--xw/--yw/--zw) or via couplings and beta."""
     have_w = [n for n in _WEIGHT_NAMES if getattr(args, n) is not None]
-    have_p = [n for n in ("a", "b", "c") if getattr(args, n) is not None]
+    have_p = [n for n in _PARAM_NAMES if getattr(args, n) is not None]
     if have_w and have_p:
-        raise ValueError("give either --xw/--yw/--zw or --a/--b/--c, not both")
+        raise ValueError("give either --xw/--yw/--zw or --a/--b/--c/--beta, not both")
     if have_w:
         if len(have_w) != 3:
             raise ValueError("all three of --xw --yw --zw are required")
@@ -303,39 +303,36 @@ def cmd_sweep(args) -> str:
 def cmd_consistency(args) -> str:
     p = _params_from_args(args)
     shape = TreeShape(args.k, args.depth)
-    q = args.q
     # is_consistent enumerates V_{depth-1}; refuse before any field is built
-    check_enumerable(q, TreeShape(shape.k, max(0, shape.depth - 1)))
+    check_enumerable(TreeShape(shape.k, max(0, shape.depth - 1)))
     if shape.depth < 1:  # before --perturb reaches for level depth - 1
         raise ValueError("consistency needs depth >= 1")
     # propagate_ratios and is_consistent's fold take each of the k^depth
-    # boundary vectors through a q x q table; the check above leaves depth
-    # at most 21, and k at most 20 past depth 1, so k^depth stays small.
-    # A boundary vertex costs about as much memory at q = 2 as at q = 3,
-    # so q = 2 is counted as q = 3
-    if shape.k ** shape.depth * max(q, 3) ** 2 > _MAX_STATES:
-        raise CapacityError(f"{shape.k}^{shape.depth} boundary vectors times {max(q, 3)}^2 "
+    # boundary vectors through the 3 x 3 table; the check above leaves
+    # depth at most 13, and k at most 12 past depth 1, so k^depth stays small
+    if shape.k ** shape.depth * 3 ** 2 > _MAX_STATES:
+        raise CapacityError(f"{shape.k}^{shape.depth} boundary vectors times 3^2 "
                             f"exceed the enumeration bound 3^13 = {_MAX_STATES}")
     rng = random.Random(args.seed)
-    leaf = FieldRatios(q, {x: tuple(math.exp(rng.uniform(-1.0, 1.0))
-                                    for _ in range(q - 1))
+    leaf = FieldRatios(3, {x: (math.exp(rng.uniform(-1.0, 1.0)),
+                               math.exp(rng.uniform(-1.0, 1.0)))
                            for x in shape.level_vertices(shape.depth)})
-    ratios = propagate_ratios(leaf, shape, p, q)
-    h = fields_from_ratios(ratios)
+    h = fields_from_ratios(propagate_ratios(leaf, shape, p))
     if args.perturb:
         target = shape.level_vertices(shape.depth - 1)[0]
         hv = list(h.fields[target])
         hv[0] += args.perturb
         fields = dict(h.fields)
         fields[target] = tuple(hv)
-        h = BoundaryFields(q, fields)
-    report = is_consistent(p, q, shape, h, tol=args.tol)
+        h = BoundaryFields(3, fields)
+    report = is_consistent(p, 3, shape, h, tol=args.tol)
     return _json_text({"max_deviation": report.max_deviation, "pass": report.passed})
 
 
 def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ...]]:
     """The --fields file: a JSON object mapping vertex paths of the
-    truncation to lists of numbers."""
+    truncation's last level W_depth, the only fields the measure reads, to
+    lists of numbers."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"--fields: expected an object mapping vertices to "
@@ -352,6 +349,9 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
         if not shape.contains(x):
             raise ValueError(f"{entry}: not a vertex of the "
                              f"k={shape.k}, depth-{shape.depth} truncation")
+        if x.level != shape.depth:
+            raise ValueError(f"{entry}: a vertex on level {x.level}, but only fields "
+                             f"on the last level {shape.depth} enter the measure")
         fields[x] = tuple(_json_float(v, entry) for v in vec)
     return fields
 
@@ -359,13 +359,12 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
 def cmd_measure(args) -> str:
     p = _params_from_args(args)
     shape = TreeShape(args.k, args.depth)
-    q = args.q
-    check_enumerable(q, shape)
+    check_enumerable(shape)
     if args.fields:
         fields = _read_fields(args.fields, shape)
     else:
-        fields = {x: (0.0,) * q for x in shape.level_vertices(shape.depth)}
-    measure = finite_volume_measure(p, q, shape, BoundaryFields(q, fields))
+        fields = {x: (0.0,) * 3 for x in shape.level_vertices(shape.depth)}
+    measure = finite_volume_measure(p, 3, shape, BoundaryFields(3, fields))
     return measure_to_csv(measure)
 
 
@@ -373,7 +372,7 @@ def _add_param_flags(sp, with_weights: bool = False) -> None:
     sp.add_argument("--a", type=float, default=None, help="coupling at spin distance 2")
     sp.add_argument("--b", type=float, default=None, help="coupling at spin distance 1")
     sp.add_argument("--c", type=float, default=None, help="coupling at spin distance 0")
-    sp.add_argument("--beta", type=float, default=1.0, help="inverse temperature")
+    sp.add_argument("--beta", type=float, default=None, help="inverse temperature")
     if with_weights:
         sp.add_argument("--xw", type=float, default=None, help="edge weight exp(beta*c)")
         sp.add_argument("--yw", type=float, default=None, help="edge weight exp(beta*b)")
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--depth", type=int, default=2)
     sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--q", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--perturb", type=float, default=0.0)
     sp.add_argument("--tol", type=float, default=1e-10)
@@ -440,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--depth", type=int, default=1)
     sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--q", type=int, default=3)
     sp.add_argument("--fields", default=None,
                     help="JSON file mapping vertex (e.g. '1.2') to a field vector")
     sp.set_defaults(func=cmd_measure)

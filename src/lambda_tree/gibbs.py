@@ -2,11 +2,15 @@
 linking fields on successive levels.
 
 A boundary-field assignment h gives each vertex a real vector
-(h_1 .. h_q); the finite-volume weight of a configuration on V_n is
-exp{beta*H_n + sum over W_n of h_{spin(x),x}}. Consistency of the family
-over n is equivalent to the field ratios u_{k,x} = exp(h_{k,x} - h_{q,x})
-satisfying a product recursion across levels, which push_forward computes
-in its multiplicative form.
+(h_1, h_2, h_3), one entry per spin; the finite-volume weight of a
+configuration on V_n is exp{beta*H_n + sum over W_n of h_{spin(x),x}}.
+Consistency of the family over n is equivalent to the field ratios
+u_{k,x} = exp(h_{k,x} - h_{3,x}), k = 1, 2, satisfying a product recursion
+across levels, which push_forward computes in its multiplicative form.
+
+The spins are model.SPINS. The five names that take a spin count q
+(BoundaryFields, FieldRatios, propagate_ratios, is_consistent and
+finite_volume_measure) accept only q = 3.
 """
 
 import math
@@ -16,28 +20,38 @@ from itertools import cycle, product, repeat
 from operator import add, mul, truediv
 from types import MappingProxyType
 
-from .errors import CapacityError, DomainError
-from .model import LambdaParams, check_tolerance, coupling_rows, edge_weight
+from .errors import CapacityError, DomainError, _echo_number
+from .model import SPINS, LambdaParams, check_tolerance, coupling_rows, edge_weight
 from .tree import TreeCoord, TreeShape, successors
 
-_MAX_STATES = 3 ** 13
+_MAX_VERTICES = 13
+_MAX_STATES = 3 ** _MAX_VERTICES
 _OVERFLOW_LOG = 700.0  # exp overflows just above this, and underflows below -745
 _BAD_LOG_WEIGHT = ("a log weight is NaN or +inf: a boundary field is NaN or +inf, "
                    "or a sum of fields leaves the float range")
 
 
+def _check_q(value) -> None:
+    """The one ValueError of the five names that take q, unless it is 3,
+    the number of spins."""
+    if value != 3:
+        raise ValueError(f"q must be 3, the number of spins {SPINS}, "
+                         f"got {_echo_number(value)}")
+
+
 @dataclass(frozen=True)
 class BoundaryFields:
-    """Field vector (h_1 .. h_q) per vertex."""
+    """Field vector (h_1, h_2, h_3) per vertex; q must be 3."""
 
     q: int
     fields: dict[TreeCoord, tuple[float, ...]]
 
     def __post_init__(self):
+        _check_q(self.q)
         for x, v in self.fields.items():
-            if len(v) != self.q:
+            if len(v) != 3:
                 raise ValueError(
-                    f"field vector at {x} has {len(v)} components, expected {self.q}")
+                    f"field vector at {x} has {len(v)} components, expected 3")
 
     def at(self, x: TreeCoord) -> tuple[float, ...]:
         v = self.fields.get(x)
@@ -48,16 +62,17 @@ class BoundaryFields:
 
 @dataclass(frozen=True)
 class FieldRatios:
-    """Positive ratio vector (u_1 .. u_{q-1}) per vertex."""
+    """Positive ratio vector (u_1, u_2) per vertex; q must be 3."""
 
     q: int
     ratios: dict[TreeCoord, tuple[float, ...]]
 
     def __post_init__(self):
+        _check_q(self.q)
         for x, v in self.ratios.items():
-            if len(v) != self.q - 1:
+            if len(v) != 2:
                 raise ValueError(
-                    f"ratio vector at {x} has {len(v)} components, expected {self.q - 1}")
+                    f"ratio vector at {x} has {len(v)} components, expected 2")
             if any(not (c > 0) for c in v):
                 raise DomainError(f"nonpositive ratio component at {x}: {v}")
 
@@ -70,12 +85,11 @@ class FieldRatios:
 
 @dataclass(frozen=True)
 class FiniteVolumeMeasure:
-    """Probabilities of the q^vertex_count configurations of V_n, in product
+    """Probabilities of the 3^vertex_count configurations of V_n, in product
     order over the canonical vertex order: the last vertex's spin varies
     fastest, which is also the sorted order of the spin tuples."""
 
     n: int
-    q: int
     vertex_count: int
     values: tuple[float, ...]
     partition: float
@@ -84,7 +98,7 @@ class FiniteVolumeMeasure:
     def probabilities(self) -> MappingProxyType:
         """Read-only view of the values keyed by spin tuples, in the same
         order; built on each access."""
-        configurations = product(range(1, self.q + 1), repeat=self.vertex_count)
+        configurations = product(SPINS, repeat=self.vertex_count)
         return MappingProxyType(dict(zip(configurations, self.values)))
 
 
@@ -94,31 +108,22 @@ class ConsistencyReport:
     max_deviation: float
 
 
-def boltzmann_matrix(p: LambdaParams, q: int) -> tuple[tuple[float, ...], ...]:
-    """edge_weight of coupling(i, j) for i, j in 1..q; DomainError on overflow."""
-    return tuple(tuple(edge_weight(v, p) for v in row) for row in coupling_rows(p, q))
+def boltzmann_matrix(p: LambdaParams) -> tuple[tuple[float, ...], ...]:
+    """edge_weight of coupling(i, j) for i, j in SPINS; DomainError on overflow."""
+    return tuple(tuple(edge_weight(v, p) for v in row) for row in coupling_rows(p))
 
 
-def check_enumerable(q: int, shape: TreeShape) -> None:
-    """Raise unless q >= 2 and both the q^|V_depth| configurations of the
-    shape and the q x q coupling table every enumeration builds are within
-    the enumeration bound; cheap at any depth and k."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if q * q > _MAX_STATES:  # binds only at depth 0, where |V| = 1
-        raise CapacityError(f"a {q} x {q} coupling table exceeds the enumeration "
-                            f"bound 3^13 = {_MAX_STATES}")
-    # q >= 2 and 2^21 > 3^13, so past 20 vertices the bound fails; depth
-    # and k are compared first, so k^depth and q^|V| stay small
-    most = _MAX_STATES.bit_length() - 1
-    if (shape.depth > most or (shape.depth and shape.k > most)
-            or shape.vertex_count() > most or q ** shape.vertex_count() > _MAX_STATES):
-        raise CapacityError(f"{q}^|V_{shape.depth}| states at k = {shape.k} "
+def check_enumerable(shape: TreeShape) -> None:
+    """Raise unless the 3^|V_depth| configurations of the shape are within
+    the enumeration bound 3^13, that is |V_depth| <= 13; depth and k are
+    compared first, so k^depth stays small at any depth and k."""
+    if (shape.depth >= _MAX_VERTICES or (shape.depth and shape.k >= _MAX_VERTICES)
+            or shape.vertex_count() > _MAX_VERTICES):
+        raise CapacityError(f"3^|V_{shape.depth}| states at k = {shape.k} "
                             f"exceed the enumeration bound 3^13 = {_MAX_STATES}")
 
 
-def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
-                 field_at) -> list[float]:
+def _log_weights(p: LambdaParams, shape: TreeShape, field_at) -> list[float]:
     """beta*H + sum over W_depth of field_at(x)[spin] for each configuration
     of V_depth, in product order over the canonical vertex order.
 
@@ -126,16 +131,16 @@ def _log_weights(p: LambdaParams, q: int, shape: TreeShape,
     loop's additions in its order (edges by child index, times beta, then
     fields by vertex index), so the floats are the same as that loop's.
     """
-    check_enumerable(q, shape)
+    check_enumerable(shape)
     nverts = shape.vertex_count()
 
     def by_spin(values, v: int, length: int):
         # values[spin of vertex v] for each configuration of `length` vertices
-        stride = q ** (length - 1 - v)
+        stride = 3 ** (length - 1 - v)
         return cycle([x for x in values for _ in range(stride)])
 
-    lam = coupling_rows(p, q)
-    energies = [0.0] * q
+    lam = coupling_rows(p)
+    energies = [0.0] * 3
     for parent, child in shape.edges():
         rows = by_spin(lam, parent, child)
         energies = [e + c for e, row in zip(energies, rows) for c in row]
@@ -153,9 +158,10 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
     Weights are direct products exp{beta*H + field sum}; a common log
     shift is applied only if that would overflow or underflow. A partition
     function outside the float range, or a NaN or +inf log weight, raises
-    DomainError.
+    DomainError. q must be 3.
     """
-    log_weights = _log_weights(p, q, shape, h.at)
+    _check_q(q)
+    log_weights = _log_weights(p, shape, h.at)
     peak = max(log_weights)
     shift = peak if abs(peak) > _OVERFLOW_LOG else 0.0
     # lw - 0.0 is lw, so only a nonzero shift is subtracted
@@ -175,7 +181,7 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
         raise DomainError(f"the partition function is out of float range: "
                           f"log Z = {shift + math.log(total):.15g}")
     values = tuple(map(truediv, weights, repeat(total)))
-    return FiniteVolumeMeasure(shape.depth, q, shape.vertex_count(), values, partition)
+    return FiniteVolumeMeasure(shape.depth, shape.vertex_count(), values, partition)
 
 
 def _normalized(log_weights: list[float]) -> list[float]:
@@ -196,12 +202,14 @@ def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
 
     The marginal is itself a depth-(n-1) measure, with fields on W_{n-1}
     g_x(s) = sum over y in S(x) of log sum_t exp(beta*lam(s,t) + h_{t,y}),
-    so both sides enumerate only the q^|V_{n-1}| states of V_{n-1}.
+    so both sides enumerate only the 3^|V_{n-1}| states of V_{n-1}. q must
+    be 3.
     """
+    _check_q(q)
     if shape.depth < 1:
         raise ValueError("consistency needs depth >= 1")
     check_tolerance(tol)
-    blam = [[p.beta * v for v in row] for row in coupling_rows(p, q)]
+    blam = [[p.beta * v for v in row] for row in coupling_rows(p)]
 
     def logsumexp(terms: list[float]) -> float:
         top = max(terms)
@@ -213,78 +221,75 @@ def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
                      for row in blam)
 
     inner = TreeShape(shape.k, shape.depth - 1)
-    own = _normalized(_log_weights(p, q, inner, h.at))
-    marginal = _normalized(_log_weights(p, q, inner, folded))
+    own = _normalized(_log_weights(p, inner, h.at))
+    marginal = _normalized(_log_weights(p, inner, folded))
     worst = max(abs(a - b) for a, b in zip(marginal, own))
     return ConsistencyReport(worst <= tol, worst)
 
 
-def push_forward(u_children: list[tuple[float, ...]], p: LambdaParams,
-                 q: int = 3) -> tuple[float, ...]:
+def push_forward(u_children: list[tuple[float, ...]],
+                 p: LambdaParams) -> tuple[float, float]:
     """One step of the level recursion, in multiplicative form.
 
-    For each spin index m < q the result is the product over children y of
-    [sum_j exp(beta*lam(m,j))*u_{j,y} + exp(beta*lam(m,q))] /
-    [sum_j exp(beta*lam(q,j))*u_{j,y} + exp(beta*lam(q,q))].
-    A denominator that underflows to 0 raises DomainError, and so does a
-    product that leaves the float range (0 or inf) or is NaN.
+    With w_ij = exp(beta*lam(i,j)), component m = 1, 2 of the result is
+    the product over children y of
+    (w_m3 + w_m1*u_{1,y} + w_m2*u_{2,y}) / (w_33 + w_31*u_{1,y} + w_32*u_{2,y}),
+    each sum added left to right; the two components share each child's
+    denominator. Since w_13 + w_11 = w_33 + w_31, the line u_1 = 1 maps
+    onto itself exactly. A denominator that underflows to 0 raises
+    DomainError, and so does a product that leaves the float range (0 or
+    inf) or is NaN.
     """
     for u in u_children:
-        if len(u) != q - 1:
-            raise ValueError(f"child ratio vector has {len(u)} components, expected {q - 1}")
+        if len(u) != 2:
+            raise ValueError(f"child ratio vector has {len(u)} components, expected 2")
         if any(not (c > 0) for c in u):
             raise DomainError(f"nonpositive child ratio {u}")
-    mat = boltzmann_matrix(p, q)
-    out = []
+    (w11, w12, w13), (w21, w22, w23), (w31, w32, w33) = boltzmann_matrix(p)
+    acc1 = acc2 = 1.0
     try:
-        for m in range(q - 1):
-            acc = 1.0
-            for u in u_children:
-                num = mat[m][q - 1]
-                den = mat[q - 1][q - 1]
-                for j in range(q - 1):
-                    num += mat[m][j] * u[j]
-                    den += mat[q - 1][j] * u[j]
-                acc *= num / den
-            out.append(acc)
+        for u1, u2 in u_children:
+            den = w33 + w31 * u1 + w32 * u2
+            acc1 *= (w13 + w11 * u1 + w12 * u2) / den
+            acc2 *= (w23 + w21 * u1 + w22 * u2) / den
     except ZeroDivisionError:
         raise DomainError(f"a denominator of the level recursion underflows "
                           f"to 0 at {p}") from None
-    if not all(0.0 < v < math.inf for v in out):
+    if not (0.0 < acc1 < math.inf and 0.0 < acc2 < math.inf):
         raise DomainError(f"a product of the level recursion over {len(u_children)} "
                           f"children leaves the float range at {p}")
-    return tuple(out)
+    return acc1, acc2
 
 
 def fields_from_ratios(u: FieldRatios) -> BoundaryFields:
-    """h_{k,x} = ln u_{k,x} for k < q, h_{q,x} = 0."""
+    """h_{k,x} = ln u_{k,x} for k = 1, 2, h_{3,x} = 0."""
     fields = {x: tuple(map(math.log, v)) + (0.0,)
               for x, v in u.ratios.items()}
-    return BoundaryFields(u.q, fields)
+    return BoundaryFields(3, fields)
 
 
 def propagate_ratios(leaf: FieldRatios, shape: TreeShape, p: LambdaParams,
                      q: int = 3) -> FieldRatios:
     """Extend ratios given on the last level W_depth to all of V_depth by
-    applying push_forward bottom-up."""
+    applying push_forward bottom-up; q must be 3."""
+    _check_q(q)
     ratios = {x: leaf.at(x) for x in shape.level_vertices(shape.depth)}
     for m in range(shape.depth - 1, -1, -1):
         for x in shape.level_vertices(m):
             children = [ratios[y] for y in successors(x, shape)]
-            ratios[x] = push_forward(children, p, q)
-    return FieldRatios(q, ratios)
+            ratios[x] = push_forward(children, p)
+    return FieldRatios(3, ratios)
 
 
 @lru_cache(maxsize=4)
-def _csv_template(q: int, vertex_count: int) -> str:
-    """The CSV of every q^vertex_count measure with a %.15g slot for each
+def _csv_template(vertex_count: int) -> str:
+    """The CSV of every 3^vertex_count measure with a %.15g slot for each
     probability: the header, then one row per configuration label (its
     spins written out digit by digit) in product order."""
-    labels = map("".join, product([str(s) for s in range(1, q + 1)],
-                                  repeat=vertex_count))
+    labels = map("".join, product([str(s) for s in SPINS], repeat=vertex_count))
     return "configuration,probability\n" + ",%.15g\n".join(labels) + ",%.15g\n"
 
 
 def measure_to_csv(measure: FiniteVolumeMeasure) -> str:
     """CSV rows (configuration digit string, probability), canonical order."""
-    return _csv_template(measure.q, measure.vertex_count) % measure.values
+    return _csv_template(measure.vertex_count) % measure.values

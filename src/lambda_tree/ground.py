@@ -72,9 +72,7 @@ class LevelSequence:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("entries must be nonempty")
-        if any(s not in SPINS for s in self.entries):
-            raise ValueError(f"entries must lie in {SPINS}")
-        Configuration._check_spin_values(self.entries)  # 1.0 lies in SPINS too
+        Configuration._check_spin_values(self.entries)
         if self.period is not None and self.period != len(self.entries):
             raise ValueError(
                 f"period {self.period} != {len(self.entries)} entries")
@@ -190,8 +188,9 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     last 8 keys (a, b, c, tol), so scoring many configurations at one
     triple decides the mask once. Only when it fails are the
     balls listed in canonical order (tree.binary_ball_values), up to the
-    first one not in the set; that one goes to ball_energy, which raises
-    for a spin outside SPINS; so does k != 2. Depth 0 raises as balls does.
+    first one not in the set. Configuration holds only spins in SPINS, so
+    every ball has an energy; k != 2 raises as ball_energy does, and
+    depth 0 as balls does.
     """
     shape, spins = sigma.shape, sigma.spins
     if shape.depth < 1 or shape.k != BALLS_PER_VERTEX:
@@ -200,10 +199,8 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     minimal = _minimal_balls(p, tol)
     if minimal.issuperset(sigma.binary_balls):
         return True, None
-    center, (s, t, u) = next((c, ball) for c, ball in enumerate(binary_ball_values(spins))
-                             if ball not in minimal)
-    # not minimal, or not a ball of SPINS: ball_energy raises for the latter
-    ball_energy(s, (t, u), p)
+    center = next(c for c, ball in enumerate(binary_ball_values(spins))
+                  if ball not in minimal)
     return False, shape.vertex_at(center)
 
 

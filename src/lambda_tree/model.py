@@ -14,13 +14,15 @@ Coupling space splits into regions A1..A6 by which catalogue entry is
 minimal; A2, A3, A5 are the equality slices a = b <= c, a = c <= b, and
 b = c <= a. On boundaries several regions are active at once.
 
-The other modules read four rules from here: the coupling table
-(coupling_rows), the edge weight exp(beta*coupling) with its overflow
-error (edge_weight), a ball's catalogue entry (ball_entry), and which
-catalogue entries are minimal (minimal_entries). That last one is a mask
-of six bools, decided once per (a, b, c, tol) and kept for the last 8
-such keys in an lru_cache; beta never enters it, and the region
-classifier and every ground-state verdict read it.
+SPINS is the one place that fixes the spin alphabet: lambda_value raises
+for a spin outside it, coupling_rows is its 3 x 3 table, and Configuration
+holds only int spins from it. The other modules also read from here the
+edge weight exp(beta*coupling) with its overflow error (edge_weight), a
+ball's catalogue entry (ball_entry), and which catalogue entries are
+minimal (minimal_entries). That last one is a mask of six bools, decided
+once per (a, b, c, tol) and kept for the last 8 such keys in an
+lru_cache; beta never enters it, and the region classifier and every
+ground-state verdict read it.
 """
 
 import math
@@ -93,8 +95,8 @@ class Configuration:
 
     @staticmethod
     def _check_spin_values(spins) -> None:
-        if any(type(s) is bool or not isinstance(s, int) or s < 1 for s in spins):
-            raise ValueError("spins must be integers >= 1")
+        if any(type(s) is bool or not isinstance(s, int) or s not in SPINS for s in spins):
+            raise ValueError(f"spins must be integers in {SPINS}")
 
     @classmethod
     def _unchecked(cls, shape: TreeShape, spin_tuples):
@@ -146,21 +148,9 @@ class RegionReport:
     boundary: bool
 
 
-def coupling_value(i: int, j: int, p: LambdaParams) -> float:
-    """Distance-based coupling for spins from any finite alphabet:
-    c on the diagonal, b at distance 1, a at distance 2 or more."""
-    d = abs(i - j)
-    if d == 0:
-        return p.c
-    if d == 1:
-        return p.b
-    return p.a
-
-
-def coupling_rows(p: LambdaParams, q: int) -> list[list[float]]:
-    """coupling_value(i, j, p) for spins i, j in 1..q, one row per i."""
-    return [[coupling_value(i, j, p) for j in range(1, q + 1)]
-            for i in range(1, q + 1)]
+def coupling_rows(p: LambdaParams) -> tuple[tuple[float, ...], ...]:
+    """lambda_value(i, j, p) for spins i, j in SPINS, one row per i."""
+    return ((p.c, p.b, p.a), (p.b, p.c, p.b), (p.a, p.b, p.c))
 
 
 def edge_weight(coupling: float, p: LambdaParams) -> float:
@@ -177,16 +167,18 @@ def edge_weight(coupling: float, p: LambdaParams) -> float:
 
 
 def lambda_value(i: int, j: int, p: LambdaParams) -> float:
-    """The three-spin coupling; arguments must lie in {1, 2, 3}."""
+    """The coupling of spins i and j, both in SPINS: a at distance 2, b at
+    distance 1, c on the diagonal."""
     if i not in SPINS or j not in SPINS:
         raise ValueError(f"spins must be in {SPINS}, got ({i}, {j})")
-    return coupling_value(i, j, p)
+    d = abs(i - j)
+    return p.c if d == 0 else p.b if d == 1 else p.a
 
 
 def hamiltonian(sigma: Configuration, p: LambdaParams) -> float:
     """Sum of coupling values over all nearest-neighbor pairs."""
-    spins = sigma.spins
-    return sum(coupling_value(spins[i], spins[j], p) for i, j in sigma.shape.edges())
+    spins, rows = sigma.spins, coupling_rows(p)
+    return sum(rows[spins[i] - 1][spins[j] - 1] for i, j in sigma.shape.edges())
 
 
 def ball_energy(center: int, children: tuple[int, int], p: LambdaParams) -> float:

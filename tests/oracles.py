@@ -128,19 +128,19 @@ def case_identity_check(case: str, samples) -> dict:
 
 def vertex_normalizer(own_field: tuple[float, ...],
                       child_fields: list[tuple[float, ...]],
-                      p: LambdaParams, q: int = 3) -> float:
+                      p: LambdaParams) -> float:
     """Per-vertex normalizer a(x) of the partition recurrence.
 
     With compatible fields, prod over children y of
     sum_j exp(beta*lam(k,j) + h_{j,y}) equals a(x)*exp(h_{k,x}) for every
-    k; computed here with k = q. The products A_m = prod over W_m of a(x)
+    k; computed here with k = 3. The products A_m = prod over W_m of a(x)
     satisfy Z_{m+1} = A_m * Z_m.
     """
-    mat = boltzmann_matrix(p, q)
+    last_row = boltzmann_matrix(p)[2]
     acc = 1.0
     for hv in child_fields:
-        acc *= math.fsum(mat[q - 1][j] * math.exp(hv[j]) for j in range(q))
-    return acc / math.exp(own_field[q - 1])
+        acc *= math.fsum(w * math.exp(h) for w, h in zip(last_row, hv))
+    return acc / math.exp(own_field[2])
 
 
 def positive_root_count(coeffs: list) -> int:

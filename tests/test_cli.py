@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -172,9 +174,23 @@ def test_solve_rejects_mixed_inputs(capsys):
     for flags, message in (
             (["--a", "0", "--b", "0", "--c", "0", "--xw", "1", "--yw", "1", "--zw", "1"],
              "not both"),
-            (["--xw", "1", "--yw", "1"], "all three of --xw --yw --zw are required")):
+            (["--xw", "1", "--yw", "1"], "all three of --xw --yw --zw are required"),
+            # the weights already hold beta, which would be dropped unread
+            (["--xw", "1", "--yw", "2", "--zw", "3", "--beta", "7"],
+             "give either --xw/--yw/--zw or --a/--b/--c/--beta, not both")):
         assert main(["solve", *flags]) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
+def test_spin_count_flag_is_gone(capsys):
+    # the spins are (1, 2, 3); no command takes --q
+    for command in ("consistency", "measure"):
+        assert main([command, "--a", "0", "--b", "0", "--c", "0", "--q", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --q 3" in captured.err
+        assert captured.out == ""
 
 
 def test_solve_rejects_nonpositive_weight(capsys):
@@ -447,10 +463,8 @@ def test_consistency_depth_capacity(capsys):
     # depth 4 would enumerate the 3^15 states of V_3; deeper requests are
     # refused before any field is built
     for flags in (["--depth", "4"], ["--depth", "18"], ["--depth", "1000000000"],
-                  # k^depth boundary vectors times a q x q table
-                  ["--depth", "1", "--k", "1000000000"], ["--depth", "1", "--q", "1263"],
-                  # q = 2 is counted as q = 3
-                  ["--depth", "1", "--q", "2", "--k", "177148"]):
+                  # k^depth boundary vectors times the 3 x 3 table: 9 * 177148 > 3^13
+                  ["--depth", "1", "--k", "1000000000"], ["--depth", "1", "--k", "177148"]):
         start = time.perf_counter()
         assert main(["consistency", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
         assert time.perf_counter() - start < 2.0
@@ -518,7 +532,7 @@ def test_consistency_weights_out_of_float_range(capsys):
              "a denominator of the level recursion underflows to 0 at "
              "LambdaParams(a=-800.0, b=-800.0, c=-800.0, beta=1.0)"),
             # a product over 20000 children underflows to 0
-            (["--k", "20000", "--depth", "1", "--q", "3", "--perturb", "0.01",
+            (["--k", "20000", "--depth", "1", "--perturb", "0.01",
               "--a", "0.5", "--b", "-0.3", "--c", "1.2"],
              "a product of the level recursion over 20000 children leaves the "
              "float range at LambdaParams(a=0.5, b=-0.3, c=1.2, beta=1.0)")):
@@ -563,9 +577,9 @@ def test_measure_with_field_file(tmp_path, capsys):
 
 
 def test_measure_capacity(capsys):
-    # refused before any field is built, without writing out q^|V|
+    # refused before any field is built, without writing out 3^|V|
     for flags in (["--depth", "5"], ["--depth", "13"], ["--depth", "1000000000"],
-                  ["--depth", "1", "--k", "1000000000"], ["--depth", "0", "--q", "1263"]):
+                  ["--depth", "1", "--k", "1000000000"]):
         start = time.perf_counter()
         assert main(["measure", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
         assert time.perf_counter() - start < 2.0
@@ -647,9 +661,13 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
           # JSON booleans are not numbers, though bool is an int in Python
           ({"1": [True, 0, 0], "2": [0, 0, 0]},
            "--fields entry '1': expected a number, got true"),
-          # keys outside the k=2, depth-1 truncation; inner "0" is a vertex
-          ({"0": [0, 0, 0], "1": [0, 0, 0], "2": [0, 0, 0], "7.7": [9, 9, 9]},
+          # keys outside the k=2, depth-1 truncation
+          ({"1": [0, 0, 0], "2": [0, 0, 0], "7.7": [9, 9, 9]},
            "--fields entry '7.7': not a vertex of the k=2, depth-1 truncation"),
+          # a vertex off the last level, whose field the measure never reads
+          ({"0": [5, 0, 0], "1": [0, 0, 0], "2": [0, 0, 0]},
+           "--fields entry '0': a vertex on level 0, but only fields on the "
+           "last level 1 enter the measure"),
           ({"1": [0, 0, 0], "2": [0, 0, 0], "1.1.1": [1, 2, 3]},
            "--fields entry '1.1.1': not a vertex of the k=2, depth-1 "
            "truncation"),
@@ -996,13 +1014,12 @@ def _fuzz_argv(rng: random.Random, write, odd_files: list, long_files: list) -> 
                            for x in (flag, rng.choice(("1", "0.2", "3", "1e-320", "1e-300",
                                                        "1e308", "1.7e308", "0", "inf")))]]
     if command == "consistency":
-        # at most 4^7 states, or past the 3^13 bound
+        # at most 3^7 states, or past the 3^13 bound
         return ["consistency", *couplings, "--depth", rng.choice(("0", "1", "2", "3", "9")),
-                "--q", rng.choice(("1", "2", "3", "3", "4")), "--k", rng.choice(("1", "2")),
+                "--k", rng.choice(("1", "2")),
                 "--perturb", number(), "--seed", str(rng.randint(0, 9))]
     if command == "measure":
-        argv = ["measure", *couplings, "--depth", rng.choice(("0", "1", "2")),
-                "--q", rng.choice(("1", "2", "3", "3"))]
+        argv = ["measure", *couplings, "--depth", rng.choice(("0", "1", "2"))]
         if rng.random() < 0.5:
             argv += ["--fields", json_file(field_vectors)]
         return argv
@@ -1042,9 +1059,14 @@ def test_seeded_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
 
     rng = random.Random(20261018)
     codes = []
-    used = Counter()
-    for _ in range(1000):
-        argv = _fuzz_argv(rng, write, odd_files, long_files)
+    # each long file once through the command that echoes its key or alias,
+    # then the seeded draws
+    couplings = ["--a", "0", "--b", "0", "--c", "0"]
+    fixed = [["measure", *couplings, "--fields", long_files[0]],
+             ["measure", *couplings, "--fields", long_files[1]],
+             ["sweep", "--config", long_files[2]]]
+    for argv in fixed + [_fuzz_argv(rng, write, odd_files, long_files)
+                         for _ in range(1000)]:
         try:
             rc = main(argv)
         except Exception as e:  # noqa: BLE001 - the failure names the call
@@ -1055,14 +1077,38 @@ def test_seeded_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys):
         assert all(len(line.encode()) < 300 for line in err.splitlines()
                    if line.startswith("error:")), argv
         codes.append(rc)
-        used.update((argv[0], arg) for arg in argv if arg in long_files)
         if rc == 0 and argv[0] not in ("measure", "sweep"):
             json.loads(out, parse_constant=reject)
         elif rc == 0 and argv[-1] == "json":
             for line in out.splitlines():
                 json.loads(line, parse_constant=reject)
-    # the draws reach every exit code, and each long file the command that
-    # echoes its key or alias
+    # the draws reach every exit code
     assert all(codes.count(rc) >= 10 for rc in (0, 2, 3)), Counter(codes)
-    assert all(used[command, path] for command, path
-               in zip(("measure", "measure", "sweep"), long_files)), used
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every lambda-tree line of README's "Command line" block exits 0, with
+    # README's sweep config as its grid.json, and classify prints what its
+    # "# ->" line shows
+    text = _README.read_text()
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "grid.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    lines = block.splitlines()
+    commands = [(i, line) for i, line in enumerate(lines) if line.startswith("lambda-tree ")]
+    assert len(commands) == 8
+    for i, line in commands:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if argv[0] == "classify":
+            shown = lines[i + 1]
+            assert shown.startswith("# -> ")
+            assert json.loads(out) == json.loads(shown[len("# -> "):])
+    # a header and one row per xw in 0.05, 0.10, ..., 1.0
+    assert len((tmp_path / "rows.csv").read_text().splitlines()) == 21

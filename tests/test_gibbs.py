@@ -9,30 +9,28 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                fields_from_ratios, finite_volume_measure,
                                is_consistent, measure_to_csv, propagate_ratios,
                                push_forward)
-from lambda_tree.model import LambdaParams, coupling_value
+from lambda_tree.ground import brute_force_minima
+from lambda_tree.model import SPINS, LambdaParams, lambda_value
 from lambda_tree.solver import f_map, weights_from
 from lambda_tree.tree import TreeShape, successors
 from oracles import vertex_normalizer
 
-# shapes (k, depth) and spin counts q whose full q^|V_depth| enumeration
-# stays within 2^15 states, small enough for the per-state oracle below
-# (|V| <= 15 is tested first, so no power grows large); q = 10 writes
-# two-digit spins into the CSV labels
-_ORACLE_CASES = [(k, depth, q)
-                 for k, depth, q in product((1, 2, 3), range(15), (2, 3, 4, 10))
+# shapes (k, depth) whose full 3^|V_depth| enumeration stays within 2^15
+# states, small enough for the per-state oracle below (|V| <= 15 is tested
+# first, so no power grows large)
+_ORACLE_CASES = [(k, depth) for k, depth in product((1, 2, 3), range(15))
                  if TreeShape(k, depth).vertex_count() <= 15
-                 and q ** TreeShape(k, depth).vertex_count() <= 2 ** 15]
+                 and 3 ** TreeShape(k, depth).vertex_count() <= 2 ** 15]
 
 
-def _per_state_measure(p, q, shape, h):
+def _per_state_measure(p, shape, h):
     """Oracle: one pass per state, edge terms by child index, then beta, then
     the last level's fields; probabilities keyed by spin tuples."""
-    lam = [[coupling_value(i, j, p) for j in range(1, q + 1)]
-           for i in range(1, q + 1)]
+    lam = [[lambda_value(i, j, p) for j in SPINS] for i in SPINS]
     edge_ix = [(shape.index_of(x.parent()), shape.index_of(x))
                for x in shape.vertices() if x.level]
     boundary = [(shape.index_of(x), h.at(x)) for x in shape.level_vertices(shape.depth)]
-    configurations = list(product(range(1, q + 1), repeat=shape.vertex_count()))
+    configurations = list(product(SPINS, repeat=shape.vertex_count()))
     log_weights = []
     for spins in configurations:
         energy = 0.0
@@ -50,12 +48,12 @@ def _per_state_measure(p, q, shape, h):
     return probabilities, total * math.exp(shift)
 
 
-def _marginalized_deviation(p, q, shape, h):
+def _marginalized_deviation(p, shape, h):
     """Oracle: sum the depth-n measure over its last level and take the
     largest gap to the depth-(n-1) measure."""
-    outer, _ = _per_state_measure(p, q, shape, h)
+    outer, _ = _per_state_measure(p, shape, h)
     inner_shape = TreeShape(shape.k, shape.depth - 1)
-    inner, _ = _per_state_measure(p, q, inner_shape, h)
+    inner, _ = _per_state_measure(p, inner_shape, h)
     marginal = {}
     for spins, prob in outer.items():
         key = spins[:inner_shape.vertex_count()]
@@ -68,32 +66,32 @@ def _oracle_inputs(seed: int):
     leaf ratios, plus a copy with one field on W_{n-1} moved (None at
     depth 0)."""
     rng = random.Random(seed)
-    for k, depth, q in _ORACLE_CASES:
+    for k, depth in _ORACLE_CASES:
         shape = TreeShape(k, depth)
         for _ in range(2):
             p = LambdaParams(rng.uniform(-1, 1), rng.uniform(-1, 1),
                              rng.uniform(-1, 1), beta=rng.uniform(0.25, 2.0))
-            leaf = FieldRatios(q, {v: tuple(math.exp(rng.uniform(-3, 3))
-                                            for _ in range(q - 1))
+            leaf = FieldRatios(3, {v: tuple(math.exp(rng.uniform(-3, 3))
+                                            for _ in range(2))
                                    for v in shape.level_vertices(depth)})
             # any common shift of a vertex's fields (a gauge) is immaterial
-            h = fields_from_ratios(propagate_ratios(leaf, shape, p, q))
+            h = fields_from_ratios(propagate_ratios(leaf, shape, p))
             gauge = rng.uniform(-2, 2)
-            h = BoundaryFields(q, {x: tuple(v + gauge for v in vec)
+            h = BoundaryFields(3, {x: tuple(v + gauge for v in vec)
                                    for x, vec in h.fields.items()})
             if not depth:
-                yield p, q, shape, h, None
+                yield p, shape, h, None
                 continue
             fields = dict(h.fields)
             x = rng.choice(shape.level_vertices(depth - 1))
             vec = list(fields[x])
-            vec[rng.randrange(q)] += math.exp(rng.uniform(-6, 1))
+            vec[rng.randrange(3)] += math.exp(rng.uniform(-6, 1))
             fields[x] = tuple(vec)
-            yield p, q, shape, h, BoundaryFields(q, fields)
+            yield p, shape, h, BoundaryFields(3, fields)
 
 
-def _zero_fields(shape: TreeShape, q: int = 3) -> BoundaryFields:
-    return BoundaryFields(q, {v: (0.0,) * q for v in shape.vertices()})
+def _zero_fields(shape: TreeShape) -> BoundaryFields:
+    return BoundaryFields(3, {v: (0.0,) * 3 for v in shape.vertices()})
 
 
 def test_uniform_when_couplings_vanish():
@@ -181,8 +179,11 @@ def test_push_forward_rejects_bad_input():
     p = LambdaParams(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         push_forward([(1.0, -2.0), (1.0, 1.0)], p)
-    with pytest.raises(ValueError):
-        push_forward([(1.0,), (1.0, 1.0)], p)
+    # the recursion is written for the two ratio components of three spins
+    for u in ((1.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=f"child ratio vector has {len(u)} "
+                                             f"components, expected 2"):
+            push_forward([(1.0, 1.0), u], p)
     # a product that leaves the float range, or a NaN from an inf ratio
     p = LambdaParams(0.5, -0.3, 1.2)
     for u_children, n in (([(0.5, 2.0)] * 20000, 20000), ([(math.inf, 1.0)] * 2, 2)):
@@ -262,7 +263,7 @@ def test_gauge_choice_is_immaterial():
 
 def test_boltzmann_matrix_entries():
     p = LambdaParams(0.3, 0.7, -0.4, beta=2.0)
-    mat = boltzmann_matrix(p, 3)
+    mat = boltzmann_matrix(p)
     assert mat[0][2] == math.exp(2.0 * 0.3)   # spins 1,3: two apart
     assert mat[0][1] == math.exp(2.0 * 0.7)   # neighbours
     assert mat[1][1] == math.exp(2.0 * -0.4)  # equal spins
@@ -272,19 +273,19 @@ def test_boltzmann_matrix_entries():
 
 
 def test_solver_weights_are_the_first_boltzmann_row():
-    # (xw, yw, zw) = exp(beta*(c, b, a)) is row 1 of the q = 3 matrix, bit
-    # for bit, and both name the same overflow
+    # (xw, yw, zw) = exp(beta*(c, b, a)) is row 1 of the matrix, bit for
+    # bit, and both name the same overflow
     rng = random.Random(17)
     for _ in range(500):
         p = LambdaParams(*(rng.uniform(-50.0, 50.0) for _ in range(3)),
                          beta=math.exp(rng.uniform(-3.0, 2.0)))
         w = weights_from(p)
         assert [v.hex() for v in (w.xw, w.yw, w.zw)] == \
-            [v.hex() for v in boltzmann_matrix(p, 3)[0]]
+            [v.hex() for v in boltzmann_matrix(p)[0]]
     for p in (LambdaParams(0.0, 0.0, 1000.0), LambdaParams(800.0, 0.0, 0.0),
               LambdaParams(0.0, 1.0, 0.0, beta=1e300)):
         messages = set()
-        for call in (weights_from, lambda p: boltzmann_matrix(p, 3)):
+        for call in (weights_from, boltzmann_matrix):
             with pytest.raises(DomainError) as caught:
                 call(p)
             messages.add(str(caught.value))
@@ -357,30 +358,65 @@ def test_measure_matches_per_state_oracle():
     # the prefix enumeration adds in the per-state loop's order, so the
     # probabilities and the partition function agree bit for bit, and the
     # product-order values give the sorted rows' CSV byte for byte
-    cases = [(p, q, shape, h) for p, q, shape, h, _ in _oracle_inputs(21)]
+    cases = [(p, shape, h) for p, shape, h, _ in _oracle_inputs(21)]
     # peak log weights of about +705 and -720 take the shifted branch
     shape = TreeShape(2, 1)
-    for pair in ((352.5, 352.0), (-360.0, -361.0)):
-        cases.append((LambdaParams(0.3, -0.2, 0.1), 2, shape,
-                      BoundaryFields(2, {v: pair for v in shape.level_vertices(1)})))
-    for p, q, shape, h in cases:
-        mu = finite_volume_measure(p, q, shape, h)
-        probabilities, partition = _per_state_measure(p, q, shape, h)
+    for triple in ((352.5, 352.0, 351.0), (-360.0, -361.0, -362.0)):
+        cases.append((LambdaParams(0.3, -0.2, 0.1), shape,
+                      BoundaryFields(3, {v: triple for v in shape.level_vertices(1)})))
+    for p, shape, h in cases:
+        mu = finite_volume_measure(p, 3, shape, h)
+        probabilities, partition = _per_state_measure(p, shape, h)
         assert mu.probabilities == probabilities
         assert list(mu.probabilities) == list(probabilities)
         assert mu.values == tuple(probabilities.values())
-        assert (mu.n, mu.q, mu.vertex_count) == (shape.depth, q, shape.vertex_count())
+        assert (mu.n, mu.vertex_count) == (shape.depth, shape.vertex_count())
         assert mu.partition == partition
         assert measure_to_csv(mu) == _sorted_row_csv(probabilities)
 
 
 def test_consistency_matches_marginalization_oracle():
-    for p, q, shape, h, bent in _oracle_inputs(22):
+    for p, shape, h, bent in _oracle_inputs(22):
         if not shape.depth:
             continue
         for fields, passes in ((h, True), (bent, False)):
-            report = is_consistent(p, q, shape, fields)
-            expected = _marginalized_deviation(p, q, shape, fields)
+            report = is_consistent(p, 3, shape, fields)
+            expected = _marginalized_deviation(p, shape, fields)
             assert report.passed is passes
             assert (expected <= 1e-10) is passes
             assert abs(report.max_deviation - expected) <= 1e-12
+
+
+def test_only_three_spins_are_accepted():
+    # the five names that take a spin count refuse any q but 3 with one
+    # ValueError, before any other check
+    p = LambdaParams(0.0, 0.0, 0.0)
+    shape = TreeShape(2, 1)
+    h = _zero_fields(shape)
+    leaf = FieldRatios(3, {v: (1.0, 1.0) for v in shape.level_vertices(1)})
+    calls = (lambda q: FieldRatios(q, leaf.ratios),
+             lambda q: BoundaryFields(q, h.fields),
+             lambda q: propagate_ratios(leaf, shape, p, q),
+             lambda q: is_consistent(p, q, shape, h),
+             lambda q: finite_volume_measure(p, q, shape, h))
+    for q in (2, 4):
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call(q)
+            assert str(caught.value) == f"q must be 3, the number of spins (1, 2, 3), got {q}"
+    for call in calls:
+        call(3)
+
+
+def test_ground_states_are_the_zero_temperature_gibbs_limit_of_negated_couplings():
+    # ground minimizes ball energy, while gibbs weights by exp(+beta*H); so
+    # at beta = 40 the depth-2 measure of (-a, -b, -c) with zero boundary
+    # fields puts more than half its largest probability exactly on the
+    # ball-minimal configurations at (a, b, c), for every integer triple
+    shape = TreeShape(2, 2)
+    fields = BoundaryFields(3, {x: (0.0, 0.0, 0.0) for x in shape.level_vertices(2)})
+    for a, b, c in product(range(-2, 3), repeat=3):
+        mu = finite_volume_measure(LambdaParams(-a, -b, -c, 40), 3, shape, fields)
+        peak = max(mu.values)
+        likely = {spins for spins, prob in mu.probabilities.items() if prob > peak / 2}
+        assert likely == {cfg.spins for cfg in brute_force_minima(LambdaParams(a, b, c), 2)}

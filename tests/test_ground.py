@@ -654,18 +654,15 @@ def test_ground_layer_rejects_a_nan_or_negative_tolerance():
 
 
 def test_is_ground_state_rejects_spins_outside_the_alphabet():
+    # a spin outside (1, 2, 3) never reaches is_ground_state: Configuration
+    # refuses it wherever it sits
     p = REPRESENTATIVE_PARAMS["A1"]
-    assert _error(lambda: is_ground_state(
-        Configuration(TreeShape(2, 1), (1, 4, 1)), p)) == \
-        "spins must be in (1, 2, 3), got (1, 4)"
-    # balls are met in canonical order: a failing ball before a spin-4 ball
-    # is the witness, and a spin-4 ball before a failing one raises
     shape = TreeShape(2, 2)
-    assert is_ground_state(Configuration(shape, (1, 3, 3, 1, 2, 4, 1)), p) == \
+    for spins in ((1, 4, 1), (1, 3, 3, 1, 2, 4, 1), (1, 3, 3, 1, 4, 1, 2), (0,) * 7):
+        assert _error(lambda: Configuration(TreeShape(2, len(spins) // 3), spins)) == \
+            "spins must be integers in (1, 2, 3)"
+    assert is_ground_state(Configuration(shape, (1, 3, 3, 1, 2, 3, 1)), p) == \
         (False, TreeCoord((1,)))
-    assert _error(lambda: is_ground_state(
-        Configuration(shape, (1, 3, 3, 1, 4, 1, 2)), p)) == \
-        "spins must be in (1, 2, 3), got (3, 4)"
     assert _error(lambda: is_ground_state(
         Configuration(TreeShape(3, 1), (1, 3, 3, 3)), p)) == \
         "expected 2 child spins, got 3"
@@ -698,10 +695,10 @@ def test_ground_layer_reads_one_ball_table(monkeypatch):
                 assert is_ground_state(realize(g, catalog.verified_depth), p)[0]
         brute_force_minima(p, 2)
     assert calls == []
-    # a failing ball costs one call, which checks its spins
+    # nor does a failing ball: its spins are those of a Configuration
     assert is_ground_state(realize(LevelSequence((1, 2), period=2), 3),
                            REPRESENTATIVE_PARAMS["A6"]) == (False, ROOT)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_signed_zero_triples_share_one_table():
@@ -775,11 +772,11 @@ def test_realize_checks_level_values():
     # the sequence is built, so realize and verify_generators never see it;
     # True (== 1) is refused too, as LambdaParams refuses it
     for entries, period in (((1.0,), 1), ((2, 3.0), None), ((2, 3.0), 2),
-                            ((True,), 1), ((True, 3), 2)):
+                            ((True,), 1), ((True, 3), 2), ((4,), 1), ((1, 0), 2)):
         assert _error(lambda: LevelSequence(entries, period)) == \
-            "spins must be integers >= 1"
+            "spins must be integers in (1, 2, 3)"
     assert _error(lambda: Configuration(TreeShape(2, 1), (True, 3, 3))) == \
-        "spins must be integers >= 1"
+        "spins must be integers in (1, 2, 3)"
     # the two agree on what can be built
     p = REPRESENTATIVE_PARAMS["A6"]
     generators = [LevelSequence((1,), period=1), LevelSequence((1, 2), period=2)]
@@ -902,17 +899,15 @@ def test_ball_sets_keep_verdicts_and_witnesses():
 
 
 def test_ball_sets_keep_raising_for_spins_outside_the_alphabet():
-    # a spin 4 in an otherwise minimal tree raises on every call, the one
-    # that keeps the ball set and the ones that read it
+    # a spin 4 anywhere in an otherwise minimal tree is refused before a
+    # configuration, and so a ball set, exists
     p = REPRESENTATIVE_PARAMS["A1"]
     base = realize(LevelSequence((1, 3), period=2), 5)
     for position in range(len(base.spins)):
         spins = list(base.spins)
         spins[position] = 4
-        cfg = Configuration(base.shape, tuple(spins))
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"spins must be in \(1, 2, 3\)"):
-                is_ground_state(cfg, p)
+        with pytest.raises(ValueError, match=r"spins must be integers in \(1, 2, 3\)"):
+            Configuration(base.shape, tuple(spins))
     assert is_ground_state(base, p) == is_ground_state(base, p) == (True, None)
 
 

@@ -10,7 +10,7 @@ from lambda_tree.gibbs import push_forward
 from lambda_tree.ground import brute_force_minima
 from lambda_tree.model import (REGION_NAMES, SPINS, Configuration, LambdaParams,
                                ball_energy, ball_energy_catalogue, ball_entry,
-                               classify_region, coupling_value, edge_weight,
+                               classify_region, coupling_rows, edge_weight,
                                hamiltonian, lambda_value, min_ball_energy,
                                minimal_entries)
 from lambda_tree.tree import ROOT, TreeShape, balls
@@ -58,11 +58,12 @@ def test_coupling_by_distance():
     for i in SPINS:
         for j in SPINS:
             assert lambda_value(i, j, p) == lambda_value(j, i, p)
-    with pytest.raises(ValueError):
-        lambda_value(0, 1, p)
-    # the distance rule extends past spin 3 without special cases
-    assert coupling_value(1, 4, p) == -1.0
-    assert coupling_value(4, 5, p) == 2.0
+    # the spins are SPINS alone, and coupling_rows is their table
+    for i, j in ((0, 1), (1, 4), (4, 5)):
+        with pytest.raises(ValueError, match=r"spins must be in \(1, 2, 3\)"):
+            lambda_value(i, j, p)
+    assert coupling_rows(p) == tuple(tuple(lambda_value(i, j, p) for j in SPINS)
+                                     for i in SPINS)
 
 
 def test_potts_reduction():
