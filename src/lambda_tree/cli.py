@@ -143,8 +143,8 @@ def cmd_classify(args) -> str:
 
 def cmd_ground(args) -> str:
     if args.region:
-        if any(getattr(args, n) is not None for n in ("a", "b", "c")):
-            raise ValueError("give either --region or --a/--b/--c, not both")
+        if any(getattr(args, n) is not None for n in _PARAM_NAMES):
+            raise ValueError("give either --region or --a/--b/--c/--beta, not both")
         regions = [args.region]
         params = REPRESENTATIVE_PARAMS[args.region]
     else:

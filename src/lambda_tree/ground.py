@@ -24,8 +24,9 @@ Each cache, with its key and its bound:
 - _catalog: the certified catalog, per (region, max_period); the last 8,
   each of at most 2^20 level values.
 - _realize: the configuration, per (level sequence, depth) of depth at
-  most 9; the last 256, so at most 256 x 2^10 spins. Deeper trees are
-  built afresh.
+  most 9; the last 256, so at most 256 x 2^10 spins. Deeper trees, and
+  the trees of a family draw of more than 256 sequences, are built
+  afresh.
 - _minima: the number of ball-minimal configurations, per (pattern of
   minimal balls, depth), with the configurations themselves when they
   hold at most 2^14 spins; the last 16, so at most 16 x 2^14 spins.
@@ -50,6 +51,7 @@ _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one se
 _MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
 _MEMO_SPINS = 2 ** 14  # largest set of minima (count x |V| spins) brute_force_minima caches
 _REALIZED_DEPTH = 9  # deepest tree (2^10 - 1 spins) realize caches
+_REALIZED_TREES = 256  # trees realize keeps
 
 # one coupling triple per region making its catalogue entry minimal
 REPRESENTATIVE_PARAMS: dict[str, LambdaParams] = {
@@ -162,7 +164,7 @@ def realize(seq: LevelSequence, depth: int) -> Configuration:
     return _realize(seq, depth)
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=_REALIZED_TREES, typed=True)
 def _realize(seq: LevelSequence, depth: int) -> Configuration:
     """realize's tree, kept for the last 256 (seq, depth) pairs; realize
     passes only depths of at most _REALIZED_DEPTH, so the cache holds at
@@ -316,7 +318,9 @@ def sample_family(region: str, count: int, seed: int,
     min(count, 2^depth) distinct ones are found, then sorted; when count
     is at least 2^depth, every sequence is built level by level instead,
     with no draws. Both families happen to have exactly 2 admissible
-    values at every level, read from the descriptor."""
+    values at every level, read from the descriptor. A draw of more than
+    _REALIZED_TREES sequences is built afresh and leaves realize's cache
+    as it was."""
     if count < 0:
         raise ValueError("count must be >= 0")
     family = _FAMILIES.get(region)
@@ -341,7 +345,10 @@ def sample_family(region: str, count: int, seed: int,
         for _ in range(depth):
             entries.append(rng.choice(options[entries[-1]]))
         sequences.add(tuple(entries))
-    return [realize(LevelSequence(s), depth) for s in sorted(sequences)]
+    # more trees than realize keeps would only cycle its cache, evicting
+    # every other entry; _check_spins above bounds their spins
+    build = _realize.__wrapped__ if len(sequences) > _REALIZED_TREES else realize
+    return [build(LevelSequence(s), depth) for s in sorted(sequences)]
 
 
 def _child_pairs(

@@ -30,6 +30,12 @@ the closed form
 in (x, y, z) = (xw, yw, zw), evaluated exactly; the sign of its
 discriminant decides existence. The composed-map division that derives
 this closed form is a test oracle and is not run here.
+
+Both analyses run in private cores on the three weights as plain floats:
+_ti_core for the fixed points and _periodic_core for the 2-periodic pair.
+count_ti_roots and two_periodic_report wrap them and are the only
+builders of CanonicalParams, FixedPointReport and PeriodicReport; a sweep
+row comes from the cores directly, with no report object built.
 """
 
 import math
@@ -85,44 +91,69 @@ class PeriodicReport:
     two_periodic_exists: bool
 
 
+def _edge_weights(p: LambdaParams) -> tuple[float, float, float]:
+    """(xw, yw, zw) of p: edge_weight's DomainError where one overflows,
+    and BoltzmannWeights' where one underflows to 0."""
+    xw, yw, zw = edge_weight(p.c, p), edge_weight(p.b, p), edge_weight(p.a, p)
+    if not (xw and yw and zw):
+        BoltzmannWeights(xw, yw, zw)  # raises, naming the weight
+    return xw, yw, zw
+
+
 def weights_from(p: LambdaParams) -> BoltzmannWeights:
-    return BoltzmannWeights(edge_weight(p.c, p), edge_weight(p.b, p), edge_weight(p.a, p))
+    return BoltzmannWeights(*_edge_weights(p))
+
+
+def _line_map(u: float, xw: float, yw: float, zw: float) -> float:
+    """f_map on the weights as plain floats."""
+    return ((xw * u + 2.0 * yw) / (yw * u + (xw + zw))) ** 2
 
 
 def f_map(u: float, w: BoltzmannWeights) -> float:
     """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
-    return ((w.xw * u + 2.0 * w.yw) / (w.yw * u + (w.xw + w.zw))) ** 2
+    return _line_map(u, w.xw, w.yw, w.zw)
 
 
-def _moderate(w: BoltzmannWeights) -> BoltzmannWeights:
-    """w itself while every weight lies in [2^-256, 2^256]; otherwise the
-    three weights times the power of two that puts yw in [1, 2). The
-    canonical parameters, the map's fixed points and the 2-periodic roots
-    depend on the weights only through their ratios, and a power of two
-    scales a float exactly, so a common factor of e^300 or more changes no
-    verdict. w comes back if the rescale would leave the positive floats."""
+def _moderate(xw: float, yw: float, zw: float) -> tuple[float, float, float]:
+    """The weights themselves while each lies in [2^-256, 2^256]; otherwise
+    the three times the power of two that puts yw in [1, 2). The canonical
+    parameters, the map's fixed points and the 2-periodic roots depend on
+    the weights only through their ratios, and a power of two scales a
+    float exactly, so a common factor of e^300 or more changes no verdict.
+    The weights come back as given if the rescale would leave the positive
+    floats."""
     lo, hi = _MODERATE_WEIGHTS
-    if lo <= w.xw <= hi and lo <= w.yw <= hi and lo <= w.zw <= hi:
-        return w
-    shift = 1 - math.frexp(w.yw)[1]
+    if lo <= xw <= hi and lo <= yw <= hi and lo <= zw <= hi:
+        return xw, yw, zw
+    shift = 1 - math.frexp(yw)[1]
     try:
-        return BoltzmannWeights(*(math.ldexp(v, shift) for v in (w.xw, w.yw, w.zw)))
-    except (DomainError, OverflowError):  # a weight underflows or overflows
-        return w
+        v = (math.ldexp(xw, shift), math.ldexp(yw, shift), math.ldexp(zw, shift))
+    except OverflowError:
+        return xw, yw, zw
+    return v if v[0] and v[1] and v[2] else (xw, yw, zw)  # none underflows to 0
 
 
-def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
-    """(a_can, b_can) of the weights, computed on _moderate(w); a
-    DomainError names the caller's w."""
-    v = _moderate(w)
+def _canonical(xw: float, yw: float, zw: float):
+    """(a_can, b_can, v): the canonical parameters, computed on the
+    moderated weights v = _moderate(xw, yw, zw); a DomainError names
+    BoltzmannWeights(xw, yw, zw)."""
+    v = _moderate(xw, yw, zw)
+    mx, my, mz = v
     try:
-        a_can = 2.0 * v.yw ** 3 / v.xw ** 3
-        b_can = v.xw * (v.xw + v.zw) / (2.0 * v.yw ** 2)
+        a_can = 2.0 * my ** 3 / mx ** 3
+        b_can = mx * (mx + mz) / (2.0 * my ** 2)
     except (OverflowError, ZeroDivisionError):
         a_can = b_can = math.nan  # rejected below
     if not (0.0 < a_can < math.inf and 0.0 < b_can < math.inf):
-        raise DomainError(
-            f"canonical parameters of {w} are not positive finite floats")
+        raise DomainError(f"canonical parameters of {BoltzmannWeights(xw, yw, zw)} "
+                          f"are not positive finite floats")
+    return a_can, b_can, v
+
+
+def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
+    """(a_can, b_can) of the weights, computed on the moderated weights;
+    a DomainError names w."""
+    a_can, b_can, _ = _canonical(w.xw, w.yw, w.zw)
     return CanonicalParams(a_can, b_can)
 
 
@@ -238,34 +269,42 @@ def canonical_root_count(a_can: float, b_can: float):
     return roots, ("unique", "two", "three")[count - 1], (eps1, eps2)
 
 
-def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
-    """Translation-invariant fixed points on the invariant line, found
-    and polished on _moderate(w)."""
-    can = canonical_params(w)
-    roots_x, regime, thresholds = canonical_root_count(can.a_can, can.b_can)
-    w = _moderate(w)
-    scale = 2.0 * w.yw / w.xw
+def _ti_core(xw: float, yw: float, zw: float):
+    """(a_can, b_can, u_roots, regime, thresholds): the translation-invariant
+    fixed points on the invariant line, in increasing order, found and
+    polished on the moderated weights, each checked against u = f(u)."""
+    a_can, b_can, (mx, my, mz) = _canonical(xw, yw, zw)
+    roots_x, regime, thresholds = canonical_root_count(a_can, b_can)
+    scale = 2.0 * my / mx
     u_roots = []
     for x in roots_x:
         start = x * scale
-        u = _polish_fixed_point(start, w)
-        residual = abs(u - f_map(u, w))
+        u = _polish_fixed_point(start, mx, my, mz)
+        residual = abs(u - _line_map(u, mx, my, mz))
         if not residual <= _FIXED_POINT_RESIDUAL * max(1.0, u):
             # Newton can step off a near-double root that the bisection
             # point already meets
-            if not abs(start - f_map(start, w)) <= _FIXED_POINT_RESIDUAL * max(1.0, start):
+            if not (abs(start - _line_map(start, mx, my, mz))
+                    <= _FIXED_POINT_RESIDUAL * max(1.0, start)):
                 raise InternalConsistencyError(
                     f"fixed-point residual {residual:.3e} at u={u}")
             u = start
         u_roots.append(u)
-    return FixedPointReport(tuple(sorted(u_roots)), regime, thresholds,
-                            regime != "unique", can)
+    u_roots.sort()
+    return a_can, b_can, tuple(u_roots), regime, thresholds
 
 
-def _polish_fixed_point(u: float, w: BoltzmannWeights) -> float:
+def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
+    """Translation-invariant fixed points on the invariant line, found
+    and polished on the moderated weights."""
+    a_can, b_can, roots, regime, thresholds = _ti_core(w.xw, w.yw, w.zw)
+    return FixedPointReport(roots, regime, thresholds, regime != "unique",
+                            CanonicalParams(a_can, b_can))
+
+
+def _polish_fixed_point(u: float, xw: float, yw: float, zw: float) -> float:
     """A few Newton steps on g(u) = f(u) - u."""
-    xw, yw = w.xw, w.yw
-    den0 = xw + w.zw
+    den0 = xw + zw
     for _ in range(4):
         num = xw * u + 2.0 * yw  # f(u) = (num/den)^2, as in f_map
         den = yw * u + den0
@@ -283,7 +322,8 @@ def _polish_fixed_point(u: float, w: BoltzmannWeights) -> float:
     return u
 
 
-def _quadratic_numerators(w: BoltzmannWeights) -> tuple[int, int, int, int]:
+def _quadratic_numerators(xw: float, yw: float,
+                          zw: float) -> tuple[int, int, int, int]:
     """Integers (a, b, c, scale) with (A, B, C) = (a, b, c) / scale.
 
     A, B and C (closed form in the module docstring) are homogeneous of
@@ -291,7 +331,7 @@ def _quadratic_numerators(w: BoltzmannWeights) -> tuple[int, int, int, int]:
     so they are evaluated on integers over the largest of the three
     denominators, whose fourth power is the scale.
     """
-    ratios = [v.as_integer_ratio() for v in (w.xw, w.yw, w.zw)]
+    ratios = [v.as_integer_ratio() for v in (xw, yw, zw)]
     d = max(den for _, den in ratios)  # powers of two: a common multiple
     x, y, z = (num * (d // den) for num, den in ratios)
     xx, yy, zz = x * x, y * y, z * z
@@ -300,6 +340,43 @@ def _quadratic_numerators(w: BoltzmannWeights) -> tuple[int, int, int, int]:
     b = (xx * (xx + 6 * x * y + 2 * x * z + 8 * yy + 6 * y * z + zz)
          + 2 * x * y * z * (4 * y + 3 * z) - 4 * yy * yy + 2 * y * z * zz)
     return a, b, c, d ** 4
+
+
+def _as_float(num: int, den: int) -> float | None:
+    """num / den, or None past the float range."""
+    try:  # int / int rounds correctly, as float(Fraction) does
+        return num / den
+    except OverflowError:
+        return None
+
+
+def _periodic_core(xw: float, yw: float, zw: float):
+    """(quad, discriminant, proper_roots, exists) of the caller's weights,
+    the fields of PeriodicReport; see two_periodic_report."""
+    a, b, c, scale = _quadratic_numerators(xw, yw, zw)
+    disc = b * b - 4 * a * c  # D times scale^2
+    exists = b < 0 and disc > 0
+    quad = (_as_float(a, scale), _as_float(b, scale), _as_float(c, scale))
+    disc_f = _as_float(disc, scale * scale)
+    if not exists:
+        return quad, disc_f, (), False
+    # the roots are the same for any common factor of a, b and c; a power
+    # of two near their size keeps the floats in range and, where quad is
+    # in range, gives the same roots bit for bit
+    norm = 2 ** max(a, abs(b), c).bit_length()
+    af, bf, cf = a / norm, b / norm, c / norm
+    q = (math.sqrt(disc / (norm * norm)) - bf) / 2.0  # B < 0: no cancellation
+    roots = tuple(sorted((q / af, cf / q)))
+    if not (0.0 < roots[0] and roots[1] < math.inf):
+        raise DomainError(f"2-periodic roots of {BoltzmannWeights(xw, yw, zw)} "
+                          f"are out of float range")
+    mx, my, mz = _moderate(xw, yw, zw)
+    for r in roots:
+        if not (abs(r - _line_map(_line_map(r, mx, my, mz), mx, my, mz))
+                < _FIXED_POINT_RESIDUAL * max(1.0, r)):
+            raise InternalConsistencyError(
+                f"2-periodic residual too large at root {r}")
+    return quad, disc_f, roots, True
 
 
 def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
@@ -311,39 +388,10 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     fixed point of f: a fixed point that solves the quadratic has
     f' = -1 there, where u = f(f(u)) has a triple root and D = 0. So
     where the pair exists both roots are reported, each checked against
-    u = f(f(u)) on _moderate(w), as f is. A, B, C or D past the float
-    range is reported as None.
+    u = f(f(u)) on the moderated weights, as f is. A, B, C or D past the
+    float range is reported as None.
     """
-    a, b, c, scale = _quadratic_numerators(w)
-    disc = b * b - 4 * a * c  # D times scale^2
-    exists = b < 0 and disc > 0
-
-    def as_float(num: int, den: int) -> float | None:
-        try:  # int / int rounds correctly, as float(Fraction) does
-            return num / den
-        except OverflowError:
-            return None
-
-    quad = (as_float(a, scale), as_float(b, scale), as_float(c, scale))
-    disc_f = as_float(disc, scale * scale)
-
-    roots: tuple[float, ...] = ()
-    if exists:
-        # the roots are the same for any common factor of a, b and c; a
-        # power of two near their size keeps the floats in range and,
-        # where quad is in range, gives the same roots bit for bit
-        norm = 2 ** max(a, abs(b), c).bit_length()
-        af, bf, cf = a / norm, b / norm, c / norm
-        q = (math.sqrt(disc / (norm * norm)) - bf) / 2.0  # B < 0: no cancellation
-        roots = tuple(sorted((q / af, cf / q)))
-        if not (0.0 < roots[0] and roots[1] < math.inf):
-            raise DomainError(f"2-periodic roots of {w} are out of float range")
-        w = _moderate(w)
-        for r in roots:
-            if not abs(r - f_map(f_map(r, w), w)) < _FIXED_POINT_RESIDUAL * max(1.0, r):
-                raise InternalConsistencyError(
-                    f"2-periodic residual too large at root {r}")
-    return PeriodicReport(quad, disc_f, roots, exists)
+    return PeriodicReport(*_periodic_core(w.xw, w.yw, w.zw))
 
 
 class SweepRow(NamedTuple):
@@ -369,20 +417,18 @@ SWEEP_COLUMNS = SweepRow._fields
 
 
 def _sweep_point(point) -> SweepRow:
+    """The row of one point, from the float cores; no report is built."""
     if isinstance(point, LambdaParams):
-        w = weights_from(point)
+        xw, yw, zw = _edge_weights(point)
         abc = (point.a, point.b, point.c, point.beta)
     else:
-        w = point
+        xw, yw, zw = point.xw, point.yw, point.zw
         abc = (None, None, None, None)
-    fp = count_ti_roots(w)
-    pr = two_periodic_report(w)
-    eps1, eps2 = fp.thresholds if fp.thresholds else (None, None)
-    return SweepRow(*abc, w.xw, w.yw, w.zw,
-                    fp.canonical.a_can, fp.canonical.b_can, len(fp.ti_roots),
-                    eps1, eps2, pr.quad[1], pr.discriminant,
-                    pr.two_periodic_exists,
-                    fp.phase_transition or pr.two_periodic_exists)
+    a_can, b_can, u_roots, regime, thresholds = _ti_core(xw, yw, zw)
+    quad, disc_f, _, exists = _periodic_core(xw, yw, zw)
+    eps1, eps2 = thresholds if thresholds else (None, None)
+    return SweepRow(*abc, xw, yw, zw, a_can, b_can, len(u_roots), eps1, eps2,
+                    quad[1], disc_f, exists, regime != "unique" or exists)
 
 
 def sweep(points) -> list[SweepRow]:

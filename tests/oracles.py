@@ -60,7 +60,7 @@ def exact_line_map(w: BoltzmannWeights) -> RationalFn:
 def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
     """(A, B, C) of the exact quotient numerator(f∘f - id)/numerator(f - id),
     from the integers the solver evaluates its closed form on."""
-    a, b, c, scale = _quadratic_numerators(w)
+    a, b, c, scale = _quadratic_numerators(w.xw, w.yw, w.zw)
     return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
 
 

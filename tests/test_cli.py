@@ -97,11 +97,14 @@ def test_ground_catalog_json(capsys):
 
 
 def test_ground_region_excludes_couplings(capsys):
-    # the region's representative coupling would silently replace them
-    for couplings in (["--a", "5", "--b", "5", "--c", "5"], ["--c", "0"]):
+    # the region's representative coupling and beta would silently replace
+    # them
+    for couplings in (["--a", "5", "--b", "5", "--c", "5"], ["--c", "0"],
+                      ["--beta", "7"]):
         assert main(["ground", "--region", "A1", *couplings, "--depth", "2"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: give either --region or --a/--b/--c, not both\n"
+        assert captured.err == \
+            "error: give either --region or --a/--b/--c/--beta, not both\n"
         assert captured.out == ""
 
 
@@ -880,18 +883,20 @@ def test_sweep_out_over_its_own_config(tmp_path, capsys):
 
 def test_internal_consistency_error_exits_4_and_writes_nothing(tmp_path, capsys,
                                                                 monkeypatch):
-    # a map whose fixed points fail the residual check
-    monkeypatch.setattr(solver, "f_map", lambda u, w: u + 1.0)
-    argv = ["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"]
-    assert main(argv) == 4
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: fixed-point residual")
-    assert captured.out == ""
-    out = tmp_path / "out.json"
-    out.write_text("old text\n")
-    assert main([*argv, "--out", str(out)]) == 4
-    assert capsys.readouterr().out == ""
-    assert out.read_bytes() == b"old text\n"
+    # a map whose fixed points fail the residual check, in solve and in
+    # sweep alike
+    monkeypatch.setattr(solver, "_line_map", lambda u, xw, yw, zw: u + 1.0)
+    out = tmp_path / "out.txt"
+    for argv in (["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"],
+                 _out_argv(tmp_path, "sweep csv")):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: fixed-point residual")
+        assert captured.out == ""
+        out.write_text("old text\n")
+        assert main([*argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"old text\n"
 
 
 def test_out_write_errors_exit_2(tmp_path, capsys):

@@ -812,6 +812,23 @@ def test_realize_cache_changes_no_configuration():
         assert realize(seq, depth) is cfg
 
 
+def test_a_large_family_draw_leaves_the_realize_cache_alone():
+    # 300 drawn and 512 listed sequences, more than the 256 trees realize
+    # keeps, are built afresh: the small draw's trees stay cached
+    clear_caches()
+    small = sample_family("A2", 4, seed=0, depth=9)
+    before = ground._realize.cache_info()
+    assert before.currsize == 4
+    for count in (300, 512):
+        large = sample_family("A2", count, seed=0, depth=9)
+        assert len(large) == count
+        assert large == [realize_uncached(LevelSequence(cfg.level_spins()), 9)
+                         for cfg in large]
+    assert ground._realize.cache_info() == before
+    for cfg in small:
+        assert realize(LevelSequence(cfg.level_spins()), 9) is cfg
+
+
 def test_realize_cache_keeps_errors_and_deep_trees_out():
     clear_caches()
     seq = LevelSequence((1, 3), period=2)
