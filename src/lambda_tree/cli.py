@@ -22,7 +22,7 @@ import sys
 from .errors import CapacityError, InternalConsistencyError, LambdaTreeError, _cut
 from .ground import (REPRESENTATIVE_PARAMS, generators_for, is_ground_state,
                      sample_family, verify_generators)
-from .gibbs import (_MAX_STATES, BoundaryFields, FieldRatios, check_enumerable,
+from .gibbs import (BoundaryFields, FieldRatios, check_enumerable,
                     fields_from_ratios, finite_volume_measure, is_consistent,
                     measure_to_csv, propagate_ratios)
 from .model import LambdaParams, classify_region
@@ -302,17 +302,12 @@ def cmd_sweep(args) -> str:
 
 def cmd_consistency(args) -> str:
     p = _params_from_args(args)
-    shape = TreeShape(args.k, args.depth)
-    # is_consistent enumerates V_{depth-1}; refuse before any field is built
-    check_enumerable(TreeShape(shape.k, max(0, shape.depth - 1)))
+    shape = TreeShape(2, args.depth)
+    # is_consistent enumerates V_{depth-1}, so depth is at most 3; refuse
+    # before any field is built
+    check_enumerable(TreeShape(2, max(0, shape.depth - 1)))
     if shape.depth < 1:  # before --perturb reaches for level depth - 1
         raise ValueError("consistency needs depth >= 1")
-    # propagate_ratios and is_consistent's fold take each of the k^depth
-    # boundary vectors through the 3 x 3 table; the check above leaves
-    # depth at most 13, and k at most 12 past depth 1, so k^depth stays small
-    if shape.k ** shape.depth * 3 ** 2 > _MAX_STATES:
-        raise CapacityError(f"{shape.k}^{shape.depth} boundary vectors times 3^2 "
-                            f"exceed the enumeration bound 3^13 = {_MAX_STATES}")
     rng = random.Random(args.seed)
     leaf = FieldRatios(3, {x: (math.exp(rng.uniform(-1.0, 1.0)),
                                math.exp(rng.uniform(-1.0, 1.0)))
@@ -358,7 +353,7 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
 
 def cmd_measure(args) -> str:
     p = _params_from_args(args)
-    shape = TreeShape(args.k, args.depth)
+    shape = TreeShape(2, args.depth)
     check_enumerable(shape)
     if args.fields:
         fields = _read_fields(args.fields, shape)
@@ -428,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="marginalization check for recursion-built fields")
     _add_param_flags(sp)
     sp.add_argument("--depth", type=int, default=2)
-    sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--perturb", type=float, default=0.0)
     sp.add_argument("--tol", type=float, default=1e-10)
@@ -437,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("measure", help="finite-volume distribution as CSV")
     _add_param_flags(sp)
     sp.add_argument("--depth", type=int, default=1)
-    sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--fields", default=None,
                     help="JSON file mapping vertex (e.g. '1.2') to a field vector")
     sp.set_defaults(func=cmd_measure)

@@ -115,11 +115,11 @@ def boltzmann_matrix(p: LambdaParams) -> tuple[tuple[float, ...], ...]:
 
 def check_enumerable(shape: TreeShape) -> None:
     """Raise unless the 3^|V_depth| configurations of the shape are within
-    the enumeration bound 3^13, that is |V_depth| <= 13; depth and k are
-    compared first, so k^depth stays small at any depth and k."""
-    if (shape.depth >= _MAX_VERTICES or (shape.depth and shape.k >= _MAX_VERTICES)
-            or shape.vertex_count() > _MAX_VERTICES):
-        raise CapacityError(f"3^|V_{shape.depth}| states at k = {shape.k} "
+    the enumeration bound 3^13, that is |V_depth| <= 13, so depth <= 2;
+    the depth is compared first, so 2^depth is never formed for a huge
+    depth."""
+    if shape.depth >= _MAX_VERTICES or shape.vertex_count() > _MAX_VERTICES:
+        raise CapacityError(f"3^|V_{shape.depth}| states at k = 2 "
                             f"exceed the enumeration bound 3^13 = {_MAX_STATES}")
 
 
@@ -220,7 +220,7 @@ def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
         return tuple(sum(logsumexp([b + hv for b, hv in zip(row, hy)]) for hy in children)
                      for row in blam)
 
-    inner = TreeShape(shape.k, shape.depth - 1)
+    inner = TreeShape(2, shape.depth - 1)
     own = _normalized(_log_weights(p, inner, h.at))
     marginal = _normalized(_log_weights(p, inner, folded))
     worst = max(abs(a - b) for a, b in zip(marginal, own))

@@ -43,8 +43,7 @@ from functools import lru_cache
 from itertools import chain, product
 
 from .errors import CapacityError, InternalConsistencyError
-from .model import (BALLS_PER_VERTEX, SPINS, Configuration, LambdaParams,
-                    ball_energy, ball_entry, minimal_entries)
+from .model import SPINS, Configuration, LambdaParams, ball_entry, minimal_entries
 from .tree import TreeCoord, TreeShape, balls, binary_ball_values
 
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
@@ -109,7 +108,7 @@ class GroundStateCatalog:
 
 def _check_spins(depth: int, configurations: int = 1) -> None:
     """CapacityError unless realizing that many configurations of the
-    given depth (k = 2) stays within _MAX_SPINS spins; the depth is
+    given depth stays within _MAX_SPINS spins; the depth is
     compared first, so 2^depth is never expanded past the bound."""
     if depth >= _MAX_SPINS.bit_length() or \
             configurations * (2 ** (depth + 1) - 1) > _MAX_SPINS:
@@ -191,13 +190,11 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     triple decides the mask once. Only when it fails are the
     balls listed in canonical order (tree.binary_ball_values), up to the
     first one not in the set. Configuration holds only spins in SPINS, so
-    every ball has an energy; k != 2 raises as ball_energy does, and
-    depth 0 as balls does.
+    every ball has an energy; depth 0 raises as balls does.
     """
     shape, spins = sigma.shape, sigma.spins
-    if shape.depth < 1 or shape.k != BALLS_PER_VERTEX:
-        balls(shape)  # raises at depth 0
-        ball_energy(spins[0], spins[1:shape.k + 1], p)  # raises for k != 2 children
+    if shape.depth < 1:
+        balls(shape)  # raises
     minimal = _minimal_balls(p, tol)
     if minimal.issuperset(sigma.binary_balls):
         return True, None

@@ -118,7 +118,7 @@ class Configuration:
 
     @cached_property
     def binary_balls(self) -> frozenset[tuple[int, ...]]:
-        """The distinct balls (center, child 1, child 2) of a k = 2
+        """The distinct balls (center, child 1, child 2) of the
         truncation, as spin triples: at most 27 over SPINS. Built on first
         use and kept on the instance; equality and hashing read only the
         shape and spins."""

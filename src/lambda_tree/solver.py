@@ -75,6 +75,13 @@ class CanonicalParams:
 
 @dataclass(frozen=True)
 class FixedPointReport:
+    """The translation-invariant fixed points on the invariant line.
+
+    phase_transition is regime != "unique" alone. It does not read the
+    2-periodic verdict, so it can be false where two_periodic_report finds
+    a proper cycle; SweepRow's phase_transition counts both.
+    """
+
     ti_roots: tuple[float, ...]        # u values on the invariant line
     regime: str                        # "unique" | "two" | "three"
     thresholds: tuple[float, float] | None  # (eps1, eps2) when b_can > 9
@@ -395,6 +402,13 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
 
 
 class SweepRow(NamedTuple):
+    """One sweep point's cells, in SWEEP_COLUMNS order.
+
+    phase_transition is ti_count > 1 or two_periodic, so it can be true
+    where FixedPointReport.phase_transition, which reads the TI regime
+    alone, is false.
+    """
+
     a: float | None
     b: float | None
     c: float | None

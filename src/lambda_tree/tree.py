@@ -1,22 +1,22 @@
-"""Coordinate structure on the rooted tree of branching order k.
+"""Coordinate structure on the rooted binary tree, the Cayley tree of order two.
 
 Vertices of the semi-infinite tree are addressed by their branch path from
 the root: the root is the empty path (written "0"), and a vertex at level n
-is a tuple (i1, ..., in) with each entry in {1..k}. A TreeShape is the
-finite truncation V_n = W_0 + ... + W_n used everywhere downstream.
+is a tuple (i1, ..., in) with each entry 1 or 2. A TreeShape is the finite
+truncation V_n = W_0 + ... + W_n used everywhere downstream.
 
 Inside a truncation, vertices are also numbered by their position in the
 canonical order: level-major, lexicographic within a level. That is
-breadth-first order, so the parent of position i is (i - 1) // k and its
-children are k*i + 1 .. k*i + k. Edges and balls are given in positions,
-and binary balls also as values (binary_ball_values); this module is the
-only one that knows the numbering.
+breadth-first order, so level m holds positions 2^m - 1 .. 2^(m+1) - 2,
+the parent of position i is (i - 1) // 2 and its children are 2i + 1 and
+2i + 2. Edges and balls are given in positions, and balls also as values
+(binary_ball_values); this module is the only one that knows the numbering.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import _cut
+from .errors import _cut, _echo_number
 
 
 @dataclass(frozen=True, order=True)
@@ -60,37 +60,37 @@ ROOT = TreeCoord(())
 
 @dataclass(frozen=True)
 class TreeShape:
-    """Finite truncation of the order-k tree: levels 0..depth materialized."""
+    """Finite truncation of the binary tree: levels 0..depth materialized.
+    k, the branching order, must be the int 2."""
 
     k: int
     depth: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"branching order must be >= 1, got {self.k}")
+        if type(self.k) is not int or self.k != 2:
+            raise ValueError(f"branching order must be 2, the Cayley tree of order two, "
+                             f"got {_echo_number(self.k)}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
 
     def level_size(self, m: int) -> int:
-        """|W_m|: 1 at the root, k^m below it."""
+        """|W_m| = 2^m."""
         if m < 0 or m > self.depth:
             raise ValueError(f"level {m} outside 0..{self.depth}")
-        return self.k ** m
+        return 2 ** m
 
     def vertex_count(self) -> int:
-        """|V_depth| = (k^(depth+1) - 1)/(k - 1), or depth+1 when k = 1."""
-        if self.k == 1:
-            return self.depth + 1
-        return (self.k ** (self.depth + 1) - 1) // (self.k - 1)
+        """|V_depth| = 2^(depth+1) - 1."""
+        return 2 ** (self.depth + 1) - 1
 
     def contains(self, x: TreeCoord) -> bool:
-        return x.level <= self.depth and all(1 <= i <= self.k for i in x.path)
+        return x.level <= self.depth and all(1 <= i <= 2 for i in x.path)
 
     def level_vertices(self, m: int) -> list[TreeCoord]:
         """W_m in lexicographic order."""
         if m < 0 or m > self.depth:
             raise ValueError(f"level {m} outside 0..{self.depth}")
-        return [TreeCoord(p) for p in product(range(1, self.k + 1), repeat=m)]
+        return [TreeCoord(p) for p in product((1, 2), repeat=m)]
 
     def vertices(self) -> list[TreeCoord]:
         """V_depth in canonical order: level-major, lexicographic within a level."""
@@ -100,34 +100,33 @@ class TreeShape:
         return out
 
     def level_positions(self, m: int) -> range:
-        """Positions of W_m in the canonical order: after the |V_{m-1}|
-        positions of the levels above it."""
-        start = TreeShape(self.k, m - 1).vertex_count() if m else 0
-        return range(start, start + self.level_size(m))
+        """Positions of W_m in the canonical order: 2^m - 1 .. 2^(m+1) - 2."""
+        size = self.level_size(m)
+        return range(size - 1, 2 * size - 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Nearest-neighbor (parent, child) position pairs, by child position."""
-        return [((child - 1) // self.k, child) for child in range(1, self.vertex_count())]
+        return [((child - 1) // 2, child) for child in range(1, self.vertex_count())]
 
     def index_of(self, x: TreeCoord) -> int:
         """Position of x in the canonical vertex order: within its level,
-        the path digits (1-based) read as a base-k numeral."""
+        the path digits (1-based) read as a binary numeral."""
         if not self.contains(x):
             raise ValueError(f"vertex {x} outside truncation {self}")
         rank = 0
         for i in x.path:
-            rank = rank * self.k + (i - 1)
+            rank = rank * 2 + (i - 1)
         return self.level_positions(x.level)[rank]
 
     def vertex_at(self, i: int) -> TreeCoord:
         """The vertex at position i of the canonical order; the inverse of
-        index_of. Walks up through parents (i - 1) // k, so it costs one
+        index_of. Walks up through parents (i - 1) // 2, so it costs one
         step per level."""
         if not 0 <= i < self.vertex_count():
             raise ValueError(f"position {i} outside truncation {self}")
         path = []
         while i:
-            i, branch = divmod(i - 1, self.k)
+            i, branch = divmod(i - 1, 2)
             path.append(branch + 1)
         return TreeCoord(tuple(reversed(path)))
 
@@ -137,24 +136,24 @@ def successors(x: TreeCoord, shape: TreeShape) -> list[TreeCoord]:
     if x.level >= shape.depth:
         raise ValueError(
             f"vertex {x} at level {x.level} has no successors inside depth {shape.depth}")
-    return [x.child(i) for i in range(1, shape.k + 1)]
+    return [x.child(1), x.child(2)]
 
 
 def balls(shape: TreeShape) -> list[tuple[int, range]]:
-    """One ball per non-leaf vertex, as positions: (center, S(center)).
+    """One ball per non-leaf vertex, as positions: (center, S(center)),
+    the children of center i being 2i + 1 and 2i + 2.
 
     Every edge of the truncation lies in exactly one ball; every non-root,
     non-leaf vertex lies in exactly two.
     """
     if shape.depth < 1:
         raise ValueError("depth must be >= 1 to form balls")
-    k = shape.k
-    return [(i, range(k * i + 1, k * i + k + 1))
+    return [(i, range(2 * i + 1, 2 * i + 3))
             for i in range(shape.level_positions(shape.depth).start)]
 
 
 def binary_ball_values(values):
-    """(center, child 1, child 2) of every ball of a k = 2 truncation, in
-    center order, from per-vertex values in canonical order: the ball
-    centred at position c holds positions c, 2c + 1 and 2c + 2."""
+    """(center, child 1, child 2) of every ball, in center order, from
+    per-vertex values in canonical order: the ball centred at position c
+    holds positions c, 2c + 1 and 2c + 2."""
     return zip(values, values[1::2], values[2::2])

@@ -196,6 +196,15 @@ def test_spin_count_flag_is_gone(capsys):
         assert captured.out == ""
 
 
+def test_branching_order_flag_is_gone(capsys):
+    # the tree is the Cayley tree of order two; no command takes --k
+    for command in ("consistency", "measure"):
+        assert main([command, "--a", "0", "--b", "0", "--c", "0", "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --k 2" in captured.err
+        assert captured.out == ""
+
+
 def test_solve_rejects_nonpositive_weight(capsys):
     assert main(["solve", "--xw", "0", "--yw", "1", "--zw", "1"]) == 2
 
@@ -306,6 +315,27 @@ def test_solve_rejects_weights_out_of_float_range(capsys):
     assert capsys.readouterr().err == (
         "error: an edge weight exp(beta*coupling) overflows a float at "
         "LambdaParams(a=1e+308, b=0.0, c=0.0, beta=10.0)\n")
+
+
+def test_solve_and_sweep_phase_transition_verdicts_differ(tmp_path, capsys):
+    # solve's translation_invariant.phase_transition reads the TI regime
+    # alone, while the sweep column also counts a 2-periodic solution on the
+    # line: at this point solve prints false next to exists: true, and the
+    # sweep row prints true
+    weights = {"xw": 0.23539284063296795, "yw": 1.069988957376466,
+               "zw": 0.5653020011674514}
+    payload = _run_json(capsys, ["solve", *[x for name, value in weights.items()
+                                            for x in (f"--{name}", repr(value))]])
+    assert payload["translation_invariant"] == {
+        "roots": [1.2726966748262], "regime": "unique", "thresholds": None,
+        "phase_transition": False}
+    assert payload["two_periodic"]["exists"] is True
+    config = tmp_path / "point.json"
+    config.write_text(json.dumps({"axes": [], "fixed": weights}))
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        ",,,,0.235392840632968,1.06998895737647,0.565302001167451,187.84002315726,"
+        "0.0823136184876487,1,,,-2.32682330447488,1.05213693271742,true,true")
 
 
 def test_sweep_csv_roundtrip(tmp_path, capsys):
@@ -465,9 +495,7 @@ def test_consistency_pass_and_perturb(capsys):
 def test_consistency_depth_capacity(capsys):
     # depth 4 would enumerate the 3^15 states of V_3; deeper requests are
     # refused before any field is built
-    for flags in (["--depth", "4"], ["--depth", "18"], ["--depth", "1000000000"],
-                  # k^depth boundary vectors times the 3 x 3 table: 9 * 177148 > 3^13
-                  ["--depth", "1", "--k", "1000000000"], ["--depth", "1", "--k", "177148"]):
+    for flags in (["--depth", "4"], ["--depth", "18"], ["--depth", "1000000000"]):
         start = time.perf_counter()
         assert main(["consistency", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
         assert time.perf_counter() - start < 2.0
@@ -534,11 +562,10 @@ def test_consistency_weights_out_of_float_range(capsys):
             (["--a", "-800", "--b", "-800", "--c", "-800"],
              "a denominator of the level recursion underflows to 0 at "
              "LambdaParams(a=-800.0, b=-800.0, c=-800.0, beta=1.0)"),
-            # a product over 20000 children underflows to 0
-            (["--k", "20000", "--depth", "1", "--perturb", "0.01",
-              "--a", "0.5", "--b", "-0.3", "--c", "1.2"],
-             "a product of the level recursion over 20000 children leaves the "
-             "float range at LambdaParams(a=0.5, b=-0.3, c=1.2, beta=1.0)")):
+            # a product over the 2 children leaves the float range
+            (["--a", "400", "--b", "0", "--c", "-400", "--depth", "1"],
+             "a product of the level recursion over 2 children leaves the "
+             "float range at LambdaParams(a=400.0, b=0.0, c=-400.0, beta=1.0)")):
         assert main(["consistency", *couplings]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
@@ -581,8 +608,7 @@ def test_measure_with_field_file(tmp_path, capsys):
 
 def test_measure_capacity(capsys):
     # refused before any field is built, without writing out 3^|V|
-    for flags in (["--depth", "5"], ["--depth", "13"], ["--depth", "1000000000"],
-                  ["--depth", "1", "--k", "1000000000"]):
+    for flags in (["--depth", "5"], ["--depth", "13"], ["--depth", "1000000000"]):
         start = time.perf_counter()
         assert main(["measure", "--a", "0", "--b", "0", "--c", "0", *flags]) == 3
         assert time.perf_counter() - start < 2.0
@@ -1021,7 +1047,6 @@ def _fuzz_argv(rng: random.Random, write, odd_files: list, long_files: list) -> 
     if command == "consistency":
         # at most 3^7 states, or past the 3^13 bound
         return ["consistency", *couplings, "--depth", rng.choice(("0", "1", "2", "3", "9")),
-                "--k", rng.choice(("1", "2")),
                 "--perturb", number(), "--seed", str(rng.randint(0, 9))]
     if command == "measure":
         argv = ["measure", *couplings, "--depth", rng.choice(("0", "1", "2"))]

@@ -10,17 +10,16 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                is_consistent, measure_to_csv, propagate_ratios,
                                push_forward)
 from lambda_tree.ground import brute_force_minima
-from lambda_tree.model import SPINS, LambdaParams, lambda_value
+from lambda_tree.model import SPINS, LambdaParams, ball_energy_catalogue, lambda_value
 from lambda_tree.solver import f_map, weights_from
 from lambda_tree.tree import TreeShape, successors
 from oracles import vertex_normalizer
 
-# shapes (k, depth) whose full 3^|V_depth| enumeration stays within 2^15
-# states, small enough for the per-state oracle below (|V| <= 15 is tested
-# first, so no power grows large)
-_ORACLE_CASES = [(k, depth) for k, depth in product((1, 2, 3), range(15))
-                 if TreeShape(k, depth).vertex_count() <= 15
-                 and 3 ** TreeShape(k, depth).vertex_count() <= 2 ** 15]
+# the depths whose full 3^|V_depth| enumeration stays within 2^15 states,
+# small enough for the per-state oracle below, and the seeded draws per
+# depth: 36 measures and 48 consistency verdicts in all
+_ORACLE_DEPTHS = (0, 1, 2)
+_ORACLE_DRAWS = 12
 
 
 def _per_state_measure(p, shape, h):
@@ -52,7 +51,7 @@ def _marginalized_deviation(p, shape, h):
     """Oracle: sum the depth-n measure over its last level and take the
     largest gap to the depth-(n-1) measure."""
     outer, _ = _per_state_measure(p, shape, h)
-    inner_shape = TreeShape(shape.k, shape.depth - 1)
+    inner_shape = TreeShape(2, shape.depth - 1)
     inner, _ = _per_state_measure(p, inner_shape, h)
     marginal = {}
     for spins, prob in outer.items():
@@ -62,13 +61,13 @@ def _marginalized_deviation(p, shape, h):
 
 
 def _oracle_inputs(seed: int):
-    """Per oracle case: params and recursion-built fields from log-uniform
+    """Per oracle draw: params and recursion-built fields from log-uniform
     leaf ratios, plus a copy with one field on W_{n-1} moved (None at
     depth 0)."""
     rng = random.Random(seed)
-    for k, depth in _ORACLE_CASES:
-        shape = TreeShape(k, depth)
-        for _ in range(2):
+    for depth in _ORACLE_DEPTHS:
+        shape = TreeShape(2, depth)
+        for _ in range(_ORACLE_DRAWS):
             p = LambdaParams(rng.uniform(-1, 1), rng.uniform(-1, 1),
                              rng.uniform(-1, 1), beta=rng.uniform(0.25, 2.0))
             leaf = FieldRatios(3, {v: tuple(math.exp(rng.uniform(-3, 3))
@@ -412,10 +411,20 @@ def test_ground_states_are_the_zero_temperature_gibbs_limit_of_negated_couplings
     # ground minimizes ball energy, while gibbs weights by exp(+beta*H); so
     # at beta = 40 the depth-2 measure of (-a, -b, -c) with zero boundary
     # fields puts more than half its largest probability exactly on the
-    # ball-minimal configurations at (a, b, c), for every integer triple
+    # ball-minimal configurations at (a, b, c), for every integer triple;
+    # and for seeded float triples k/2^20 in [-2, 2]^3 whose two smallest
+    # catalogue entries differ by at least 0.1, so that a ball off the
+    # minimum costs a factor of at most exp(-40 * 0.2) at beta = 40
     shape = TreeShape(2, 2)
     fields = BoundaryFields(3, {x: (0.0, 0.0, 0.0) for x in shape.level_vertices(2)})
-    for a, b, c in product(range(-2, 3), repeat=3):
+    triples = list(product(range(-2, 3), repeat=3))
+    rng = random.Random(11)
+    while len(triples) < 125 + 300:
+        triple = tuple(rng.randint(-2 ** 21, 2 ** 21) / 2 ** 20 for _ in range(3))
+        lowest, second = sorted(ball_energy_catalogue(LambdaParams(*triple)))[:2]
+        if second - lowest >= 0.1:
+            triples.append(triple)
+    for a, b, c in triples:
         mu = finite_volume_measure(LambdaParams(-a, -b, -c, 40), 3, shape, fields)
         peak = max(mu.values)
         likely = {spins for spins, prob in mu.probabilities.items() if prob > peak / 2}

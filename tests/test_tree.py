@@ -54,26 +54,18 @@ def test_level_and_vertex_counts_order_two():
     assert len(shape.vertices()) == shape.vertex_count()
 
 
-def test_vertex_count_general_order():
-    # (k^(n+1) - 1)/(k - 1) for k >= 2, and a path for k = 1
-    assert TreeShape(3, 2).vertex_count() == (3 ** 3 - 1) // 2
-    assert TreeShape(4, 3).vertex_count() == (4 ** 4 - 1) // 3
-    assert TreeShape(1, 5).vertex_count() == 6
-
-
 def test_canonical_order_and_index_of():
-    for k in (1, 2, 3):
-        for depth in range(5):
-            shape = TreeShape(k, depth)
-            verts = shape.vertices()
-            # level-major: levels never decrease along the canonical order
-            assert [v.level for v in verts] == sorted(v.level for v in verts)
-            for i, v in enumerate(verts):
-                assert shape.index_of(v) == i
-                assert shape.vertex_at(i) == v  # vertex_at inverts index_of
-            for i in (-1, len(verts)):
-                with pytest.raises(ValueError):
-                    shape.vertex_at(i)
+    for depth in range(5):
+        shape = TreeShape(2, depth)
+        verts = shape.vertices()
+        # level-major: levels never decrease along the canonical order
+        assert [v.level for v in verts] == sorted(v.level for v in verts)
+        for i, v in enumerate(verts):
+            assert shape.index_of(v) == i
+            assert shape.vertex_at(i) == v  # vertex_at inverts index_of
+        for i in (-1, len(verts)):
+            with pytest.raises(ValueError):
+                shape.vertex_at(i)
     outside = TreeCoord((1, 1, 1, 1))
     with pytest.raises(ValueError):
         TreeShape(2, 3).index_of(outside)
@@ -119,32 +111,37 @@ def test_edges_count():
 
 def test_positions_follow_the_paths():
     # the integer numbering is breadth-first: the children of position i
-    # are k*i + 1 .. k*i + k, so its parent is (i - 1) // k
-    for k in (1, 2, 3):
-        for depth in range(5):
-            shape = TreeShape(k, depth)
-            verts = shape.vertices()
-            for i, x in enumerate(verts):
-                assert shape.index_of(x) == i
-                if x.level:
-                    assert shape.index_of(x.parent()) == (i - 1) // k
-                if x.level < depth:
-                    for c in range(1, k + 1):
-                        assert shape.index_of(x.child(c)) == k * i + c
-            for m in range(depth + 1):
-                assert [shape.index_of(x) for x in shape.level_vertices(m)] == \
-                    list(shape.level_positions(m))
-            assert shape.edges() == [(shape.index_of(x.parent()), i)
-                                     for i, x in enumerate(verts) if x.level]
-            if depth:
-                assert [(c, list(kids)) for c, kids in balls(shape)] == [
-                    (shape.index_of(x), [shape.index_of(y) for y in successors(x, shape)])
-                    for x in verts if x.level < depth]
+    # are 2i + 1 and 2i + 2, so its parent is (i - 1) // 2, and level m
+    # holds positions 2^m - 1 .. 2^(m+1) - 2
+    for depth in range(5):
+        shape = TreeShape(2, depth)
+        verts = shape.vertices()
+        for i, x in enumerate(verts):
+            assert shape.index_of(x) == i
+            if x.level:
+                assert shape.index_of(x.parent()) == (i - 1) // 2
+            if x.level < depth:
+                for c in (1, 2):
+                    assert shape.index_of(x.child(c)) == 2 * i + c
+        for m in range(depth + 1):
+            assert [shape.index_of(x) for x in shape.level_vertices(m)] == \
+                list(shape.level_positions(m)) == list(range(2 ** m - 1, 2 ** (m + 1) - 1))
+        assert shape.edges() == [(shape.index_of(x.parent()), i)
+                                 for i, x in enumerate(verts) if x.level]
+        if depth:
+            assert [(c, list(kids)) for c, kids in balls(shape)] == [
+                (shape.index_of(x), [shape.index_of(y) for y in successors(x, shape)])
+                for x in verts if x.level < depth]
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        TreeShape(0, 2)
+    # the branching order is the int 2 only, refused with one message
+    for k, echo in ((0, "0"), (1, "1"), (3, "3"), (True, "True"), (2.0, "2.0"),
+                    (10 ** 400, "an integer of 1329 bits")):
+        with pytest.raises(ValueError) as caught:
+            TreeShape(k, 2)
+        assert str(caught.value) == \
+            f"branching order must be 2, the Cayley tree of order two, got {echo}"
     with pytest.raises(ValueError):
         TreeShape(2, -1)
     with pytest.raises(ValueError):
