@@ -12,24 +12,24 @@ Translation-invariant measures correspond to u = f(u); reducing by
 x = u*xw/(2*yw) turns that into the cubic a*x*(b+x)^2 = (1+x)^2 in the
 canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2). For b <= 9
 it has one positive root. For b > 9 it has one, two or three, counted
-exactly from the signs of the cubic's integer coefficients and
-discriminant at the floats (a, b); no tolerance enters the count. The
-tangency points x1 < x2 (with thresholds eps_1 < eps_2, where a root is
-double) split (0, inf) into the brackets (0, x1), (x1, x2), (x2, inf),
-each holding at most one root; every root is found by sign bisection
-inside its bracket and then polished by Newton steps on f(u) - u.
+exactly from the sign of one integer at the floats (a, b), the
+discriminant's factor Q of _exact_root_count; no tolerance enters the
+count. The tangency points x1 < x2 (with thresholds eps_1 < eps_2, where
+a root is double) split (0, inf) into the brackets (0, x1), (x1, x2),
+(x2, inf), each holding at most one root; every root is found by sign
+bisection inside its bracket and then polished by Newton steps on
+f(u) - u.
 
 Proper 2-periodic measures solve u = f(f(u)) but not u = f(u). The exact
 quotient num(f∘f - id) / num(f - id) is a quadratic A*u^2 + B*u + C with
 the closed form
 
-    A = (x^2 + xy + yz)^2,   C = (x^2 + 2xy + 2xz + z^2)^2,
-    B = x^4 + 6x^3y + 2x^3z + 8x^2y^2 + 6x^2yz + x^2z^2 + 8xy^2z
-        + 6xyz^2 - 4y^4 + 2yz^3
+    A = α^2,   B = 2αγ - s^2,   C = γ^2,   D = B^2 - 4AC = s^2 (s^2 - 4αγ),
+    α = x^2 + xy + yz,   γ = x^2 + 2x(y + z) + z^2,   s = x(x + z) - 2y^2
 
-in (x, y, z) = (xw, yw, zw), evaluated exactly; the sign of its
-discriminant decides existence. The composed-map division that derives
-this closed form is a test oracle and is not run here.
+in (x, y, z) = (xw, yw, zw), evaluated exactly; the sign of D decides
+existence. The composed-map division that derives this closed form is a
+test oracle and is not run here.
 
 Both analyses run in private cores on the three weights as plain floats:
 _ti_core for the fixed points and _periodic_core for the 2-periodic pair.
@@ -221,23 +221,20 @@ def _exact_root_count(a: float, b: float) -> int:
     """Distinct positive roots of a*x*(b+x)^2 - (1+x)^2, read at a and b
     as the binary fractions they are.
 
-    The cubic times e = da*db^2 has the integer coefficients c3..c0 below,
-    with c0 < 0 < c3. Descartes' rule allows three positive roots only when
-    c2 < 0 < c1, and then no root is negative, so the discriminant's sign
-    decides: 3 above zero, 1 below, 2 at zero unless c2^2 = 3*c3*c1 makes
-    the root triple.
+    The cubic's discriminant is -a*(b-1)^2*Q with
+    Q = 4a^2b^3 - ab^2 - 18ab + 27a + 4 = 4b^3(a - eps1)(a - eps2). For
+    b != 1 the cubic is negative on all of x <= 0, so every real root is
+    positive: three where Q < 0, one where Q > 0, and a double and a
+    simple one where Q = 0, as the only triple root is at
+    (b, a) = (9, 1/27), which no pair of floats reaches. At b = 1,
+    Q = 4(a+1)^2 > 0 and the one root is 1/a. Q*da^2*db^3 is an integer
+    with the sign of Q.
     """
     na, da = a.as_integer_ratio()
     nb, db = b.as_integer_ratio()
-    e = da * db * db
-    c3, c2, c1, c0 = na * db * db, 2 * na * nb * db - e, na * nb * nb - 2 * e, -e
-    if not c2 < 0 < c1:
-        return 1
-    disc = (18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 * c2 * c1 * c1
-            - 4 * c3 * c1 ** 3 - 27 * c3 * c3 * c0 * c0)
-    if disc > 0:
-        return 3
-    return 2 if disc == 0 and c2 * c2 != 3 * c3 * c1 else 1
+    q = (4 * na * na * nb ** 3 - na * da * nb * db * (nb + 18 * db)
+         + da * db ** 3 * (27 * na + 4 * da))
+    return 1 if q > 0 else 2 if q == 0 else 3
 
 
 def canonical_root_count(a_can: float, b_can: float):
@@ -330,23 +327,23 @@ def _polish_fixed_point(u: float, xw: float, yw: float, zw: float) -> float:
 
 
 def _quadratic_numerators(xw: float, yw: float,
-                          zw: float) -> tuple[int, int, int, int]:
-    """Integers (a, b, c, scale) with (A, B, C) = (a, b, c) / scale.
+                          zw: float) -> tuple[int, int, int, int, int]:
+    """Integers (a, b, c, disc, scale) with (A, B, C) = (a, b, c) / scale
+    and D = disc / scale^2.
 
-    A, B and C (closed form in the module docstring) are homogeneous of
-    degree 4 in the weights, and floats are integers over powers of two,
+    α, γ and s (closed form in the module docstring) are homogeneous of
+    degree 2 in the weights, and floats are integers over powers of two,
     so they are evaluated on integers over the largest of the three
     denominators, whose fourth power is the scale.
     """
     ratios = [v.as_integer_ratio() for v in (xw, yw, zw)]
     d = max(den for _, den in ratios)  # powers of two: a common multiple
     x, y, z = (num * (d // den) for num, den in ratios)
-    xx, yy, zz = x * x, y * y, z * z
-    a = (xx + x * y + y * z) ** 2
-    c = (xx + 2 * x * (y + z) + zz) ** 2
-    b = (xx * (xx + 6 * x * y + 2 * x * z + 8 * yy + 6 * y * z + zz)
-         + 2 * x * y * z * (4 * y + 3 * z) - 4 * yy * yy + 2 * y * z * zz)
-    return a, b, c, d ** 4
+    alpha = x * (x + y) + y * z
+    gamma = (x + z) ** 2 + 2 * x * y
+    s2 = (x * (x + z) - 2 * y * y) ** 2
+    ag = alpha * gamma
+    return alpha * alpha, 2 * ag - s2, gamma * gamma, s2 * (s2 - 4 * ag), d ** 4
 
 
 def _as_float(num: int, den: int) -> float | None:
@@ -360,9 +357,8 @@ def _as_float(num: int, den: int) -> float | None:
 def _periodic_core(xw: float, yw: float, zw: float):
     """(quad, discriminant, proper_roots, exists) of the caller's weights,
     the fields of PeriodicReport; see two_periodic_report."""
-    a, b, c, scale = _quadratic_numerators(xw, yw, zw)
-    disc = b * b - 4 * a * c  # D times scale^2
-    exists = b < 0 and disc > 0
+    a, b, c, disc, scale = _quadratic_numerators(xw, yw, zw)
+    exists = disc > 0  # D > 0 forces B < -2αγ < 0: two positive roots
     quad = (_as_float(a, scale), _as_float(b, scale), _as_float(c, scale))
     disc_f = _as_float(disc, scale * scale)
     if not exists:
@@ -389,9 +385,10 @@ def _periodic_core(xw: float, yw: float, zw: float):
 def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     """Proper 2-periodic solutions on the invariant line.
 
-    Existence is decided exactly: B < 0 and D > 0 in integer arithmetic
-    (A and C are positive for all positive weights, so this is equivalent
-    to the quadratic having two distinct positive roots). Neither is a
+    Existence is decided exactly by D > 0 in integer arithmetic. A and C
+    are positive for all positive weights, and D = s^2 (s^2 - 4αγ) > 0
+    forces B = 2αγ - s^2 < -2αγ < 0, so this is equivalent to the
+    quadratic having two distinct positive roots. Neither is a
     fixed point of f: a fixed point that solves the quadratic has
     f' = -1 there, where u = f(f(u)) has a triple root and D = 0. So
     where the pair exists both roots are reported, each checked against

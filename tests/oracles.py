@@ -15,8 +15,11 @@ recurrence the long way. Test files import them as `from oracles import ...`.
 - `positive_root_count` counts the distinct positive roots of an exact
   polynomial by Sturm's theorem in Fractions; `canonical_cubic_root_count`
   applies it to the reduced cubic a*x*(b+x)^2 - (1+x)^2 at two floats,
-  the count `solver.canonical_root_count` decides on integer signs, and
+  the count `solver.canonical_root_count` decides on one integer sign, and
   `ti_polynomial_root_count` to the weights' fixed-point cubic.
+  `ti_quartic_root_count` reads the same count off the sign of
+  `ti_quartic`, the canonical discriminant factor Q times -2*x^3*y as a
+  quartic in the weights.
 - `bisect_cubic_root` is the reduced cubic's sign bisection with one loop
   and a sign closure, which `solver._bisect_cubic_root` must match bit
   for bit.
@@ -27,25 +30,32 @@ recurrence the long way. Test files import them as `from oracles import ...`.
   scan `ground._minimal_balls` reads off its table of catalogue entries.
 - `realize_uncached` builds a level-constant tree afresh on every call,
   the configuration `ground.realize` keeps and hands out again.
+- `identity_corpus_text` is the text of `sweep` and `solve` on a seeded
+  corpus of points, which a test pins by its sha256; it needs no pytest,
+  so any interpreter can hash it.
 - `clear_caches` clears every functools cache of the package, found by
   walking the globals of its modules, so no test keeps a list of them.
 """
 
+import argparse
 import importlib
 import json
 import math
 import pkgutil
+import random
 from fractions import Fraction
 from itertools import product
 
 import lambda_tree
-from lambda_tree.errors import InternalConsistencyError
+from lambda_tree.cli import cmd_solve, sweep_to_jsonl
+from lambda_tree.errors import InternalConsistencyError, LambdaTreeError
 from lambda_tree.gibbs import boltzmann_matrix
 from lambda_tree.ground import LevelSequence, _check_spins
 from lambda_tree.model import (SPINS, Configuration, LambdaParams, ball_energy,
                                check_tolerance, min_ball_energy)
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
-from lambda_tree.solver import SWEEP_COLUMNS, BoltzmannWeights, _quadratic_numerators
+from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights, _quadratic_numerators,
+                                sweep, sweep_to_csv, weights_from)
 from lambda_tree.tree import TreeShape
 
 
@@ -60,7 +70,7 @@ def exact_line_map(w: BoltzmannWeights) -> RationalFn:
 def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
     """(A, B, C) of the exact quotient numerator(f∘f - id)/numerator(f - id),
     from the integers the solver evaluates its closed form on."""
-    a, b, c, scale = _quadratic_numerators(w.xw, w.yw, w.zw)
+    a, b, c, _, scale = _quadratic_numerators(w.xw, w.yw, w.zw)
     return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
 
 
@@ -185,6 +195,24 @@ def ti_polynomial_root_count(w: BoltzmannWeights) -> int:
     return positive_root_count([-4 * y * y, s * s - 4 * x * y, 2 * y * s - x * x, y * y])
 
 
+def ti_quartic(w: BoltzmannWeights) -> Fraction:
+    """T = -2*x^3*y*Q(a_can, b_can) at (x, y, z) = (xw, yw, zw), exactly,
+    with Q the canonical discriminant factor of solver._exact_root_count."""
+    x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
+    return (x ** 4 - 12 * x ** 3 * y + 2 * x ** 3 * z + 36 * x ** 2 * y ** 2
+            - 12 * x ** 2 * y * z + x ** 2 * z ** 2 + 36 * x * y ** 2 * z
+            - 12 * x * y * z ** 2 - 108 * y ** 4 - 4 * y * z ** 3)
+
+
+def ti_quartic_root_count(w: BoltzmannWeights) -> int:
+    """Distinct translation-invariant fixed points of the weights from the
+    sign of T: 3 where T > 0, 2 where T = 0 and 1 where T < 0. T = 0 only
+    where s = x(x+z) - 2y^2 is not 0: s = 0 is b_can = 1, where
+    Q = 4(a_can+1)^2 and T < 0."""
+    t = ti_quartic(w)
+    return 3 if t > 0 else 2 if t == 0 else 1
+
+
 def bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
     """The root of a*x*(b+x)^2 - (1+x)^2 in (lo, hi), where its sign
     changes: geometric midpoints while hi > 2*lo, arithmetic ones after,
@@ -234,6 +262,31 @@ def sweep_to_jsonl_by_cell(rows) -> str:
             obj[col] = v
         lines.append(json.dumps(obj))
     return "\n".join(lines) + "\n"
+
+
+def identity_corpus_text() -> str:
+    """The sweep CSV and JSON row and the solve JSON of 4,000 seeded points,
+    LambdaParams and BoltzmannWeights with weights exp(U[-s, s]) for s up
+    to 400, and `ExceptionClass: message` for each point that raises."""
+    rng = random.Random(27)
+    points = []
+    for s in (3, 12, 24, 400):
+        for _ in range(500):
+            points.append(LambdaParams(*(rng.uniform(-s, s) for _ in range(3)),
+                                       beta=rng.uniform(0.5, 2.0)))
+            points.append(BoltzmannWeights(*(math.exp(rng.uniform(-s, s))
+                                             for _ in range(3))))
+    parts = [",".join(SWEEP_COLUMNS) + "\n"]
+    for pt in points:
+        try:
+            row = sweep([pt])[0]
+            parts += [sweep_to_csv([row]).split("\n", 1)[1], sweep_to_jsonl([row])]
+            w = weights_from(pt) if isinstance(pt, LambdaParams) else pt
+            parts.append(cmd_solve(argparse.Namespace(
+                xw=w.xw, yw=w.yw, zw=w.zw, a=None, b=None, c=None, beta=None)))
+        except (LambdaTreeError, ValueError) as e:
+            parts.append(f"{type(e).__name__}: {e}\n")
+    return "".join(parts)
 
 
 def minimal_balls_by_scan(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int]]:

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import math
@@ -8,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from lambda_tree import solver
-from lambda_tree.cli import cmd_solve, sweep_to_jsonl
-from lambda_tree.errors import DomainError, LambdaTreeError
+from lambda_tree.cli import sweep_to_jsonl
+from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
@@ -18,9 +17,11 @@ from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
                                 ti_thresholds, two_periodic_report,
                                 weights_from)
 from oracles import (bisect_cubic_root, canonical_cubic_root_count,
-                     case_identity_check, periodic_quadratic,
-                     quadratic_by_division, sweep_to_csv_by_cell,
-                     sweep_to_jsonl_by_cell, ti_polynomial_root_count)
+                     case_identity_check, identity_corpus_text,
+                     periodic_quadratic, printed_case_d, quadratic_by_division,
+                     sweep_to_csv_by_cell, sweep_to_jsonl_by_cell,
+                     ti_polynomial_root_count, ti_quartic,
+                     ti_quartic_root_count)
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -249,11 +250,46 @@ def test_equal_edge_weights_two_cycle():
 
 
 def test_periodic_quadratic_closed_form_is_the_quotient():
-    # the runtime closed form against the exact division it replaces
+    # the runtime closed form against the exact division it replaces: A, B
+    # and C, and D = s^2 (s^2 - 4*alpha*gamma) against B^2 - 4AC of the
+    # division, at three scales of the weights
     rng = random.Random(0)
-    for _ in range(200):
-        w = BoltzmannWeights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
-        assert periodic_quadratic(w) == quadratic_by_division(w)
+    for s in (3, 12, 400):
+        for _ in range(200):
+            w = BoltzmannWeights(*(math.exp(rng.uniform(-s, s)) for _ in range(3)))
+            a, b, c = quadratic_by_division(w)
+            assert periodic_quadratic(w) == (a, b, c)
+            *_, disc, scale = solver._quadratic_numerators(w.xw, w.yw, w.zw)
+            assert Fraction(disc, scale * scale) == b * b - 4 * a * c
+
+
+def _factored_d(w: BoltzmannWeights) -> Fraction:
+    """s^2 (s^2 - 4*alpha*gamma) at the weights, in Fractions."""
+    x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
+    alpha = x * x + x * y + y * z
+    gamma = x * x + 2 * x * (y + z) + z * z
+    s = x * (x + z) - 2 * y * y
+    return s * s * (s * s - 4 * alpha * gamma)
+
+
+def test_printed_case_discriminants_are_the_factored_form():
+    # the paper's three printed factorizations are D = s^2 (s^2 - 4*alpha*gamma)
+    # on their slices of the weights; the draws are binary fractions of at
+    # most 31 bits, so case i's zw = xw + 1 is exact
+    rng = random.Random(29)
+
+    def draw() -> float:
+        return rng.randint(1, 2 ** 20) / 2 ** rng.randint(0, 30)
+
+    samples = {"i": [1.0], "ii": [1.0, 0.5], "iii": [(0.5, 0.5), (1.0, 2.0)]}
+    for _ in range(100):
+        samples["i"].append(draw())
+        samples["ii"].append(draw())
+        samples["iii"].append((draw(), draw()))
+    for case, drawn in samples.items():
+        for sample in drawn:
+            printed, w = printed_case_d(case, sample)
+            assert printed == _factored_d(w), (case, sample)
 
 
 def test_equal_edge_weights_degenerate_at_one():
@@ -325,6 +361,79 @@ def test_threshold_draws_count_exactly():
         for u in report.ti_roots:
             assert abs(u - f_map(u, w)) <= 1e-9 * max(1.0, u), (w, u)
     assert seen["far"] == {1, 3} and seen["near"] >= {1, 3}
+
+
+def _canonical_q(a, b) -> Fraction:
+    """Q = 4a^2b^3 - ab^2 - 18ab + 27a + 4, exactly."""
+    a, b = Fraction(a), Fraction(b)
+    return 4 * a * a * b ** 3 - a * b * b - 18 * a * b + 27 * a + 4
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def test_exact_root_count_reads_the_sign_of_q():
+    # the one integer sign against the Sturm count of the canonical cubic,
+    # on b both sides of 9, next to the cusp (9, 1/27), at the exact
+    # tangency (1/32, 10) and on threshold draws; the five-term
+    # discriminant is -a(b-1)^2 Q, so it has the sign of -Q for b != 1
+    rng = random.Random(9)
+    pairs = [(0.03125, 10.0), (0.5, 1.0), (2.0, 1.0), (1 / 27, 9.0), (0.25, 9.0)]
+    for _ in range(400):
+        pairs.append((math.exp(rng.uniform(-12, 3)), math.exp(rng.uniform(-4, 9))))
+    for _ in range(200):
+        pairs.append((1 / 27 * (1.0 + rng.uniform(-1e-12, 1e-12)),
+                      9.0 * (1.0 + rng.uniform(-1e-12, 1e-12))))
+    for _ in range(800):
+        b = math.exp(rng.uniform(math.log(9.5), math.log(1e4)))
+        eps = ti_thresholds(b)[2 + rng.randrange(2)]
+        delta = 0.0 if rng.random() < 0.1 else \
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17, -9)
+        pairs.append((eps * (1.0 + delta), b))
+    counts = set()
+    for a, b in pairs:
+        count = solver._exact_root_count(a, b)
+        assert count == canonical_cubic_root_count(a, b), (a, b)
+        counts.add(count)
+        af, bf = Fraction(a), Fraction(b)
+        c3, c2, c1, c0 = af, 2 * af * bf - 1, af * bf * bf - 2, Fraction(-1)
+        disc = (18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 * c2 * c1 * c1
+                - 4 * c3 * c1 ** 3 - 27 * c3 * c3 * c0 * c0)
+        q = _canonical_q(a, b)
+        assert disc == -af * (bf - 1) ** 2 * q, (a, b)
+        if b != 1.0:
+            assert _sign(disc) == -_sign(q), (a, b)
+    assert counts == {1, 2, 3}
+
+
+def test_ti_quartic_count_is_the_weights_count():
+    # T = -2x^3y Q(a_can, b_can) on the weights' exact canonical values,
+    # and its sign is the weights' Sturm count, at s = 0 points, at the
+    # exact tangency (1, 1/4, 1/4), on log-uniform weights and on
+    # threshold draws
+    rng = random.Random(10)
+    points = [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (1.0, 3.0, 17.0), (4.0, 6.0, 14.0),
+              (1.0, 0.25, 0.25)]
+    for s in (3, 12):
+        points += [tuple(math.exp(rng.uniform(-s, s)) for _ in range(3))
+                   for _ in range(400)]
+    while len(points) < 1205:
+        b = math.exp(rng.uniform(math.log(9.5), math.log(1e4)))
+        eps = ti_thresholds(b)[2 + rng.randrange(2)]
+        yw = (eps * (1.0 + rng.uniform(-1e-9, 1e-9)) / 2.0) ** (1.0 / 3.0)
+        if 2.0 * b * yw * yw > 1.0:
+            points.append((1.0, yw, 2.0 * b * yw * yw - 1.0))
+    counts = set()
+    for point in points:
+        w = BoltzmannWeights(*point)
+        x, y, z = map(Fraction, point)
+        q = _canonical_q(2 * y ** 3 / x ** 3, x * (x + z) / (2 * y * y))
+        assert ti_quartic(w) == -2 * x ** 3 * y * q, point
+        count = ti_quartic_root_count(w)
+        assert count == ti_polynomial_root_count(w), point
+        counts.add(count)
+    assert counts == {1, 2, 3}
 
 
 def _float_or_none(value: Fraction) -> float | None:
@@ -544,34 +653,9 @@ def test_cycle_points_past_the_float_range_are_a_domain_error():
             count_ti_roots(w)
 
 
-def _identity_corpus_text() -> str:
-    """The sweep CSV and JSON row and the solve JSON of 4,000 seeded points,
-    LambdaParams and BoltzmannWeights with weights exp(U[-s, s]) for s up
-    to 400, and `ExceptionClass: message` for each point that raises."""
-    rng = random.Random(27)
-    points = []
-    for s in (3, 12, 24, 400):
-        for _ in range(500):
-            points.append(LambdaParams(*(rng.uniform(-s, s) for _ in range(3)),
-                                       beta=rng.uniform(0.5, 2.0)))
-            points.append(BoltzmannWeights(*(math.exp(rng.uniform(-s, s))
-                                             for _ in range(3))))
-    parts = [",".join(SWEEP_COLUMNS) + "\n"]
-    for pt in points:
-        try:
-            row = sweep([pt])[0]
-            parts += [sweep_to_csv([row]).split("\n", 1)[1], sweep_to_jsonl([row])]
-            w = weights_from(pt) if isinstance(pt, LambdaParams) else pt
-            parts.append(cmd_solve(argparse.Namespace(
-                xw=w.xw, yw=w.yw, zw=w.zw, a=None, b=None, c=None, beta=None)))
-        except (LambdaTreeError, ValueError) as e:
-            parts.append(f"{type(e).__name__}: {e}\n")
-    return "".join(parts)
-
-
 def test_sweep_and_solve_output_is_pinned_byte_for_byte():
     # the text of the seeded corpus as the reports printed it before the
     # sweep computed its rows on plain floats
-    text = _identity_corpus_text()
+    text = identity_corpus_text()
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "05a39df59ddb3ba1a9e999cb815e660a232cc9613981fe427a8f812528beb6ac"
