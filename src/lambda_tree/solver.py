@@ -31,11 +31,11 @@ in (x, y, z) = (xw, yw, zw), evaluated exactly; the sign of D decides
 existence. The composed-map division that derives this closed form is a
 test oracle and is not run here.
 
-Both analyses run in private cores on the three weights as plain floats:
-_ti_core for the fixed points and _periodic_core for the 2-periodic pair.
-count_ti_roots and two_periodic_report wrap them and are the only
-builders of CanonicalParams, FixedPointReport and PeriodicReport; a sweep
-row comes from the cores directly, with no report object built.
+count_ti_roots and two_periodic_report find and check the roots, and
+are the only builders of CanonicalParams, FixedPointReport and
+PeriodicReport. A sweep row prints no root, so it is built from the two
+exact counts alone: the canonical parameters and, past b = 9, the
+thresholds and the sign of Q, then the integers behind A, B, C and D.
 """
 
 import math
@@ -112,13 +112,8 @@ def weights_from(p: LambdaParams) -> BoltzmannWeights:
 
 
 def _line_map(u: float, xw: float, yw: float, zw: float) -> float:
-    """f_map on the weights as plain floats."""
-    return ((xw * u + 2.0 * yw) / (yw * u + (xw + zw))) ** 2
-
-
-def f_map(u: float, w: BoltzmannWeights) -> float:
     """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
-    return _line_map(u, w.xw, w.yw, w.zw)
+    return ((xw * u + 2.0 * yw) / (yw * u + (xw + zw))) ** 2
 
 
 def _moderate(xw: float, yw: float, zw: float) -> tuple[float, float, float]:
@@ -155,13 +150,6 @@ def _canonical(xw: float, yw: float, zw: float):
         raise DomainError(f"canonical parameters of {BoltzmannWeights(xw, yw, zw)} "
                           f"are not positive finite floats")
     return a_can, b_can, v
-
-
-def canonical_params(w: BoltzmannWeights) -> CanonicalParams:
-    """(a_can, b_can) of the weights, computed on the moderated weights;
-    a DomainError names w."""
-    a_can, b_can, _ = _canonical(w.xw, w.yw, w.zw)
-    return CanonicalParams(a_can, b_can)
 
 
 def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
@@ -273,11 +261,11 @@ def canonical_root_count(a_can: float, b_can: float):
     return roots, ("unique", "two", "three")[count - 1], (eps1, eps2)
 
 
-def _ti_core(xw: float, yw: float, zw: float):
-    """(a_can, b_can, u_roots, regime, thresholds): the translation-invariant
-    fixed points on the invariant line, in increasing order, found and
-    polished on the moderated weights, each checked against u = f(u)."""
-    a_can, b_can, (mx, my, mz) = _canonical(xw, yw, zw)
+def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
+    """Translation-invariant fixed points on the invariant line, in
+    increasing order, found and polished on the moderated weights, each
+    checked against u = f(u)."""
+    a_can, b_can, (mx, my, mz) = _canonical(w.xw, w.yw, w.zw)
     roots_x, regime, thresholds = canonical_root_count(a_can, b_can)
     scale = 2.0 * my / mx
     u_roots = []
@@ -294,23 +282,15 @@ def _ti_core(xw: float, yw: float, zw: float):
                     f"fixed-point residual {residual:.3e} at u={u}")
             u = start
         u_roots.append(u)
-    u_roots.sort()
-    return a_can, b_can, tuple(u_roots), regime, thresholds
-
-
-def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
-    """Translation-invariant fixed points on the invariant line, found
-    and polished on the moderated weights."""
-    a_can, b_can, roots, regime, thresholds = _ti_core(w.xw, w.yw, w.zw)
-    return FixedPointReport(roots, regime, thresholds, regime != "unique",
-                            CanonicalParams(a_can, b_can))
+    return FixedPointReport(tuple(sorted(u_roots)), regime, thresholds,
+                            regime != "unique", CanonicalParams(a_can, b_can))
 
 
 def _polish_fixed_point(u: float, xw: float, yw: float, zw: float) -> float:
     """A few Newton steps on g(u) = f(u) - u."""
     den0 = xw + zw
     for _ in range(4):
-        num = xw * u + 2.0 * yw  # f(u) = (num/den)^2, as in f_map
+        num = xw * u + 2.0 * yw  # f(u) = (num/den)^2, as in _line_map
         den = yw * u + den0
         ratio = num / den
         g = ratio * ratio - u
@@ -354,34 +334,6 @@ def _as_float(num: int, den: int) -> float | None:
         return None
 
 
-def _periodic_core(xw: float, yw: float, zw: float):
-    """(quad, discriminant, proper_roots, exists) of the caller's weights,
-    the fields of PeriodicReport; see two_periodic_report."""
-    a, b, c, disc, scale = _quadratic_numerators(xw, yw, zw)
-    exists = disc > 0  # D > 0 forces B < -2αγ < 0: two positive roots
-    quad = (_as_float(a, scale), _as_float(b, scale), _as_float(c, scale))
-    disc_f = _as_float(disc, scale * scale)
-    if not exists:
-        return quad, disc_f, (), False
-    # the roots are the same for any common factor of a, b and c; a power
-    # of two near their size keeps the floats in range and, where quad is
-    # in range, gives the same roots bit for bit
-    norm = 2 ** max(a, abs(b), c).bit_length()
-    af, bf, cf = a / norm, b / norm, c / norm
-    q = (math.sqrt(disc / (norm * norm)) - bf) / 2.0  # B < 0: no cancellation
-    roots = tuple(sorted((q / af, cf / q)))
-    if not (0.0 < roots[0] and roots[1] < math.inf):
-        raise DomainError(f"2-periodic roots of {BoltzmannWeights(xw, yw, zw)} "
-                          f"are out of float range")
-    mx, my, mz = _moderate(xw, yw, zw)
-    for r in roots:
-        if not (abs(r - _line_map(_line_map(r, mx, my, mz), mx, my, mz))
-                < _FIXED_POINT_RESIDUAL * max(1.0, r)):
-            raise InternalConsistencyError(
-                f"2-periodic residual too large at root {r}")
-    return quad, disc_f, roots, True
-
-
 def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     """Proper 2-periodic solutions on the invariant line.
 
@@ -395,7 +347,27 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     u = f(f(u)) on the moderated weights, as f is. A, B, C or D past the
     float range is reported as None.
     """
-    return PeriodicReport(*_periodic_core(w.xw, w.yw, w.zw))
+    a, b, c, disc, scale = _quadratic_numerators(w.xw, w.yw, w.zw)
+    quad = (_as_float(a, scale), _as_float(b, scale), _as_float(c, scale))
+    disc_f = _as_float(disc, scale * scale)
+    if not disc > 0:
+        return PeriodicReport(quad, disc_f, (), False)
+    # the roots are the same for any common factor of a, b and c; a power
+    # of two near their size keeps the floats in range and, where quad is
+    # in range, gives the same roots bit for bit
+    norm = 2 ** max(a, abs(b), c).bit_length()
+    af, bf, cf = a / norm, b / norm, c / norm
+    q = (math.sqrt(disc / (norm * norm)) - bf) / 2.0  # B < 0: no cancellation
+    roots = tuple(sorted((q / af, cf / q)))
+    if not (0.0 < roots[0] and roots[1] < math.inf):
+        raise DomainError(f"2-periodic roots of {w} are out of float range")
+    mx, my, mz = _moderate(w.xw, w.yw, w.zw)
+    for r in roots:
+        if not (abs(r - _line_map(_line_map(r, mx, my, mz), mx, my, mz))
+                < _FIXED_POINT_RESIDUAL * max(1.0, r)):
+            raise InternalConsistencyError(
+                f"2-periodic residual too large at root {r}")
+    return PeriodicReport(quad, disc_f, roots, True)
 
 
 class SweepRow(NamedTuple):
@@ -428,18 +400,24 @@ SWEEP_COLUMNS = SweepRow._fields
 
 
 def _sweep_point(point) -> SweepRow:
-    """The row of one point, from the float cores; no report is built."""
+    """The row of one point, from the exact counts alone: no root is
+    found and no report is built."""
     if isinstance(point, LambdaParams):
         xw, yw, zw = _edge_weights(point)
         abc = (point.a, point.b, point.c, point.beta)
     else:
         xw, yw, zw = point.xw, point.yw, point.zw
         abc = (None, None, None, None)
-    a_can, b_can, u_roots, regime, thresholds = _ti_core(xw, yw, zw)
-    quad, disc_f, _, exists = _periodic_core(xw, yw, zw)
-    eps1, eps2 = thresholds if thresholds else (None, None)
-    return SweepRow(*abc, xw, yw, zw, a_can, b_can, len(u_roots), eps1, eps2,
-                    quad[1], disc_f, exists, regime != "unique" or exists)
+    a_can, b_can, _ = _canonical(xw, yw, zw)
+    count, eps1, eps2 = 1, None, None
+    if b_can > 9:
+        eps1, eps2 = ti_thresholds(b_can)[2:]
+        count = _exact_root_count(a_can, b_can)
+    _, b, _, disc, scale = _quadratic_numerators(xw, yw, zw)
+    exists = disc > 0
+    return SweepRow(*abc, xw, yw, zw, a_can, b_can, count, eps1, eps2,
+                    _as_float(b, scale), _as_float(disc, scale * scale),
+                    exists, count > 1 or exists)
 
 
 def sweep(points) -> list[SweepRow]:

@@ -18,9 +18,9 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, fields_from_ratios,
 from lambda_tree.ground import (REPRESENTATIVE_PARAMS, brute_force_minima,
                                 generators_for, realize, sample_family)
 from lambda_tree.model import LambdaParams
-from lambda_tree.solver import (BoltzmannWeights, canonical_root_count,
-                                count_ti_roots, f_map, ti_thresholds,
-                                two_periodic_report)
+from lambda_tree.solver import (BoltzmannWeights, _line_map,
+                                canonical_root_count, count_ti_roots,
+                                ti_thresholds, two_periodic_report)
 from lambda_tree.tree import TreeShape
 from oracles import case_identity_check, periodic_quadratic
 
@@ -127,8 +127,9 @@ def test_criterion_3():
         assert len(report.proper_roots) == 2
         for r in report.proper_roots:
             assert r > 0
-            assert abs(r - f_map(f_map(r, w), w)) < 1e-9
-            assert abs(r - f_map(r, w)) > 1e-6
+            fr = _line_map(r, w.xw, w.yw, w.zw)
+            assert abs(r - _line_map(fr, w.xw, w.yw, w.zw)) < 1e-9
+            assert abs(r - fr) > 1e-6
 
 
 @criterion(4, "no 2-cycles for the shifted and equal-pair weight families")

@@ -15,6 +15,7 @@ import pytest
 
 from lambda_tree import cli, solver
 from lambda_tree.cli import build_parser, main
+from lambda_tree.errors import InternalConsistencyError
 from oracles import (bisect_cubic_root, sweep_to_csv_by_cell, sweep_to_jsonl_by_cell,
                      ti_polynomial_root_count)
 
@@ -235,7 +236,7 @@ def test_solve_keeps_the_bisection_point_at_a_tangency(capsys):
         [float(format(u, ".15g")) for u in roots]
     assert roots
     for u in roots:
-        assert abs(u - solver.f_map(u, w)) <= 1e-9 * max(1.0, u), u
+        assert abs(u - solver._line_map(u, xw, yw, zw)) <= 1e-9 * max(1.0, u), u
 
 
 def test_solve_counts_exactly_next_to_a_threshold(capsys):
@@ -264,7 +265,8 @@ def test_solve_prints_the_tangency_point_for_roots_floats_cannot_separate(capsys
     assert ti["regime"] == "three" and ti["phase_transition"] is True
     assert ti["roots"] == [0.40828842935344, 0.40828842935344, 23.9952813455985]
     for u in solver.count_ti_roots(w).ti_roots:
-        assert abs(u - solver.f_map(u, w)) <= 1e-9 * max(1.0, u), u
+        fu = solver._line_map(u, w.xw, w.yw, w.zw)
+        assert abs(u - fu) <= 1e-9 * max(1.0, u), u
 
 
 def test_solve_reports_both_points_of_a_narrow_cycle(capsys):
@@ -277,8 +279,9 @@ def test_solve_reports_both_points_of_a_narrow_cycle(capsys):
     assert per["exists"] is True
     assert per["proper_roots"] == [1.41779049175744, 1.41779066621927]
     for r in solver.two_periodic_report(w).proper_roots:
-        assert abs(r - solver.f_map(solver.f_map(r, w), w)) < 1e-9 * max(1.0, r)
-        assert r != solver.f_map(r, w)
+        fr = solver._line_map(r, w.xw, w.yw, w.zw)
+        assert abs(r - solver._line_map(fr, w.xw, w.yw, w.zw)) < 1e-9 * max(1.0, r)
+        assert r != fr
 
 
 def test_two_periodic_fields_past_float_range(tmp_path, capsys):
@@ -909,20 +912,56 @@ def test_sweep_out_over_its_own_config(tmp_path, capsys):
 
 def test_internal_consistency_error_exits_4_and_writes_nothing(tmp_path, capsys,
                                                                 monkeypatch):
-    # a map whose fixed points fail the residual check, in solve and in
-    # sweep alike
-    monkeypatch.setattr(solver, "_line_map", lambda u, xw, yw, zw: u + 1.0)
+    # solve: a map whose fixed points fail the residual check; sweep, which
+    # never evaluates the map: the exact count of its third point failing
+    quadratic_numerators, calls = solver._quadratic_numerators, []
+
+    def fail_third(xw, yw, zw):
+        calls.append((xw, yw, zw))
+        if len(calls) == 3:
+            raise InternalConsistencyError("third point")
+        return quadratic_numerators(xw, yw, zw)
+
     out = tmp_path / "out.txt"
-    for argv in (["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"],
-                 _out_argv(tmp_path, "sweep csv")):
-        assert main(argv) == 4
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: fixed-point residual")
-        assert captured.out == ""
-        out.write_text("old text\n")
-        assert main([*argv, "--out", str(out)]) == 4
-        assert capsys.readouterr().out == ""
-        assert out.read_bytes() == b"old text\n"
+    for argv, name, patch, err in (
+            (["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"], "_line_map",
+             lambda u, xw, yw, zw: u + 1.0, "error: fixed-point residual"),
+            (_out_argv(tmp_path, "sweep csv"), "_quadratic_numerators",
+             fail_third, "error: third point")):
+        with monkeypatch.context() as m:
+            m.setattr(solver, name, patch)
+            for extra in ([], ["--out", str(out)]):
+                out.write_text("old text\n")
+                calls.clear()
+                assert main([*argv, *extra]) == 4
+                captured = capsys.readouterr()
+                assert captured.err.startswith(err)
+                assert captured.out == ""
+                assert out.read_bytes() == b"old text\n"
+
+
+def test_sweep_finds_no_root(tmp_path, capsys, monkeypatch):
+    # a sweep row prints counts, not roots: with the root finders and the
+    # map failing on any call, both formats print the same bytes; the grid
+    # holds one, three and two-periodic points
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "axes": [{"name": "xw", "start": 0.2, "stop": 3.0, "step": 0.4},
+                 {"name": "yw", "start": 0.25, "stop": 1.0, "step": 0.25}],
+        "fixed": {"zw": "xw"}}))
+    argvs = [["sweep", "--config", str(config), "--format", fmt]
+             for fmt in ("csv", "json")]
+    printed = [_printed(capsys, argv) for argv in argvs]
+    rows = [json.loads(line) for line in printed[1].splitlines()]
+    assert {row["ti_count"] for row in rows} == {1, 3}
+    assert {row["two_periodic"] for row in rows} == {True, False}
+
+    def fail(*args):
+        raise AssertionError("a sweep row needs no root")
+
+    for name in ("_line_map", "_bisect_cubic_root", "_polish_fixed_point"):
+        monkeypatch.setattr(solver, name, fail)
+    assert [_printed(capsys, argv) for argv in argvs] == printed
 
 
 def test_out_write_errors_exit_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                push_forward)
 from lambda_tree.ground import brute_force_minima
 from lambda_tree.model import SPINS, LambdaParams, ball_energy_catalogue, lambda_value
-from lambda_tree.solver import f_map, weights_from
+from lambda_tree.solver import _line_map, weights_from
 from lambda_tree.tree import TreeShape, successors
 from oracles import vertex_normalizer
 
@@ -171,7 +171,7 @@ def test_push_forward_on_equal_children_is_ti_map():
         u = (math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
         assert push_forward([u, u], p) == pytest.approx(_ti_map(u, w), rel=4e-15)
         assert push_forward([(1.0, u[1])] * 2, p)[1] == pytest.approx(
-            f_map(u[1], w), rel=4e-15)
+            _line_map(u[1], w.xw, w.yw, w.zw), rel=4e-15)
 
 
 def test_push_forward_rejects_bad_input():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
-                                canonical_params, canonical_root_count,
-                                count_ti_roots, f_map, sweep, sweep_to_csv,
+                                CanonicalParams, canonical_root_count,
+                                count_ti_roots, sweep, sweep_to_csv,
                                 ti_thresholds, two_periodic_report,
                                 weights_from)
 from oracles import (bisect_cubic_root, canonical_cubic_root_count,
@@ -77,17 +78,17 @@ def test_two_component_map():
     p = LambdaParams(math.log(2.1), math.log(1.3), math.log(0.7))
     w2 = weights_from(p)
     u2 = 1.9
-    assert push_forward([(1.0, u2)] * 2, p)[1] == pytest.approx(f_map(u2, w2), rel=1e-14)
+    assert push_forward([(1.0, u2)] * 2, p)[1] == pytest.approx(
+        solver._line_map(u2, w2.xw, w2.yw, w2.zw), rel=1e-14)
 
 
 def test_canonical_params_and_scaling():
-    assert canonical_params(BoltzmannWeights(1.0, 1.0, 1.0)) \
-        .a_can == pytest.approx(2.0)
-    assert canonical_params(BoltzmannWeights(1.0, 1.0, 1.0)) \
-        .b_can == pytest.approx(1.0)
+    can = count_ti_roots(BoltzmannWeights(1.0, 1.0, 1.0)).canonical
+    assert can.a_can == pytest.approx(2.0)
+    assert can.b_can == pytest.approx(1.0)
     # a_can is cubic in yw at fixed xw
-    c1 = canonical_params(BoltzmannWeights(1.5, 1.0, 0.5))
-    c2 = canonical_params(BoltzmannWeights(1.5, 2.0, 0.5))
+    c1 = count_ti_roots(BoltzmannWeights(1.5, 1.0, 0.5)).canonical
+    c2 = count_ti_roots(BoltzmannWeights(1.5, 2.0, 0.5)).canonical
     assert c2.a_can == pytest.approx(8.0 * c1.a_can, rel=1e-12)
 
 
@@ -95,17 +96,16 @@ def test_cubic_roots_are_map_fixed_points():
     rng = random.Random(101)
     for _ in range(40):
         w = _random_weights(rng)
-        can = canonical_params(w)
-        roots_x, _, _ = canonical_root_count(can.a_can, can.b_can)
+        a, b, _ = solver._canonical(w.xw, w.yw, w.zw)
+        roots_x, _, _ = canonical_root_count(a, b)
         assert len(roots_x) >= 1
         scale = 2.0 * w.yw / w.xw
         for x in roots_x:
             u = x * scale
-            assert f_map(u, w) == pytest.approx(u, rel=1e-6)
+            assert solver._line_map(u, w.xw, w.yw, w.zw) == pytest.approx(u, rel=1e-6)
         # and back: reported fixed points satisfy the cubic
-        a, b = can.a_can, can.b_can
         report = count_ti_roots(w)
-        assert report.canonical == can
+        assert report.canonical == CanonicalParams(a, b)
         for u in report.ti_roots:
             x = u / scale
             assert a * x * (b + x) ** 2 == pytest.approx((1 + x) ** 2, rel=1e-9)
@@ -166,8 +166,7 @@ def test_bisection_matches_the_closure_oracle(monkeypatch):
     rng = random.Random(0)
     for _ in range(5000):
         w = BoltzmannWeights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
-        can = canonical_params(w)
-        cases.append((can.a_can, can.b_can))
+        cases.append(solver._canonical(w.xw, w.yw, w.zw)[:2])
     shipped = [canonical_root_count(a, b) for a, b in cases]
     monkeypatch.setattr(solver, "_bisect_cubic_root", bisect_cubic_root)
     assert [canonical_root_count(a, b) for a, b in cases] == shipped
@@ -200,8 +199,9 @@ def test_ti_roots_are_period_two_points_as_well():
     for _ in range(30):
         w = _random_weights(rng)
         for u in count_ti_roots(w).ti_roots:
-            assert abs(u - f_map(u, w)) < 2e-9
-            assert abs(u - f_map(f_map(u, w), w)) < 1e-8
+            fu = solver._line_map(u, w.xw, w.yw, w.zw)
+            assert abs(u - fu) < 2e-9
+            assert abs(u - solver._line_map(fu, w.xw, w.yw, w.zw)) < 1e-8
 
 
 def test_phase_flag_tracks_regime():
@@ -241,8 +241,8 @@ def test_equal_edge_weights_two_cycle():
     assert report.discriminant == pytest.approx(9.95622912, rel=1e-9)
     r1, r2 = report.proper_roots
     assert 0 < r1 < r2
-    assert f_map(r1, w) == pytest.approx(r2, rel=1e-9)
-    assert f_map(r2, w) == pytest.approx(r1, rel=1e-9)
+    assert solver._line_map(r1, w.xw, w.yw, w.zw) == pytest.approx(r2, rel=1e-9)
+    assert solver._line_map(r2, w.xw, w.yw, w.zw) == pytest.approx(r1, rel=1e-9)
     # coexists with a unique translation-invariant point
     fp = count_ti_roots(w)
     assert fp.regime == "unique"
@@ -359,7 +359,8 @@ def test_threshold_draws_count_exactly():
             assert count == ti_polynomial_root_count(w), (w, delta)
         seen["far" if abs(delta) >= 1e-14 else "near"].add(count)
         for u in report.ti_roots:
-            assert abs(u - f_map(u, w)) <= 1e-9 * max(1.0, u), (w, u)
+            fu = solver._line_map(u, w.xw, w.yw, w.zw)
+            assert abs(u - fu) <= 1e-9 * max(1.0, u), (w, u)
     assert seen["far"] == {1, 3} and seen["near"] >= {1, 3}
 
 
@@ -480,7 +481,7 @@ def test_out_of_float_range_is_a_domain_error():
         weights_from(LambdaParams(0.0, 0.0, 1000.0))
     for w in ((1e-300, 1.0, 1.0), (1e300, 1.0, 1.0)):
         with pytest.raises(DomainError):
-            canonical_params(BoltzmannWeights(*w))
+            count_ti_roots(BoltzmannWeights(*w))
     with pytest.raises(DomainError):
         ti_thresholds(1e200)
     # A is about 9e400: out-of-range coefficients are None, D is exactly 0
@@ -545,7 +546,7 @@ def test_canonical_inverse_round_trip():
         except DomainError:
             continue
         hits += 1
-        can = canonical_params(w)
+        can = count_ti_roots(w).canonical
         assert can.a_can == pytest.approx(a_can, rel=1e-12)
         assert can.b_can == pytest.approx(b_can, rel=1e-12)
 
@@ -563,6 +564,45 @@ def test_sweep_single_point_matches_reports():
     assert row.eps1 is None and row.eps2 is None
     assert row.B == 36.0 and row.D == 0.0
     assert not row.two_periodic and not row.phase_transition
+    # a row is built from the exact counts alone, the reports from the
+    # roots: on log-uniform weights at three scales and on threshold draws
+    # a_can = eps_i*(1 + delta), exact ones included, every cell both
+    # print agrees, and a point the row refuses, the reports refuse with
+    # the same error
+    rng = random.Random(31)
+    points = [BoltzmannWeights(*(math.exp(rng.uniform(-s, s)) for _ in range(3)))
+              for s in (3, 24, 400) for _ in range(300)]
+    points.append(BoltzmannWeights(1.0, 0.25, 0.25))  # a_can = eps1 = 1/32 exactly
+    while len(points) < 1200:
+        b = math.exp(rng.uniform(math.log(9.5), math.log(1e4)))
+        eps = ti_thresholds(b)[2 + rng.randrange(2)]
+        delta = 0.0 if rng.random() < 0.1 else \
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17, -3)
+        yw = (eps * (1.0 + delta) / 2.0) ** (1.0 / 3.0)  # a_can = 2*yw^3
+        zw = 2.0 * b * yw * yw - 1.0  # b_can = (1 + zw) / (2*yw^2)
+        if zw > 0:
+            points.append(BoltzmannWeights(1.0, yw, zw))
+    counts, refused = set(), 0
+    for w in points:
+        try:
+            row = sweep([w])[0]
+        except DomainError as e:
+            with pytest.raises(DomainError, match=re.escape(str(e))):
+                count_ti_roots(w)
+                two_periodic_report(w)
+            refused += 1
+            continue
+        report, per = count_ti_roots(w), two_periodic_report(w)
+        assert row.ti_count == len(report.ti_roots), w
+        assert report.regime == ("unique", "two", "three")[row.ti_count - 1], w
+        assert (row.a_can, row.b_can) == (report.canonical.a_can,
+                                          report.canonical.b_can), w
+        assert (row.eps1, row.eps2) == (report.thresholds or (None, None)), w
+        assert (row.B, row.D, row.two_periodic) == \
+            (per.quad[1], per.discriminant, per.two_periodic_exists), w
+        assert row.phase_transition == (row.ti_count > 1 or row.two_periodic), w
+        counts.add(row.ti_count)
+    assert counts == {1, 2, 3} and 0 < refused < 300
 
 
 def test_sweep_accepts_raw_weights():
