@@ -20,8 +20,8 @@ from .gibbs import (BoundaryFields, ConsistencyReport, FieldRatios,
                     fields_from_ratios, finite_volume_measure, is_consistent,
                     measure_to_csv, propagate_ratios, push_forward)
 from .solver import (BoltzmannWeights, CanonicalParams, FixedPointReport,
-                     PeriodicReport, SweepRow, canonical_root_count,
-                     count_ti_roots, sweep, sweep_to_csv, ti_thresholds,
-                     two_periodic_report, weights_from)
+                     PeriodicReport, SweepRow, count_ti_roots, sweep,
+                     sweep_to_csv, ti_thresholds, two_periodic_report,
+                     weights_from)
 
 __version__ = "0.1.0"

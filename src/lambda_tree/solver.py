@@ -12,13 +12,14 @@ Translation-invariant measures correspond to u = f(u); reducing by
 x = u*xw/(2*yw) turns that into the cubic a*x*(b+x)^2 = (1+x)^2 in the
 canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2). For b <= 9
 it has one positive root. For b > 9 it has one, two or three, counted
-exactly from the sign of one integer at the floats (a, b), the
-discriminant's factor Q of _exact_root_count; no tolerance enters the
-count. The tangency points x1 < x2 (with thresholds eps_1 < eps_2, where
-a root is double) split (0, inf) into the brackets (0, x1), (x1, x2),
-(x2, inf), each holding at most one root; every root is found by sign
-bisection inside its bracket and then polished by Newton steps on
-f(u) - u.
+exactly from the sign of one integer: the quartic T of _ti_count, on the
+weights as the integers of _integers, the same integers D is read from.
+No tolerance enters the count; the floats a_can and b_can only locate
+the roots. The tangency points x1 < x2 (with thresholds eps_1 < eps_2,
+where a root is double) split (0, inf) into the brackets (0, x1),
+(x1, x2), (x2, inf), each holding at most one root; every root is found
+by sign bisection inside its bracket and then polished by Newton steps
+on f(u) - u.
 
 Proper 2-periodic measures solve u = f(f(u)) but not u = f(u). The exact
 quotient num(f∘f - id) / num(f - id) is a quadratic A*u^2 + B*u + C with
@@ -27,15 +28,15 @@ the closed form
     A = α^2,   B = 2αγ - s^2,   C = γ^2,   D = B^2 - 4AC = s^2 (s^2 - 4αγ),
     α = x^2 + xy + yz,   γ = x^2 + 2x(y + z) + z^2,   s = x(x + z) - 2y^2
 
-in (x, y, z) = (xw, yw, zw), evaluated exactly; the sign of D decides
-existence. The composed-map division that derives this closed form is a
-test oracle and is not run here.
+in (x, y, z) = (xw, yw, zw), evaluated exactly on _integers; the sign of
+D decides existence. The composed-map division that derives this closed
+form is a test oracle and is not run here.
 
 count_ti_roots and two_periodic_report find and check the roots, and
 are the only builders of CanonicalParams, FixedPointReport and
 PeriodicReport. A sweep row prints no root, so it is built from the two
 exact counts alone: the canonical parameters and, past b = 9, the
-thresholds and the sign of Q, then the integers behind A, B, C and D.
+thresholds and the sign of T, then the integers behind A, B, C and D.
 """
 
 import math
@@ -205,43 +206,51 @@ def _bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
             hi = mid
 
 
-def _exact_root_count(a: float, b: float) -> int:
-    """Distinct positive roots of a*x*(b+x)^2 - (1+x)^2, read at a and b
-    as the binary fractions they are.
+def _integers(xw: float, yw: float, zw: float) -> tuple[int, int, int, int]:
+    """(x, y, z, d): the weights as the integers x/d, y/d, z/d over the
+    largest of their denominators. Floats are integers over powers of two,
+    so that denominator is a multiple of the other two."""
+    ratios = [v.as_integer_ratio() for v in (xw, yw, zw)]
+    d = max(den for _, den in ratios)
+    x, y, z = (num * (d // den) for num, den in ratios)
+    return x, y, z, d
 
-    The cubic's discriminant is -a*(b-1)^2*Q with
-    Q = 4a^2b^3 - ab^2 - 18ab + 27a + 4 = 4b^3(a - eps1)(a - eps2). For
-    b != 1 the cubic is negative on all of x <= 0, so every real root is
-    positive: three where Q < 0, one where Q > 0, and a double and a
-    simple one where Q = 0, as the only triple root is at
-    (b, a) = (9, 1/27), which no pair of floats reaches. At b = 1,
-    Q = 4(a+1)^2 > 0 and the one root is 1/a. Q*da^2*db^3 is an integer
-    with the sign of Q.
+
+def _ti_count(x: int, y: int, z: int) -> int:
+    """Distinct translation-invariant fixed points of the integer weights
+    (x, y, z), past b = 9: 3, 2 or 1 as T is positive, zero or negative.
+
+    T = -2x^3y*Q(a, b) at the weights' exact canonical values, with Q the
+    factor 4a^2b^3 - ab^2 - 18ab + 27a + 4 = 4b^3(a - eps1)(a - eps2) of
+    the reduced cubic's discriminant -a(b-1)^2*Q. For b != 1 the cubic is
+    negative on all of x <= 0, so every real root is positive: three where
+    Q < 0, one where Q > 0, and a double and a simple one where Q = 0, as
+    the only triple root is at (b, a) = (9, 1/27), which no rational
+    weights reach. T is homogeneous, so the common denominator leaves its
+    sign alone. For every b <= 9 but that cusp, T < 0: callers count 1
+    where the float b_can <= 9, which assumes no float b_can rounds down
+    to 9 or below from a true b within the few ulps above 9 where T can
+    be positive.
     """
-    na, da = a.as_integer_ratio()
-    nb, db = b.as_integer_ratio()
-    q = (4 * na * na * nb ** 3 - na * da * nb * db * (nb + 18 * db)
-         + da * db ** 3 * (27 * na + 4 * da))
-    return 1 if q > 0 else 2 if q == 0 else 3
+    s = x + z
+    t = s * (s * (x * x - 4 * y * s) + 36 * x * y * y) - 4 * y * (2 * x ** 3 + 27 * y ** 3)
+    return 3 if t > 0 else 2 if t == 0 else 1
 
 
-def canonical_root_count(a_can: float, b_can: float):
+def _canonical_roots(a_can: float, b_can: float, count: int):
     """Positive roots of the reduced cubic plus the regime verdict.
 
-    Returns (roots_x, regime, thresholds). The regime is the exact count
-    of distinct positive roots at the floats (a_can, b_can): unique for
-    b <= 9, and for b > 9 three, one, or two where a_can is exactly a
-    tangency threshold. Three roots are bisected in the brackets
-    (0, x1), (x1, x2), (x2, inf) when the bisection's sign test tells
-    them apart at x1 and x2. Otherwise one root is bisected, past x2 when
-    a_can is nearer eps1 (in ratio) and short of x1 when nearer eps2, and
-    the tangency point on the other side stands for the count's remaining
-    roots, which floats cannot separate: the double root of regime two,
-    or two of the three.
+    Returns (roots_x, regime, thresholds) for count distinct positive
+    roots, the weights' exact count: unique for b <= 9, and for b > 9
+    three, one, or two at an exact tangency. Three roots are bisected in
+    the brackets (0, x1), (x1, x2), (x2, inf) when the bisection's sign
+    test tells them apart at x1 and x2. Otherwise one root is bisected,
+    past x2 when a_can is nearer eps1 (in ratio) and short of x1 when
+    nearer eps2, and the tangency point on the other side stands for the
+    count's remaining roots, which floats cannot separate: the double root
+    of regime two, or two of the three.
     """
     a, b = a_can, b_can
-    if a <= 0 or b <= 0:
-        raise DomainError("canonical parameters must be positive")
     # a*x*(b+x)^2 < (1+x)^2 below lo and > above hi (bounds on (1+x)^2 and
     # (b+x)^2 for x <= 1 and x >= 1)
     lo = 0.5 * min(1.0, 1.0 / a / (b + 1.0) / (b + 1.0))
@@ -249,7 +258,6 @@ def canonical_root_count(a_can: float, b_can: float):
     if b <= 9:
         return (_bisect_cubic_root(a, b, lo, hi),), "unique", None
     x1, x2, eps1, eps2 = ti_thresholds(b)
-    count = _exact_root_count(a, b)
     r1, r2 = (b + x1) / (1.0 + x1), (b + x2) / (1.0 + x2)
     if count == 3 and a * x1 * r1 * r1 > 1.0 > a * x2 * r2 * r2:
         roots = tuple(_bisect_cubic_root(a, b, *bracket)
@@ -266,7 +274,8 @@ def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
     increasing order, found and polished on the moderated weights, each
     checked against u = f(u)."""
     a_can, b_can, (mx, my, mz) = _canonical(w.xw, w.yw, w.zw)
-    roots_x, regime, thresholds = canonical_root_count(a_can, b_can)
+    count = _ti_count(*_integers(w.xw, w.yw, w.zw)[:3]) if b_can > 9 else 1
+    roots_x, regime, thresholds = _canonical_roots(a_can, b_can, count)
     scale = 2.0 * my / mx
     u_roots = []
     for x in roots_x:
@@ -306,24 +315,18 @@ def _polish_fixed_point(u: float, xw: float, yw: float, zw: float) -> float:
     return u
 
 
-def _quadratic_numerators(xw: float, yw: float,
-                          zw: float) -> tuple[int, int, int, int, int]:
-    """Integers (a, b, c, disc, scale) with (A, B, C) = (a, b, c) / scale
-    and D = disc / scale^2.
+def _quadratic_numerators(x: int, y: int, z: int) -> tuple[int, int, int, int]:
+    """Integers (a, b, c, disc) with (A, B, C) = (a, b, c) / d^4 and
+    D = disc / d^8 at the weights (x, y, z) / d of _integers.
 
     α, γ and s (closed form in the module docstring) are homogeneous of
-    degree 2 in the weights, and floats are integers over powers of two,
-    so they are evaluated on integers over the largest of the three
-    denominators, whose fourth power is the scale.
+    degree 2 in the weights, so they are evaluated on the integers alone.
     """
-    ratios = [v.as_integer_ratio() for v in (xw, yw, zw)]
-    d = max(den for _, den in ratios)  # powers of two: a common multiple
-    x, y, z = (num * (d // den) for num, den in ratios)
     alpha = x * (x + y) + y * z
     gamma = (x + z) ** 2 + 2 * x * y
     s2 = (x * (x + z) - 2 * y * y) ** 2
     ag = alpha * gamma
-    return alpha * alpha, 2 * ag - s2, gamma * gamma, s2 * (s2 - 4 * ag), d ** 4
+    return alpha * alpha, 2 * ag - s2, gamma * gamma, s2 * (s2 - 4 * ag)
 
 
 def _as_float(num: int, den: int) -> float | None:
@@ -347,9 +350,10 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     u = f(f(u)) on the moderated weights, as f is. A, B, C or D past the
     float range is reported as None.
     """
-    a, b, c, disc, scale = _quadratic_numerators(w.xw, w.yw, w.zw)
-    quad = (_as_float(a, scale), _as_float(b, scale), _as_float(c, scale))
-    disc_f = _as_float(disc, scale * scale)
+    x, y, z, d = _integers(w.xw, w.yw, w.zw)
+    a, b, c, disc = _quadratic_numerators(x, y, z)
+    quad = (_as_float(a, d ** 4), _as_float(b, d ** 4), _as_float(c, d ** 4))
+    disc_f = _as_float(disc, d ** 8)
     if not disc > 0:
         return PeriodicReport(quad, disc_f, (), False)
     # the roots are the same for any common factor of a, b and c; a power
@@ -409,14 +413,15 @@ def _sweep_point(point) -> SweepRow:
         xw, yw, zw = point.xw, point.yw, point.zw
         abc = (None, None, None, None)
     a_can, b_can, _ = _canonical(xw, yw, zw)
+    x, y, z, d = _integers(xw, yw, zw)
     count, eps1, eps2 = 1, None, None
     if b_can > 9:
         eps1, eps2 = ti_thresholds(b_can)[2:]
-        count = _exact_root_count(a_can, b_can)
-    _, b, _, disc, scale = _quadratic_numerators(xw, yw, zw)
+        count = _ti_count(x, y, z)
+    _, b, _, disc = _quadratic_numerators(x, y, z)
     exists = disc > 0
     return SweepRow(*abc, xw, yw, zw, a_can, b_can, count, eps1, eps2,
-                    _as_float(b, scale), _as_float(disc, scale * scale),
+                    _as_float(b, d ** 4), _as_float(disc, d ** 8),
                     exists, count > 1 or exists)
 
 

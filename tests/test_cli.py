@@ -253,20 +253,26 @@ def test_solve_counts_exactly_next_to_a_threshold(capsys):
 
 
 def test_solve_prints_the_tangency_point_for_roots_floats_cannot_separate(capsys):
-    # a_can is one ulp above eps1: three fixed points exactly, two of them
-    # closer than the bisection's sign test can tell apart at x1, so the
-    # tangency point stands for both; Newton steps off it, and the point
-    # itself, which meets the gate, is printed
-    w = solver.BoltzmannWeights(1.0, 0.16190538300905066, 0.0796367441077308)
-    payload = _run_json(capsys, ["solve", "--xw", "1", "--yw", repr(w.yw),
-                                 "--zw", repr(w.zw)])
-    assert ti_polynomial_root_count(w) == 3
-    ti = payload["translation_invariant"]
-    assert ti["regime"] == "three" and ti["phase_transition"] is True
-    assert ti["roots"] == [0.40828842935344, 0.40828842935344, 23.9952813455985]
-    for u in solver.count_ti_roots(w).ti_roots:
-        fu = solver._line_map(u, w.xw, w.yw, w.zw)
-        assert abs(u - fu) <= 1e-9 * max(1.0, u), u
+    # three fixed points exactly, two of them closer than the bisection's
+    # sign test can tell apart, so the tangency point stands for both;
+    # Newton steps off it, and the point itself, which meets the gate, is
+    # printed. In the first, a_can is one ulp above eps1. In the second,
+    # a_can is three ulps above the float eps2: the floats (a_can, b_can)
+    # have one root, and the count is the weights' own
+    for w, printed in (
+            (solver.BoltzmannWeights(1.0, 0.16190538300905066, 0.0796367441077308),
+             [0.40828842935344, 0.40828842935344, 23.9952813455985]),
+            (solver.BoltzmannWeights(1.0, 0.07561048727600549, 2.3293272373093323),
+             [0.00212113373928046, 43.4256141951587, 43.4256141951587])):
+        payload = _run_json(capsys, ["solve", "--xw", "1", "--yw", repr(w.yw),
+                                     "--zw", repr(w.zw)])
+        assert ti_polynomial_root_count(w) == 3
+        ti = payload["translation_invariant"]
+        assert ti["regime"] == "three" and ti["phase_transition"] is True
+        assert ti["roots"] == printed
+        for u in solver.count_ti_roots(w).ti_roots:
+            fu = solver._line_map(u, w.xw, w.yw, w.zw)
+            assert abs(u - fu) <= 1e-9 * max(1.0, u), u
 
 
 def test_solve_reports_both_points_of_a_narrow_cycle(capsys):

@@ -13,16 +13,21 @@ from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
-                                CanonicalParams, canonical_root_count,
-                                count_ti_roots, sweep, sweep_to_csv,
-                                ti_thresholds, two_periodic_report,
-                                weights_from)
+                                CanonicalParams, count_ti_roots, sweep,
+                                sweep_to_csv, ti_thresholds,
+                                two_periodic_report, weights_from)
 from oracles import (bisect_cubic_root, canonical_cubic_root_count,
                      case_identity_check, identity_corpus_text,
                      periodic_quadratic, printed_case_d, quadratic_by_division,
                      sweep_to_csv_by_cell, sweep_to_jsonl_by_cell,
                      ti_polynomial_root_count, ti_quartic,
                      ti_quartic_root_count)
+
+
+def _roots_at(a: float, b: float):
+    """solver._canonical_roots at the floats (a, b), given their exact
+    count as the Sturm oracle reads it."""
+    return solver._canonical_roots(a, b, canonical_cubic_root_count(a, b))
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -97,7 +102,7 @@ def test_cubic_roots_are_map_fixed_points():
     for _ in range(40):
         w = _random_weights(rng)
         a, b, _ = solver._canonical(w.xw, w.yw, w.zw)
-        roots_x, _, _ = canonical_root_count(a, b)
+        roots_x, _, _ = _roots_at(a, b)
         assert len(roots_x) >= 1
         scale = 2.0 * w.yw / w.xw
         for x in roots_x:
@@ -134,27 +139,28 @@ def test_threshold_ordering():
 
 
 def test_root_count_regimes():
-    roots, regime, thr = canonical_root_count(0.025, 10.0)
+    roots, regime, thr = _roots_at(0.025, 10.0)
     assert regime == "unique" and len(roots) == 1
     assert thr == (pytest.approx(0.03125), pytest.approx(0.032))
 
-    roots, regime, _ = canonical_root_count(0.031625, 10.0)
+    roots, regime, _ = _roots_at(0.031625, 10.0)
     assert regime == "three" and len(roots) == 3
 
     # at b = 10 the tangency points are x1 = 2 and x2 = 5, and eps1 = 1/32
     # is a float, so a_can = 0.03125 is exactly tangent; eps2 = 4/125 is
     # not, and the float 0.032 lies just above it
-    roots, regime, _ = canonical_root_count(0.03125, 10.0)
+    roots, regime, _ = _roots_at(0.03125, 10.0)
     assert regime == "two" and len(roots) == 2
     assert roots[0] == 2.0  # the tangency point x1 is the double root
-    roots, regime, _ = canonical_root_count(0.032, 10.0)
+    roots, regime, _ = _roots_at(0.032, 10.0)
     assert regime == "unique" and len(roots) == 1 and roots[0] < 2.0
 
-    roots, regime, thr = canonical_root_count(0.5, 4.0)
+    roots, regime, thr = _roots_at(0.5, 4.0)
     assert regime == "unique" and thr is None and len(roots) == 1
 
+    # the canonical parameters are positive: _canonical refuses any other
     with pytest.raises(DomainError):
-        canonical_root_count(-1.0, 10.0)
+        solver._canonical(1e300, 1e-300, 1.0)
 
 
 def test_bisection_matches_the_closure_oracle(monkeypatch):
@@ -167,9 +173,10 @@ def test_bisection_matches_the_closure_oracle(monkeypatch):
     for _ in range(5000):
         w = BoltzmannWeights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
         cases.append(solver._canonical(w.xw, w.yw, w.zw)[:2])
-    shipped = [canonical_root_count(a, b) for a, b in cases]
+    cases = [(a, b, canonical_cubic_root_count(a, b)) for a, b in cases]
+    shipped = [solver._canonical_roots(*case) for case in cases]
     monkeypatch.setattr(solver, "_bisect_cubic_root", bisect_cubic_root)
-    assert [canonical_root_count(a, b) for a, b in cases] == shipped
+    assert [solver._canonical_roots(*case) for case in cases] == shipped
     # regime "two" at the exact tangency eps1 = 0.03125; the float 0.032
     # lies just above eps2 = 4/125
     assert [len(roots) for roots, _, _ in shipped[:4]] == [1, 3, 2, 1]
@@ -178,11 +185,11 @@ def test_bisection_matches_the_closure_oracle(monkeypatch):
 
 def test_root_count_straddles_the_b_boundary():
     # crossing b = 9 with a_can mid-window flips unique -> three
-    below = canonical_root_count(0.037, 8.9)
+    below = _roots_at(0.037, 8.9)
     assert below[1] == "unique" and len(below[0]) == 1
     x1, x2, eps1, eps2 = ti_thresholds(9.1)
     mid = 0.5 * (eps1 + eps2)
-    above = canonical_root_count(mid, 9.1)
+    above = _roots_at(mid, 9.1)
     assert above[1] == "three" and len(above[0]) == 3
 
 
@@ -259,8 +266,9 @@ def test_periodic_quadratic_closed_form_is_the_quotient():
             w = BoltzmannWeights(*(math.exp(rng.uniform(-s, s)) for _ in range(3)))
             a, b, c = quadratic_by_division(w)
             assert periodic_quadratic(w) == (a, b, c)
-            *_, disc, scale = solver._quadratic_numerators(w.xw, w.yw, w.zw)
-            assert Fraction(disc, scale * scale) == b * b - 4 * a * c
+            x, y, z, d = solver._integers(w.xw, w.yw, w.zw)
+            disc = solver._quadratic_numerators(x, y, z)[3]
+            assert Fraction(disc, d ** 8) == b * b - 4 * a * c
 
 
 def _factored_d(w: BoltzmannWeights) -> Fraction:
@@ -330,10 +338,10 @@ def test_log_uniform_weights_fuzz():
 
 def test_threshold_draws_count_exactly():
     # a_can within 1e-9 relative of eps1 or eps2, exact ones included, at
-    # xw = 1: the regime is the exact count of the canonical cubic at the
-    # printed floats, with no tolerance band around the thresholds; once
-    # the draw clears the rounding of a_can itself it is also the weights'
-    # count; every root is a fixed point, and nothing exits 4
+    # xw = 1: the regime is the weights' exact count, with no tolerance
+    # band around the thresholds, also where the draw is within the
+    # rounding of a_can itself; every root is a fixed point, and nothing
+    # exits 4
     rng = random.Random(21)
     regimes = {1: "unique", 2: "two", 3: "three"}
     seen = {"far": set(), "near": set()}
@@ -351,12 +359,9 @@ def test_threshold_draws_count_exactly():
         w = BoltzmannWeights(1.0, yw, zw)
         report = count_ti_roots(w)
         two_periodic_report(w)
-        can = report.canonical
-        count = canonical_cubic_root_count(can.a_can, can.b_can)
+        count = ti_polynomial_root_count(w)
         assert len(report.ti_roots) == count, (w, delta)
         assert report.regime == regimes[count], (w, delta)
-        if abs(delta) >= 1e-14:
-            assert count == ti_polynomial_root_count(w), (w, delta)
         seen["far" if abs(delta) >= 1e-14 else "near"].add(count)
         for u in report.ti_roots:
             fu = solver._line_map(u, w.xw, w.yw, w.zw)
@@ -370,49 +375,12 @@ def _canonical_q(a, b) -> Fraction:
     return 4 * a * a * b ** 3 - a * b * b - 18 * a * b + 27 * a + 4
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def test_exact_root_count_reads_the_sign_of_q():
-    # the one integer sign against the Sturm count of the canonical cubic,
-    # on b both sides of 9, next to the cusp (9, 1/27), at the exact
-    # tangency (1/32, 10) and on threshold draws; the five-term
-    # discriminant is -a(b-1)^2 Q, so it has the sign of -Q for b != 1
-    rng = random.Random(9)
-    pairs = [(0.03125, 10.0), (0.5, 1.0), (2.0, 1.0), (1 / 27, 9.0), (0.25, 9.0)]
-    for _ in range(400):
-        pairs.append((math.exp(rng.uniform(-12, 3)), math.exp(rng.uniform(-4, 9))))
-    for _ in range(200):
-        pairs.append((1 / 27 * (1.0 + rng.uniform(-1e-12, 1e-12)),
-                      9.0 * (1.0 + rng.uniform(-1e-12, 1e-12))))
-    for _ in range(800):
-        b = math.exp(rng.uniform(math.log(9.5), math.log(1e4)))
-        eps = ti_thresholds(b)[2 + rng.randrange(2)]
-        delta = 0.0 if rng.random() < 0.1 else \
-            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17, -9)
-        pairs.append((eps * (1.0 + delta), b))
-    counts = set()
-    for a, b in pairs:
-        count = solver._exact_root_count(a, b)
-        assert count == canonical_cubic_root_count(a, b), (a, b)
-        counts.add(count)
-        af, bf = Fraction(a), Fraction(b)
-        c3, c2, c1, c0 = af, 2 * af * bf - 1, af * bf * bf - 2, Fraction(-1)
-        disc = (18 * c3 * c2 * c1 * c0 - 4 * c2 ** 3 * c0 + c2 * c2 * c1 * c1
-                - 4 * c3 * c1 ** 3 - 27 * c3 * c3 * c0 * c0)
-        q = _canonical_q(a, b)
-        assert disc == -af * (bf - 1) ** 2 * q, (a, b)
-        if b != 1.0:
-            assert _sign(disc) == -_sign(q), (a, b)
-    assert counts == {1, 2, 3}
-
-
 def test_ti_quartic_count_is_the_weights_count():
     # T = -2x^3y Q(a_can, b_can) on the weights' exact canonical values,
-    # and its sign is the weights' Sturm count, at s = 0 points, at the
-    # exact tangency (1, 1/4, 1/4), on log-uniform weights and on
-    # threshold draws
+    # and its sign is the weights' Sturm count, in Fractions and as
+    # solver._ti_count reads it on the weights' integers, at s = 0 points,
+    # at the exact tangency (1, 1/4, 1/4), on log-uniform weights, on
+    # threshold draws and next to the cusp (b, a) = (9, 1/27)
     rng = random.Random(10)
     points = [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (1.0, 3.0, 17.0), (4.0, 6.0, 14.0),
               (1.0, 0.25, 0.25)]
@@ -425,6 +393,9 @@ def test_ti_quartic_count_is_the_weights_count():
         yw = (eps * (1.0 + rng.uniform(-1e-9, 1e-9)) / 2.0) ** (1.0 / 3.0)
         if 2.0 * b * yw * yw > 1.0:
             points.append((1.0, yw, 2.0 * b * yw * yw - 1.0))
+    for _ in range(100):
+        yw = (1 / 54 * (1.0 + rng.uniform(-1e-12, 1e-12))) ** (1.0 / 3.0)
+        points.append((1.0, yw, 18.0 * (1.0 + rng.uniform(-1e-12, 1e-12)) * yw * yw - 1.0))
     counts = set()
     for point in points:
         w = BoltzmannWeights(*point)
@@ -433,6 +404,7 @@ def test_ti_quartic_count_is_the_weights_count():
         assert ti_quartic(w) == -2 * x ** 3 * y * q, point
         count = ti_quartic_root_count(w)
         assert count == ti_polynomial_root_count(w), point
+        assert solver._ti_count(*solver._integers(*point)[:3]) == count, point
         counts.add(count)
     assert counts == {1, 2, 3}
 
@@ -567,8 +539,8 @@ def test_sweep_single_point_matches_reports():
     # a row is built from the exact counts alone, the reports from the
     # roots: on log-uniform weights at three scales and on threshold draws
     # a_can = eps_i*(1 + delta), exact ones included, every cell both
-    # print agrees, and a point the row refuses, the reports refuse with
-    # the same error
+    # print agrees, the count is the weights' own, and a point the row
+    # refuses, the reports refuse with the same error
     rng = random.Random(31)
     points = [BoltzmannWeights(*(math.exp(rng.uniform(-s, s)) for _ in range(3)))
               for s in (3, 24, 400) for _ in range(300)]
@@ -593,7 +565,7 @@ def test_sweep_single_point_matches_reports():
             refused += 1
             continue
         report, per = count_ti_roots(w), two_periodic_report(w)
-        assert row.ti_count == len(report.ti_roots), w
+        assert row.ti_count == len(report.ti_roots) == ti_polynomial_root_count(w), w
         assert report.regime == ("unique", "two", "three")[row.ti_count - 1], w
         assert (row.a_can, row.b_can) == (report.canonical.a_can,
                                           report.canonical.b_can), w
