@@ -24,9 +24,8 @@ Each cache, with its key and its bound:
 - _catalog: the certified catalog, per (region, max_period); the last 8,
   each of at most 2^20 level values.
 - _realize: the configuration, per (level sequence, depth) of depth at
-  most 9; the last 256, so at most 256 x 2^10 spins. Deeper trees, and
-  the trees of a family draw of more than 256 sequences, are built
-  afresh.
+  most 9; the last 256, so at most 256 x 2^10 spins. Deeper trees are
+  built afresh.
 - _minima: the number of ball-minimal configurations, per (pattern of
   minimal balls, depth), with the configurations themselves when they
   hold at most 2^14 spins; the last 16, so at most 16 x 2^14 spins.
@@ -312,12 +311,9 @@ def sample_family(region: str, count: int, seed: int,
     The draw may realize at most _MAX_SPINS spins in all.
 
     Sequences are drawn level by level from the seeded generator until
-    min(count, 2^depth) distinct ones are found, then sorted; when count
-    is at least 2^depth, every sequence is built level by level instead,
-    with no draws. Both families happen to have exactly 2 admissible
-    values at every level, read from the descriptor. A draw of more than
-    _REALIZED_TREES sequences is built afresh and leaves realize's cache
-    as it was."""
+    min(count, 2^depth) distinct ones are found, then sorted and built by
+    realize. Both families happen to have exactly 2 admissible values at
+    every level, read from the descriptor."""
     if count < 0:
         raise ValueError("count must be >= 0")
     family = _FAMILIES.get(region)
@@ -331,21 +327,13 @@ def sample_family(region: str, count: int, seed: int,
     wanted = min(count, 2 ** depth)
     _check_spins(depth, wanted)
     sequences: set[tuple[int, ...]] = set()
-    if wanted == 2 ** depth:
-        level = [(family.anchor,)]
-        for _ in range(depth):
-            level = [s + (t,) for s in level for t in options[s[-1]]]
-        sequences.update(level)
     rng = random.Random(seed)
     while len(sequences) < wanted:
         entries = [family.anchor]
         for _ in range(depth):
             entries.append(rng.choice(options[entries[-1]]))
         sequences.add(tuple(entries))
-    # more trees than realize keeps would only cycle its cache, evicting
-    # every other entry; _check_spins above bounds their spins
-    build = _realize.__wrapped__ if len(sequences) > _REALIZED_TREES else realize
-    return [build(LevelSequence(s), depth) for s in sorted(sequences)]
+    return [realize(LevelSequence(s), depth) for s in sorted(sequences)]
 
 
 def _child_pairs(

@@ -172,35 +172,28 @@ def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
     return x1, x2, eps(x1), eps(x2)
 
 
+def _cubic_ratio(a: float, b: float, x: float) -> float:
+    """a*x*((b+x)/(1+x))^2, which is above 1 exactly where the reduced
+    cubic a*x*(b+x)^2 - (1+x)^2 is positive, and stays in range wherever
+    that comparison is close."""
+    r = (b + x) / (1.0 + x)
+    return a * x * r * r
+
+
 def _bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
     """The root of a*x*(b+x)^2 - (1+x)^2 in (lo, hi), where its sign changes.
 
-    The sign is read as a*x*((b+x)/(1+x))^2 against 1, which stays in
-    range wherever the comparison is close. Midpoints are geometric while
-    the bracket spans more than a factor of two, so roots anywhere in the
-    float range take a few dozen steps, and arithmetic after that; the
-    bracket shrinks to adjacent floats. Once hi <= 2*lo holds, halving
-    keeps it, so the second loop never hands back to the first. One loop
-    with a conditional midpoint gives the same roots bit for bit but costs
-    about 0.6 µs more a root, some 3% of a sweep.
+    The sign is read from _cubic_ratio against 1. Midpoints are geometric
+    while the bracket spans more than a factor of two, so roots anywhere
+    in the float range take a few dozen steps, and arithmetic after that;
+    the bracket shrinks to adjacent floats.
     """
-    r = (b + lo) / (1.0 + lo)
-    lo_above = a * lo * r * r > 1.0
-    while hi > 2.0 * lo:
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        if not lo < mid < hi:
-            return mid
-        r = (b + mid) / (1.0 + mid)
-        if (a * mid * r * r > 1.0) == lo_above:
-            lo = mid
-        else:
-            hi = mid
+    lo_above = _cubic_ratio(a, b, lo) > 1.0
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        r = (b + mid) / (1.0 + mid)
-        if (a * mid * r * r > 1.0) == lo_above:
+        if (_cubic_ratio(a, b, mid) > 1.0) == lo_above:
             lo = mid
         else:
             hi = mid
@@ -258,8 +251,7 @@ def _canonical_roots(a_can: float, b_can: float, count: int):
     if b <= 9:
         return (_bisect_cubic_root(a, b, lo, hi),), "unique", None
     x1, x2, eps1, eps2 = ti_thresholds(b)
-    r1, r2 = (b + x1) / (1.0 + x1), (b + x2) / (1.0 + x2)
-    if count == 3 and a * x1 * r1 * r1 > 1.0 > a * x2 * r2 * r2:
+    if count == 3 and _cubic_ratio(a, b, x1) > 1.0 > _cubic_ratio(a, b, x2):
         roots = tuple(_bisect_cubic_root(a, b, *bracket)
                       for bracket in ((lo, x1), (x1, x2), (x2, hi)))
     elif a / eps1 < eps2 / a:

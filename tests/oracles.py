@@ -20,9 +20,9 @@ recurrence the long way. Test files import them as `from oracles import ...`.
   `ti_quartic_root_count` reads the same count off the sign of
   `ti_quartic`, the canonical discriminant factor Q times -2*x^3*y as a
   quartic in the weights, the rule `solver._ti_count` runs on integers.
-- `bisect_cubic_root` is the reduced cubic's sign bisection with one loop
-  and a sign closure, which `solver._bisect_cubic_root` must match bit
-  for bit.
+- `bisect_cubic_root` is the reduced cubic's sign bisection with its own
+  sign closure, which `solver._bisect_cubic_root`, on the shared
+  `solver._cubic_ratio`, must match bit for bit.
 - `sweep_to_csv_by_cell` and `sweep_to_jsonl_by_cell` write sweep rows one
   named cell at a time, the layout `solver.sweep_to_csv` and
   `cli.sweep_to_jsonl` must reproduce byte for byte.

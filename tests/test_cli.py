@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from lambda_tree import cli, solver
+from lambda_tree import cli, ground, solver
 from lambda_tree.cli import build_parser, main
 from lambda_tree.errors import InternalConsistencyError
-from oracles import (bisect_cubic_root, sweep_to_csv_by_cell, sweep_to_jsonl_by_cell,
-                     ti_polynomial_root_count)
+from oracles import (bisect_cubic_root, clear_caches, sweep_to_csv_by_cell,
+                     sweep_to_jsonl_by_cell, ti_polynomial_root_count)
 
 
 def _run_json(capsys, argv):
@@ -944,6 +944,38 @@ def test_internal_consistency_error_exits_4_and_writes_nothing(tmp_path, capsys,
                 assert captured.err.startswith(err)
                 assert captured.out == ""
                 assert out.read_bytes() == b"old text\n"
+
+
+def test_failed_catalog_and_periodic_checks_exit_4(capsys, monkeypatch):
+    # a hand catalog certified at another region's coupling, and a quadratic
+    # whose roots are half the true 2-periodic ones, each fail their own
+    # check: the library raises and the command prints nothing on stdout
+    quadratic_numerators = solver._quadratic_numerators
+
+    def halved_roots(x, y, z):
+        a, b, c, disc = quadratic_numerators(x, y, z)
+        return 4 * a, 2 * b, c, 4 * disc
+
+    w = solver.BoltzmannWeights(0.2, 1.0, 0.2)  # two proper 2-periodic roots
+    for patch, call, argv, err in (
+            (lambda m: m.setitem(ground.REPRESENTATIVE_PARAMS, "A2",
+                                 ground.REPRESENTATIVE_PARAMS["A6"]),
+             lambda: ground.generators_for("A2"), ["ground", "--region", "A2"],
+             "error: catalog generator (1, 2) fails at ball"),
+            (lambda m: m.setattr(solver, "_quadratic_numerators", halved_roots),
+             lambda: solver.two_periodic_report(w),
+             ["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"],
+             "error: 2-periodic residual too large")):
+        with monkeypatch.context() as m:
+            clear_caches()  # no catalog certified before the patch is read
+            patch(m)
+            with pytest.raises(InternalConsistencyError):
+                call()
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.err.startswith(err)
+            assert captured.out == ""
+    clear_caches()
 
 
 def test_sweep_finds_no_root(tmp_path, capsys, monkeypatch):

@@ -164,8 +164,8 @@ def test_root_count_regimes():
 
 
 def test_bisection_matches_the_closure_oracle(monkeypatch):
-    # the two-loop bisection visits the oracle's midpoints in the same
-    # order, so over the same brackets it returns the same floats
+    # the bisection visits the oracle's midpoints in the same order, so
+    # over the same brackets it returns the same floats
     _, _, eps1, eps2 = ti_thresholds(9.1)
     cases = [(0.025, 10.0), (0.031625, 10.0), (0.03125, 10.0), (0.032, 10.0),
              (0.5, 4.0), (0.037, 8.9), (0.5 * (eps1 + eps2), 9.1)]
