@@ -8,10 +8,9 @@ the invariant line of the ratio recursion.
 
 from .errors import (CapacityError, DomainError, InternalConsistencyError,
                      LambdaTreeError)
-from .tree import ROOT, TreeCoord, TreeShape, balls, successors
+from .tree import TreeCoord, TreeShape, successors
 from .model import (Configuration, LambdaParams, RegionReport, SPINS,
-                    ball_energy, ball_energy_catalogue, classify_region,
-                    hamiltonian, lambda_value, min_ball_energy)
+                    classify_region, min_ball_energy)
 from .ground import (FamilyDescriptor, GroundStateCatalog, LevelSequence,
                      REPRESENTATIVE_PARAMS, brute_force_minima, generators_for,
                      is_ground_state, realize, sample_family, verify_generators)

@@ -247,7 +247,7 @@ def _sweep_points(config: dict):
                              f"got {_json_echo(ax['name'])}")
     # a string is an alias, resolved per point; anything else must be a number
     fixed = {name: value if isinstance(value, str)
-             else _json_float(value, f"fixed entry {name!r}")
+             else _json_float(value, f"fixed entry {_cut(repr(name))}")
              for name, value in fixed.items()}
     names = {ax["name"] for ax in axes if "name" in ax} | fixed.keys()
     # the last family holding every name: with no names, the weights
@@ -347,6 +347,8 @@ def _read_fields(path: str, shape: TreeShape) -> dict[TreeCoord, tuple[float, ..
         if x.level != shape.depth:
             raise ValueError(f"{entry}: a vertex on level {x.level}, but only fields "
                              f"on the last level {shape.depth} enter the measure")
+        if x in fields:  # " 01" and "1" both parse to vertex 1
+            raise ValueError(f"{entry}: vertex {x} is given more than once")
         fields[x] = tuple(_json_float(v, entry) for v in vec)
     return fields
 

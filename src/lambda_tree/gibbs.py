@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, product, repeat
 from operator import add, mul, truediv
-from types import MappingProxyType
 
 from .errors import CapacityError, DomainError, _echo_number
 from .model import SPINS, LambdaParams, check_tolerance, coupling_rows, edge_weight
@@ -89,17 +88,9 @@ class FiniteVolumeMeasure:
     order over the canonical vertex order: the last vertex's spin varies
     fastest, which is also the sorted order of the spin tuples."""
 
-    n: int
     vertex_count: int
     values: tuple[float, ...]
     partition: float
-
-    @property
-    def probabilities(self) -> MappingProxyType:
-        """Read-only view of the values keyed by spin tuples, in the same
-        order; built on each access."""
-        configurations = product(SPINS, repeat=self.vertex_count)
-        return MappingProxyType(dict(zip(configurations, self.values)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +172,7 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
         raise DomainError(f"the partition function is out of float range: "
                           f"log Z = {shift + math.log(total):.15g}")
     values = tuple(map(truediv, weights, repeat(total)))
-    return FiniteVolumeMeasure(shape.depth, shape.vertex_count(), values, partition)
+    return FiniteVolumeMeasure(shape.vertex_count(), values, partition)
 
 
 def _normalized(log_weights: list[float]) -> list[float]:

@@ -7,10 +7,10 @@ carry uncountable families of level sequences, described by their
 constraints and sampled pseudo-randomly.
 
 Every catalog and family member is constant on each level, so the ball
-centred at any vertex of level m has energy ball_energy(s_m, (s_{m+1},
-s_{m+1})). Catalogs are therefore certified on their level sequences, one
-level pair at a time, without realizing a tree: every generator is checked
-at the region's representative coupling before being returned.
+centred at any vertex of level m is the ball (s_m, s_{m+1}, s_{m+1}).
+Catalogs are therefore certified on their level sequences, one level pair
+at a time, without realizing a tree: every generator is checked at the
+region's representative coupling before being returned.
 
 A ball's energy is always one of the six catalogue entries, fixed by the
 two spin distances between its center and its children. So which balls
@@ -43,7 +43,7 @@ from itertools import chain, product
 
 from .errors import CapacityError, InternalConsistencyError
 from .model import SPINS, Configuration, LambdaParams, ball_entry, minimal_entries
-from .tree import TreeCoord, TreeShape, balls, binary_ball_values
+from .tree import TreeCoord, TreeShape, binary_ball_values
 
 _MAX_SPINS = 2 ** 20  # spins realized by one family draw, one realize or one set of minima
 _MAX_LEVEL_PAIRS = 2 ** 20  # level pairs (generators x depth) one certification checks
@@ -137,7 +137,7 @@ _MINIMAL_BALLS: dict[tuple[bool, ...], frozenset[tuple[int, int, int]]] = {
 
 def _minimal_balls(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int]]:
     """The balls (s, t, u), the center's spin then its two children's,
-    whose ball_energy is within tol of the minimum at p, read from one
+    whose ball energy is within tol of the minimum at p, read from one
     table by which catalogue entries (model.ball_entry) are minimal; the
     same mask always gives the same frozenset object. The mask comes from
     model.minimal_entries, cached for the last 8 keys (a, b, c, tol), so
@@ -189,11 +189,11 @@ def is_ground_state(sigma: Configuration, p: LambdaParams,
     triple decides the mask once. Only when it fails are the
     balls listed in canonical order (tree.binary_ball_values), up to the
     first one not in the set. Configuration holds only spins in SPINS, so
-    every ball has an energy; depth 0 raises as balls does.
+    every ball has an energy; depth 0, with no ball, raises ValueError.
     """
     shape, spins = sigma.shape, sigma.spins
     if shape.depth < 1:
-        balls(shape)  # raises
+        raise ValueError("depth must be >= 1 to form balls")
     minimal = _minimal_balls(p, tol)
     if minimal.issuperset(sigma.binary_balls):
         return True, None
@@ -282,16 +282,16 @@ def verify_generators(generators, p: LambdaParams, depth: int,
     """is_ground_state(realize(g, depth), p, tol) of each generator, decided
     on its level sequence without realizing a tree.
 
-    Every ball centred on level m has energy ball_energy(s_m, (s_{m+1},
-    s_{m+1})), so the realized tree is a ground state exactly when that
-    holds for each level m < depth; the first failing ball in canonical
+    Every ball centred on level m is (s_m, s_{m+1}, s_{m+1}), so the
+    realized tree is a ground state exactly when that ball is minimal for
+    each level m < depth; the first failing ball in canonical
     order is the leftmost vertex of the first failing level. All the
     generators together may check at most _MAX_LEVEL_PAIRS level pairs.
     """
     _check_level_pairs(len(generators), depth)
     shape = TreeShape(2, depth)  # realize's ValueError for depth < 0
     if depth < 1:
-        balls(shape)
+        raise ValueError("depth must be >= 1 to form balls")
     minimal = _minimal_balls(p, tol)
     out = []
     for g in generators:

@@ -1,4 +1,4 @@
-"""Three-spin coupling, Hamiltonians, ball energies, and the region classifier.
+"""Three-spin coupling, ball energies, and the region classifier.
 
 The coupling on spins {1, 2, 3} depends only on |i - j|:
 
@@ -14,15 +14,14 @@ Coupling space splits into regions A1..A6 by which catalogue entry is
 minimal; A2, A3, A5 are the equality slices a = b <= c, a = c <= b, and
 b = c <= a. On boundaries several regions are active at once.
 
-SPINS is the one place that fixes the spin alphabet: lambda_value raises
-for a spin outside it, coupling_rows is its 3 x 3 table, and Configuration
-holds only int spins from it. The other modules also read from here the
-edge weight exp(beta*coupling) with its overflow error (edge_weight), a
-ball's catalogue entry (ball_entry), and which catalogue entries are
-minimal (minimal_entries). That last one is a mask of six bools, decided
-once per (a, b, c, tol) and kept for the last 8 such keys in an
-lru_cache; beta never enters it, and the region classifier and every
-ground-state verdict read it.
+SPINS is the one place that fixes the spin alphabet: coupling_rows is its
+3 x 3 table, and Configuration holds only int spins from it. The other
+modules also read from here the edge weight exp(beta*coupling) with its
+overflow error (edge_weight), a ball's catalogue entry (ball_entry), and
+which catalogue entries are minimal (minimal_entries). That last one is a
+mask of six bools, decided once per (a, b, c, tol) and kept for the last
+8 such keys in an lru_cache; beta never enters it, and the region
+classifier and every ground-state verdict read it.
 """
 
 import math
@@ -33,8 +32,6 @@ from .errors import DomainError, _echo_number
 from .tree import TreeShape, binary_ball_values
 
 SPINS = (1, 2, 3)
-
-BALLS_PER_VERTEX = 2  # ball = center + its two successors
 
 REGION_NAMES = ("A1", "A2", "A3", "A4", "A5", "A6")
 
@@ -149,7 +146,8 @@ class RegionReport:
 
 
 def coupling_rows(p: LambdaParams) -> tuple[tuple[float, ...], ...]:
-    """lambda_value(i, j, p) for spins i, j in SPINS, one row per i."""
+    """The coupling of spins i and j in SPINS, one row per i: a at distance
+    2, b at distance 1, c on the diagonal."""
     return ((p.c, p.b, p.a), (p.b, p.c, p.b), (p.a, p.b, p.c))
 
 
@@ -166,32 +164,6 @@ def edge_weight(coupling: float, p: LambdaParams) -> float:
     return weight
 
 
-def lambda_value(i: int, j: int, p: LambdaParams) -> float:
-    """The coupling of spins i and j, both in SPINS: a at distance 2, b at
-    distance 1, c on the diagonal."""
-    if i not in SPINS or j not in SPINS:
-        raise ValueError(f"spins must be in {SPINS}, got ({i}, {j})")
-    d = abs(i - j)
-    return p.c if d == 0 else p.b if d == 1 else p.a
-
-
-def hamiltonian(sigma: Configuration, p: LambdaParams) -> float:
-    """Sum of coupling values over all nearest-neighbor pairs."""
-    spins, rows = sigma.spins, coupling_rows(p)
-    return sum(rows[spins[i] - 1][spins[j] - 1] for i, j in sigma.shape.edges())
-
-
-def ball_energy(center: int, children: tuple[int, int], p: LambdaParams) -> float:
-    """Energy of one ball: half the sum of the two center-child couplings,
-    read off the catalogue as entry ball_entry(center, children), so it has
-    that entry's value and type (int couplings can give an int)."""
-    if len(children) != BALLS_PER_VERTEX:
-        raise ValueError(f"expected {BALLS_PER_VERTEX} child spins, got {len(children)}")
-    for child in children:
-        lambda_value(center, child, p)  # raises for a spin outside SPINS
-    return ball_energy_catalogue(p)[ball_entry(center, children)]
-
-
 # which catalogue entry a ball's energy is, by the spin distances from its
 # center to its two children: a at distance 2, b at 1, c at 0
 _ENTRY_BY_DISTANCES = {(2, 2): 0, (2, 1): 1, (1, 2): 1, (2, 0): 2, (0, 2): 2,
@@ -199,18 +171,17 @@ _ENTRY_BY_DISTANCES = {(2, 2): 0, (2, 1): 1, (1, 2): 1, (2, 0): 2, (0, 2): 2,
 
 
 def ball_entry(center: int, children: tuple[int, int]) -> int:
-    """The index in ball_energy_catalogue of the ball's energy, for spins
-    in SPINS. The entry is the _average of the ball's two couplings, which
-    is symmetric and gives v back for v twice, so the index depends only
-    on the two spin distances."""
+    """The index in _catalogue of the ball's energy, for spins in SPINS.
+    The entry is the _average of the ball's two couplings, which is
+    symmetric and gives v back for v twice, so the index depends only on
+    the two spin distances."""
     return _ENTRY_BY_DISTANCES[abs(center - children[0]), abs(center - children[1])]
 
 
 def _average(x: float, y: float) -> float:
     """(x + y) / 2, or x/2 + y/2 where the sum leaves the float range (a
     float sum overflows; an exact int sum of int couplings cannot be
-    converted); both ball energy functions average here, so their entries
-    stay bitwise equal."""
+    converted); the catalogue's three averaged entries come from here."""
     s = x + y  # halving first would round subnormals: 5e-324 twice gives 0
     if -math.inf < s < math.inf:
         try:
@@ -220,17 +191,14 @@ def _average(x: float, y: float) -> float:
     return x / 2.0 + y / 2.0
 
 
-def ball_energy_catalogue(p: LambdaParams) -> tuple[float, ...]:
-    """(U1..U6) = (a, (a+b)/2, (a+c)/2, b, (b+c)/2, c)."""
-    return _catalogue(p.a, p.b, p.c)
-
-
 def _catalogue(a: float, b: float, c: float) -> tuple[float, ...]:
+    """(U1..U6) = (a, (a+b)/2, (a+c)/2, b, (b+c)/2, c); an entry that is a
+    coupling itself keeps its value and type."""
     return (a, _average(a, b), _average(a, c), b, _average(b, c), c)
 
 
 def min_ball_energy(p: LambdaParams) -> float:
-    return min(ball_energy_catalogue(p))
+    return min(_catalogue(p.a, p.b, p.c))
 
 
 def check_tolerance(tol: float) -> None:

@@ -9,7 +9,7 @@ Inside a truncation, vertices are also numbered by their position in the
 canonical order: level-major, lexicographic within a level. That is
 breadth-first order, so level m holds positions 2^m - 1 .. 2^(m+1) - 2,
 the parent of position i is (i - 1) // 2 and its children are 2i + 1 and
-2i + 2. Edges and balls are given in positions, and balls also as values
+2i + 2. Edges are given in positions, and balls as values
 (binary_ball_values); this module is the only one that knows the numbering.
 """
 
@@ -28,11 +28,6 @@ class TreeCoord:
     @property
     def level(self) -> int:
         return len(self.path)
-
-    def parent(self) -> "TreeCoord":
-        if not self.path:
-            raise ValueError("root has no parent")
-        return TreeCoord(self.path[:-1])
 
     def child(self, i: int) -> "TreeCoord":
         if i < 1:
@@ -53,9 +48,6 @@ class TreeCoord:
         if any(p < 1 for p in parts):
             raise ValueError(f"branch indices must be >= 1: {_cut(repr(text))}")
         return cls(parts)
-
-
-ROOT = TreeCoord(())
 
 
 @dataclass(frozen=True)
@@ -92,13 +84,6 @@ class TreeShape:
             raise ValueError(f"level {m} outside 0..{self.depth}")
         return [TreeCoord(p) for p in product((1, 2), repeat=m)]
 
-    def vertices(self) -> list[TreeCoord]:
-        """V_depth in canonical order: level-major, lexicographic within a level."""
-        out: list[TreeCoord] = []
-        for m in range(self.depth + 1):
-            out.extend(self.level_vertices(m))
-        return out
-
     def level_positions(self, m: int) -> range:
         """Positions of W_m in the canonical order: 2^m - 1 .. 2^(m+1) - 2."""
         size = self.level_size(m)
@@ -108,20 +93,11 @@ class TreeShape:
         """Nearest-neighbor (parent, child) position pairs, by child position."""
         return [((child - 1) // 2, child) for child in range(1, self.vertex_count())]
 
-    def index_of(self, x: TreeCoord) -> int:
-        """Position of x in the canonical vertex order: within its level,
-        the path digits (1-based) read as a binary numeral."""
-        if not self.contains(x):
-            raise ValueError(f"vertex {x} outside truncation {self}")
-        rank = 0
-        for i in x.path:
-            rank = rank * 2 + (i - 1)
-        return self.level_positions(x.level)[rank]
-
     def vertex_at(self, i: int) -> TreeCoord:
-        """The vertex at position i of the canonical order; the inverse of
-        index_of. Walks up through parents (i - 1) // 2, so it costs one
-        step per level."""
+        """The vertex at position i of the canonical order, whose path
+        digits (1-based) read as a binary numeral give its rank within its
+        level. Walks up through parents (i - 1) // 2, so it costs one step
+        per level."""
         if not 0 <= i < self.vertex_count():
             raise ValueError(f"position {i} outside truncation {self}")
         path = []
@@ -137,19 +113,6 @@ def successors(x: TreeCoord, shape: TreeShape) -> list[TreeCoord]:
         raise ValueError(
             f"vertex {x} at level {x.level} has no successors inside depth {shape.depth}")
     return [x.child(1), x.child(2)]
-
-
-def balls(shape: TreeShape) -> list[tuple[int, range]]:
-    """One ball per non-leaf vertex, as positions: (center, S(center)),
-    the children of center i being 2i + 1 and 2i + 2.
-
-    Every edge of the truncation lies in exactly one ball; every non-root,
-    non-leaf vertex lies in exactly two.
-    """
-    if shape.depth < 1:
-        raise ValueError("depth must be >= 1 to form balls")
-    return [(i, range(2 * i + 1, 2 * i + 3))
-            for i in range(shape.level_positions(shape.depth).start)]
 
 
 def binary_ball_values(values):

@@ -26,8 +26,15 @@ recurrence the long way. Test files import them as `from oracles import ...`.
 - `sweep_to_csv_by_cell` and `sweep_to_jsonl_by_cell` write sweep rows one
   named cell at a time, the layout `solver.sweep_to_csv` and
   `cli.sweep_to_jsonl` must reproduce byte for byte.
-- `minimal_balls_by_scan` calls `ball_energy` on all 27 spin triples, the
-  scan `ground._minimal_balls` reads off its table of catalogue entries.
+- `ball_energy` is a ball's energy by its definition, the mean of its two
+  couplings read from `model.coupling_rows`; `minimal_balls_by_scan`
+  calls it on all 27 spin triples, the scan `ground._minimal_balls` reads
+  off its table of catalogue entries.
+- `vertices` and `position` give the canonical vertex order from the
+  paths themselves, level by level, which `TreeShape.vertex_at` and the
+  breadth-first positions must match.
+- `probabilities` keys a measure's values by spin tuples, in product
+  order.
 - `realize_uncached` builds a level-constant tree afresh on every call,
   the configuration `ground.realize` keeps and hands out again.
 - `identity_corpus_text` is the text of `sweep` and `solve` on a seeded
@@ -51,13 +58,13 @@ from lambda_tree.cli import cmd_solve, sweep_to_jsonl
 from lambda_tree.errors import InternalConsistencyError, LambdaTreeError
 from lambda_tree.gibbs import boltzmann_matrix
 from lambda_tree.ground import LevelSequence, _check_spins
-from lambda_tree.model import (SPINS, Configuration, LambdaParams, ball_energy,
-                               check_tolerance, min_ball_energy)
+from lambda_tree.model import (SPINS, Configuration, LambdaParams, check_tolerance,
+                               coupling_rows, min_ball_energy)
 from lambda_tree.poly import Poly, RationalFn, X, compose, divide_exact
 from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights, _integers,
                                 _quadratic_numerators, sweep, sweep_to_csv,
                                 weights_from)
-from lambda_tree.tree import TreeShape
+from lambda_tree.tree import TreeCoord, TreeShape
 
 
 def exact_line_map(w: BoltzmannWeights) -> RationalFn:
@@ -292,13 +299,43 @@ def identity_corpus_text() -> str:
     return "".join(parts)
 
 
+def ball_energy(s: int, t: int, u: int, p: LambdaParams) -> float:
+    """The energy of the ball with center spin s and child spins t and u:
+    the mean of its two couplings. The sum is halved (an int sum exactly,
+    by true division), or each coupling is where a float sum overflows."""
+    row = coupling_rows(p)[s - 1]
+    x, y = row[t - 1], row[u - 1]
+    total = x + y
+    return total / 2 if -math.inf < total < math.inf else x / 2 + y / 2
+
+
 def minimal_balls_by_scan(p: LambdaParams, tol: float) -> frozenset[tuple[int, int, int]]:
     """The balls (s, t, u) whose ball_energy is within tol of the minimum
     at p, one ball_energy call per spin triple."""
     check_tolerance(tol)
     limit = min_ball_energy(p) + tol
     return frozenset((s, t, u) for s in SPINS for t, u in product(SPINS, repeat=2)
-                     if not ball_energy(s, (t, u), p) > limit)
+                     if not ball_energy(s, t, u, p) > limit)
+
+
+def vertices(shape: TreeShape) -> list[TreeCoord]:
+    """V_depth in canonical order: level by level, lexicographic within."""
+    return [x for m in range(shape.depth + 1) for x in shape.level_vertices(m)]
+
+
+def position(x: TreeCoord) -> int:
+    """x's position in the canonical order: the 2^level - 1 vertices of
+    the levels above it, then its path digits (1-based) read as a binary
+    numeral."""
+    rank = 0
+    for i in x.path:
+        rank = rank * 2 + (i - 1)
+    return 2 ** x.level - 1 + rank
+
+
+def probabilities(mu) -> dict:
+    """A FiniteVolumeMeasure's values keyed by spin tuples, in product order."""
+    return dict(zip(product(SPINS, repeat=mu.vertex_count), mu.values))
 
 
 def realize_uncached(seq: LevelSequence, depth: int) -> Configuration:

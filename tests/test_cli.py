@@ -710,7 +710,12 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
            "--fields entry '1.1.1': not a vertex of the k=2, depth-1 "
            "truncation"),
           ({"1": [0, -10 ** 400, 0], "2": [0, 0, 0]},
-           "--fields entry '1': a 401-digit integer is out of float range")]),
+           "--fields entry '1': a 401-digit integer is out of float range"),
+          # two keys that name one vertex, whichever comes first
+          ({"1": [0, 0, 0], " 01": [5, 0, 0], "2": [0, 0, 0]},
+           "--fields entry ' 01': vertex 1 is given more than once"),
+          ({" 01": [5, 0, 0], "1": [0, 0, 0], "2": [0, 0, 0]},
+           "--fields entry '1': vertex 1 is given more than once")]),
         (["sweep", "--config"],
          [([], "sweep config: expected an object with 'axes' and 'fixed', got []"),
           ({"axes": 3, "fixed": {}},
@@ -789,7 +794,9 @@ def test_long_json_values_are_cut_in_error_messages(tmp_path, capsys):
              f"{cut}: not a valid vertex path\n"),
             ({"axes": [], "fixed": {"a": 0, "b": 0, "c": "k" * 10 ** 5}},
              ["sweep", "--config"],
-             "error: fixed entry 'c' aliases unknown variable 'kkk", f"{cut}\n")):
+             "error: fixed entry 'c' aliases unknown variable 'kkk", f"{cut}\n"),
+            ({"axes": [], "fixed": {"k" * 10 ** 5: True}}, ["sweep", "--config"],
+             "error: fixed entry 'kkk", f"{cut}: expected a number, got true\n")):
         path = tmp_path / "long.json"
         path.write_text(json.dumps(content))
         assert main([*argv, str(path)]) == 2
@@ -1048,6 +1055,34 @@ def test_runtime_import_leaves_poly_to_the_oracles():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_package_root_names():
+    # the public names of a fresh `import lambda_tree`, so that adding or
+    # removing an export shows up here; the CLI imports warning-free too
+    root = Path(__file__).resolve().parent.parent
+    code = ("import lambda_tree\n"
+            "print(' '.join(sorted(n for n in vars(lambda_tree) if not n.startswith('_'))))\n"
+            "import lambda_tree.cli\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "BoltzmannWeights", "BoundaryFields", "CanonicalParams", "CapacityError",
+        "Configuration", "ConsistencyReport", "DomainError", "FamilyDescriptor",
+        "FieldRatios", "FiniteVolumeMeasure", "FixedPointReport", "GroundStateCatalog",
+        "InternalConsistencyError", "LambdaParams", "LambdaTreeError", "LevelSequence",
+        "PeriodicReport", "REPRESENTATIVE_PARAMS", "RegionReport", "SPINS", "SweepRow",
+        "TreeCoord", "TreeShape", "boltzmann_matrix", "brute_force_minima",
+        "check_enumerable", "classify_region", "count_ti_roots", "errors",
+        "fields_from_ratios", "finite_volume_measure", "generators_for", "gibbs",
+        "ground", "is_consistent", "is_ground_state", "measure_to_csv",
+        "min_ball_energy", "model", "propagate_ratios", "push_forward", "realize",
+        "sample_family", "solver", "successors", "sweep", "sweep_to_csv",
+        "ti_thresholds", "tree", "two_periodic_report", "verify_generators",
+        "weights_from"]
+    assert done.stderr == ""
 
 
 _FUZZ_NUMBERS = ("0", "1", "-1", "0.5", "1e308", "-1e308", "1.7e308", "-1.7e308",

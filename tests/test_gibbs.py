@@ -10,10 +10,10 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                is_consistent, measure_to_csv, propagate_ratios,
                                push_forward)
 from lambda_tree.ground import brute_force_minima
-from lambda_tree.model import SPINS, LambdaParams, ball_energy_catalogue, lambda_value
+from lambda_tree.model import SPINS, LambdaParams, _catalogue, coupling_rows
 from lambda_tree.solver import _line_map, weights_from
-from lambda_tree.tree import TreeShape, successors
-from oracles import vertex_normalizer
+from lambda_tree.tree import TreeCoord, TreeShape, successors
+from oracles import position, probabilities, vertex_normalizer, vertices
 
 # the depths whose full 3^|V_depth| enumeration stays within 2^15 states,
 # small enough for the per-state oracle below, and the seeded draws per
@@ -25,10 +25,10 @@ _ORACLE_DRAWS = 12
 def _per_state_measure(p, shape, h):
     """Oracle: one pass per state, edge terms by child index, then beta, then
     the last level's fields; probabilities keyed by spin tuples."""
-    lam = [[lambda_value(i, j, p) for j in SPINS] for i in SPINS]
-    edge_ix = [(shape.index_of(x.parent()), shape.index_of(x))
-               for x in shape.vertices() if x.level]
-    boundary = [(shape.index_of(x), h.at(x)) for x in shape.level_vertices(shape.depth)]
+    lam = coupling_rows(p)
+    edge_ix = [(position(TreeCoord(x.path[:-1])), position(x))
+               for x in vertices(shape) if x.level]
+    boundary = [(position(x), h.at(x)) for x in shape.level_vertices(shape.depth)]
     configurations = list(product(SPINS, repeat=shape.vertex_count()))
     log_weights = []
     for spins in configurations:
@@ -43,8 +43,8 @@ def _per_state_measure(p, shape, h):
     shift = peak if abs(peak) > 700.0 else 0.0
     weights = [math.exp(lw - shift) for lw in log_weights]
     total = math.fsum(weights)
-    probabilities = {s: w / total for s, w in zip(configurations, weights)}
-    return probabilities, total * math.exp(shift)
+    by_spins = {s: w / total for s, w in zip(configurations, weights)}
+    return by_spins, total * math.exp(shift)
 
 
 def _marginalized_deviation(p, shape, h):
@@ -90,15 +90,15 @@ def _oracle_inputs(seed: int):
 
 
 def _zero_fields(shape: TreeShape) -> BoundaryFields:
-    return BoundaryFields(3, {v: (0.0,) * 3 for v in shape.vertices()})
+    return BoundaryFields(3, {v: (0.0,) * 3 for v in vertices(shape)})
 
 
 def test_uniform_when_couplings_vanish():
     p = LambdaParams(0.0, 0.0, 0.0)
     shape = TreeShape(2, 1)
     mu = finite_volume_measure(p, 3, shape, _zero_fields(shape))
-    assert len(mu.probabilities) == 27
-    for prob in mu.probabilities.values():
+    assert len(probabilities(mu)) == 27
+    for prob in mu.values:
         assert prob == pytest.approx(1 / 27, rel=1e-12)
 
 
@@ -109,7 +109,7 @@ def test_diagonal_coupling_favours_agreement():
     p = LambdaParams(0.0, 0.0, 1.0)
     shape = TreeShape(2, 1)
     mu = finite_volume_measure(p, 3, shape, _zero_fields(shape))
-    hit = sum(prob for spins, prob in mu.probabilities.items()
+    hit = sum(prob for spins, prob in probabilities(mu).items()
               if len(set(spins)) == 1)
     e = math.e
     assert hit == pytest.approx(3 * e ** 2 / (3 * e ** 2 + 12 * e + 12),
@@ -123,8 +123,8 @@ def test_measure_is_a_probability_vector():
     h = BoundaryFields(3, {v: tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
                            for v in shape.level_vertices(2)})
     mu = finite_volume_measure(p, 3, shape, h)
-    assert all(prob >= 0.0 for prob in mu.probabilities.values())
-    assert math.fsum(mu.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(prob >= 0.0 for prob in mu.values)
+    assert math.fsum(mu.values) == pytest.approx(1.0, abs=1e-12)
     assert mu.partition > 0.0
 
 
@@ -253,8 +253,8 @@ def test_gauge_choice_is_immaterial():
                                  for x, vec in h.fields.items()})
     mu0 = finite_volume_measure(p, 3, shape, h)
     mu7 = finite_volume_measure(p, 3, shape, shifted)
-    for cfg, prob in mu0.probabilities.items():
-        assert mu7.probabilities[cfg] == pytest.approx(prob, rel=1e-10)
+    for cfg, prob in probabilities(mu0).items():
+        assert probabilities(mu7)[cfg] == pytest.approx(prob, rel=1e-10)
     # partition functions differ by exp(gauge * |last level|)
     assert mu7.partition == pytest.approx(
         mu0.partition * math.exp(0.7 * 2), rel=1e-10)
@@ -345,9 +345,9 @@ def test_measure_csv_layout():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def _sorted_row_csv(probabilities: dict) -> str:
+def _sorted_row_csv(by_spins: dict) -> str:
     """Oracle: the CSV written row by row from the sorted spin tuples."""
-    rows = sorted(probabilities.items())
+    rows = sorted(by_spins.items())
     row = "%d" * len(rows[0][0]) + ",%.15g\n"
     return "configuration,probability\n" + "".join(
         [row % (*spins, prob) for spins, prob in rows])
@@ -365,13 +365,12 @@ def test_measure_matches_per_state_oracle():
                       BoundaryFields(3, {v: triple for v in shape.level_vertices(1)})))
     for p, shape, h in cases:
         mu = finite_volume_measure(p, 3, shape, h)
-        probabilities, partition = _per_state_measure(p, shape, h)
-        assert mu.probabilities == probabilities
-        assert list(mu.probabilities) == list(probabilities)
-        assert mu.values == tuple(probabilities.values())
-        assert (mu.n, mu.vertex_count) == (shape.depth, shape.vertex_count())
+        expected, partition = _per_state_measure(p, shape, h)
+        assert list(probabilities(mu).items()) == list(expected.items())
+        assert mu.values == tuple(expected.values())
+        assert mu.vertex_count == shape.vertex_count()
         assert mu.partition == partition
-        assert measure_to_csv(mu) == _sorted_row_csv(probabilities)
+        assert measure_to_csv(mu) == _sorted_row_csv(expected)
 
 
 def test_consistency_matches_marginalization_oracle():
@@ -421,11 +420,11 @@ def test_ground_states_are_the_zero_temperature_gibbs_limit_of_negated_couplings
     rng = random.Random(11)
     while len(triples) < 125 + 300:
         triple = tuple(rng.randint(-2 ** 21, 2 ** 21) / 2 ** 20 for _ in range(3))
-        lowest, second = sorted(ball_energy_catalogue(LambdaParams(*triple)))[:2]
+        lowest, second = sorted(_catalogue(*triple))[:2]
         if second - lowest >= 0.1:
             triples.append(triple)
     for a, b, c in triples:
         mu = finite_volume_measure(LambdaParams(-a, -b, -c, 40), 3, shape, fields)
         peak = max(mu.values)
-        likely = {spins for spins, prob in mu.probabilities.items() if prob > peak / 2}
+        likely = {spins for spins, prob in probabilities(mu).items() if prob > peak / 2}
         assert likely == {cfg.spins for cfg in brute_force_minima(LambdaParams(a, b, c), 2)}

@@ -13,11 +13,13 @@ from lambda_tree.ground import (REPRESENTATIVE_PARAMS, LevelSequence,
                                 brute_force_minima, generators_for,
                                 is_ground_state, realize, sample_family,
                                 verify_generators)
-from lambda_tree.model import (SPINS, Configuration, LambdaParams,
-                               ball_energy, classify_region, lambda_value,
-                               min_ball_energy, minimal_entries)
-from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls
-from oracles import clear_caches, minimal_balls_by_scan, realize_uncached
+from lambda_tree.model import (SPINS, Configuration, LambdaParams, classify_region,
+                               coupling_rows, min_ball_energy, minimal_entries)
+from lambda_tree.tree import TreeCoord, TreeShape
+from oracles import (ball_energy, clear_caches, minimal_balls_by_scan, position,
+                     realize_uncached, vertices)
+
+ROOT = TreeCoord(())
 
 
 def test_level_sequence_validation():
@@ -68,11 +70,11 @@ def _per_ball(cfg: Configuration, p: LambdaParams, tol: float = 0.0):
     the centers by path in canonical order."""
     floor = min_ball_energy(p)
     shape = cfg.shape
-    for x in shape.vertices():
+    for x in vertices(shape):
         if x.level == shape.depth:
             break
-        s = [cfg.spins[shape.index_of(y)] for y in (x, x.child(1), x.child(2))]
-        if ball_energy(s[0], (s[1], s[2]), p) > floor + tol:
+        s = [cfg.spins[position(y)] for y in (x, x.child(1), x.child(2))]
+        if ball_energy(*s, p) > floor + tol:
             return False, x
     return True, None
 
@@ -100,13 +102,13 @@ def test_deep_witness_matches_a_per_ball_scan():
     shape = base.shape
     floor = min_ball_energy(p)
     x = TreeCoord(tuple(random.Random(19).choice((1, 2)) for _ in range(18)))
-    center, leaf = shape.index_of(x), shape.index_of(x.child(2))
+    center, leaf = position(x), position(x.child(2))
     spins = list(base.spins)
     s, t = spins[center], spins[leaf - 1]
-    spins[leaf] = next(u for u in SPINS if ball_energy(s, (t, u), p) > floor)
+    spins[leaf] = next(u for u in SPINS if ball_energy(s, t, u, p) > floor)
     cfg = Configuration(shape, tuple(spins))
-    first = next(c for c, kids in balls(shape)
-                 if ball_energy(spins[c], tuple(spins[kids.start:kids.stop]), p) > floor)
+    first = next(c for c in range(len(spins) // 2)
+                 if ball_energy(spins[c], spins[2 * c + 1], spins[2 * c + 2], p) > floor)
     assert first == center
     assert is_ground_state(cfg, p) == (False, x)
 
@@ -243,7 +245,7 @@ def test_distance_one_region_admits_only_even_periods():
             entries.append(SPINS[t % 3])
             t //= 3
         good = all(
-            lambda_value(entries[m % 7], entries[(m + 1) % 7], p) == b
+            coupling_rows(p)[entries[m % 7] - 1][entries[(m + 1) % 7] - 1] == b
             for m in range(7))
         assert not good
 
@@ -259,7 +261,7 @@ def _transfer_count(p: LambdaParams) -> int:
     """
     floor = min_ball_energy(p)
     allowed = {s: [t for t in SPINS
-                   if lambda_value(s, t, p) == floor] for s in SPINS}
+                   if coupling_rows(p)[s - 1][t - 1] == floor] for s in SPINS}
     # ball minimality decouples into per-edge minimality only when the
     # minimal catalogue entry is attainable by a single coupling value;
     # that holds at every representative triple used below
@@ -316,7 +318,7 @@ def _minimal_count(p: LambdaParams, depth: int) -> int:
     below = {s: 1 for s in SPINS}
     for _ in range(depth):
         below = {s: sum(below[t] * below[u] for t, u in product(SPINS, repeat=2)
-                        if ball_energy(s, (t, u), p) <= floor) for s in SPINS}
+                        if ball_energy(s, t, u, p) <= floor) for s in SPINS}
     return sum(below.values())
 
 
@@ -336,7 +338,7 @@ def test_brute_force_depth_three_follows_the_count():
         assert len(minima) == count, t
         floor = min_ball_energy(p)
         relation = frozenset((s, tu) for s in SPINS for tu in product(SPINS, repeat=2)
-                             if ball_energy(s, tu, p) <= floor)
+                             if ball_energy(s, *tu, p) <= floor)
         if relation in scored:
             assert minima == scored[relation], t
         else:
@@ -448,7 +450,7 @@ def test_certification_matches_realized_trees():
         # ball is minimal so that some fail late, plus the catalogs active
         # at p, which pass
         floor = min_ball_energy(p)
-        steps = {s: [t for t in SPINS if ball_energy(s, (t, t), p) <= floor]
+        steps = {s: [t for t in SPINS if ball_energy(s, t, t, p) <= floor]
                  for s in SPINS}
         generators = []
         for _ in range(4):
@@ -490,12 +492,12 @@ def test_minima_match_enumeration():
         floor = min_ball_energy(p)
         for depth in (1, 2):
             shape = TreeShape(2, depth)
-            vertices = shape.vertices()
-            inner = [(shape.index_of(x), shape.index_of(x.child(1)),
-                      shape.index_of(x.child(2))) for x in vertices if x.level < depth]
+            verts = vertices(shape)
+            inner = [(position(x), position(x.child(1)), position(x.child(2)))
+                     for x in verts if x.level < depth]
             expected = {Configuration(shape, spins)
-                        for spins in product(SPINS, repeat=len(vertices))
-                        if all(ball_energy(spins[c], (spins[l], spins[r]), p) <= floor
+                        for spins in product(SPINS, repeat=len(verts))
+                        if all(ball_energy(spins[c], spins[l], spins[r], p) <= floor
                                for c, l, r in inner)}
             clear_caches()
             assert brute_force_minima(p, depth) == expected, (p, depth)
@@ -615,7 +617,7 @@ def _grown_configuration(rng: random.Random, p: LambdaParams, depth: int,
     shape = TreeShape(2, depth)
     floor = min_ball_energy(p)
     minimal = {s: [tu for tu in product(SPINS, repeat=2)
-                   if ball_energy(s, tu, p) <= floor] for s in SPINS}
+                   if ball_energy(s, *tu, p) <= floor] for s in SPINS}
     spins = [rng.choice(SPINS)]
     for _ in range(shape.vertex_count() // 2):
         center = spins[len(spins) // 2]
@@ -666,17 +668,16 @@ def test_is_ground_state_rejects_spins_outside_the_alphabet():
 
 
 def test_ground_layer_reads_one_ball_table(monkeypatch):
-    # on valid spins no verdict calls ball_energy: the minimal balls are
-    # read from the table of catalogue entries, however many configurations
-    # are scored
+    # no verdict looks up a ball's catalogue entry: the minimal balls are
+    # read from the table built once at import, however many
+    # configurations are scored
     calls = []
 
-    def counted(center, children, p):
-        calls.append(p)
-        return ball_energy(center, children, p)
+    def counted(center, children):
+        calls.append(center)
+        return model.ball_entry(center, children)
 
-    monkeypatch.setattr(model, "ball_energy", counted)
-    assert not hasattr(ground, "ball_energy")
+    monkeypatch.setattr(ground, "ball_entry", counted)
     clear_caches()
     p = LambdaParams(0.0, 0.0, 0.0)
     cfg = realize(LevelSequence((2,), period=1), 10)
@@ -894,7 +895,8 @@ def test_ball_sets_keep_verdicts_and_witnesses():
             witnesses.add(expected[1])
         assert cfg.binary_balls is cfg.binary_balls
         assert cfg.binary_balls == {
-            tuple(cfg.spins[i] for i in (c, *kids)) for c, kids in balls(cfg.shape)}
+            tuple(cfg.spins[i] for i in (c, 2 * c + 1, 2 * c + 2))
+            for c in range(cfg.shape.vertex_count() // 2)}
     assert None in witnesses
     assert {x.level for x in witnesses if x} == {0, 1, 2, 3, 4, 5}
 

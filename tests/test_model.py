@@ -9,12 +9,10 @@ from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.ground import brute_force_minima
 from lambda_tree.model import (REGION_NAMES, SPINS, Configuration, LambdaParams,
-                               ball_energy, ball_energy_catalogue, ball_entry,
-                               classify_region, coupling_rows, edge_weight,
-                               hamiltonian, lambda_value, min_ball_energy,
-                               minimal_entries)
-from lambda_tree.tree import ROOT, TreeShape, balls
-from oracles import clear_caches
+                               _catalogue, ball_entry, classify_region, coupling_rows,
+                               edge_weight, min_ball_energy, minimal_entries)
+from lambda_tree.tree import TreeCoord, TreeShape
+from oracles import ball_energy, clear_caches, position
 
 
 def test_params_validation():
@@ -51,19 +49,13 @@ def test_params_past_the_float_range_are_refused():
 
 
 def test_coupling_by_distance():
+    # a at spin distance 2, b at 1, c at 0, one row per spin of SPINS
     p = LambdaParams(-1.0, 2.0, 5.0)
-    assert lambda_value(1, 3, p) == -1.0
-    assert lambda_value(2, 3, p) == 2.0
-    assert lambda_value(2, 2, p) == 5.0
+    rows = coupling_rows(p)
+    assert rows == ((5.0, 2.0, -1.0), (2.0, 5.0, 2.0), (-1.0, 2.0, 5.0))
     for i in SPINS:
         for j in SPINS:
-            assert lambda_value(i, j, p) == lambda_value(j, i, p)
-    # the spins are SPINS alone, and coupling_rows is their table
-    for i, j in ((0, 1), (1, 4), (4, 5)):
-        with pytest.raises(ValueError, match=r"spins must be in \(1, 2, 3\)"):
-            lambda_value(i, j, p)
-    assert coupling_rows(p) == tuple(tuple(lambda_value(i, j, p) for j in SPINS)
-                                     for i in SPINS)
+            assert rows[i - 1][j - 1] == rows[j - 1][i - 1] == (p.c, p.b, p.a)[abs(i - j)]
 
 
 def test_potts_reduction():
@@ -73,14 +65,14 @@ def test_potts_reduction():
     for i in SPINS:
         for k in SPINS:
             expected = -j if i == k else 0.0
-            assert lambda_value(i, k, p) == expected
+            assert coupling_rows(p)[i - 1][k - 1] == expected
 
 
 def test_configuration_storage():
     shape = TreeShape(2, 1)
     sigma = Configuration(shape, (1, 3, 2))
-    assert sigma.spins[shape.index_of(ROOT)] == 1
-    assert sigma.spins[shape.index_of(ROOT.child(2))] == 2
+    assert sigma.spins[position(TreeCoord(()))] == 1
+    assert sigma.spins[position(TreeCoord((2,)))] == 2
     assert str(sigma) == "132"
     assert sigma.level_spins() is None          # level 1 is not constant
     assert Configuration(shape, (2, 3, 3)).level_spins() == (2, 3)
@@ -97,100 +89,71 @@ def test_configuration_restrict_is_prefix():
     spins = tuple(random.Random(3).choice(SPINS) for _ in range(7))
     sigma = Configuration(shape, spins)
     inner = Configuration(TreeShape(2, 1), spins[:3])
-    for x in inner.shape.vertices():
-        assert inner.spins[inner.shape.index_of(x)] == spins[shape.index_of(x)]
-
-
-def test_hamiltonian_small_cases():
-    a, b, c = -1.0, 2.0, 5.0
-    p = LambdaParams(a, b, c)
-    v1 = TreeShape(2, 1)
-    assert hamiltonian(Configuration(v1, (1, 3, 3)), p) == 2 * a
-    assert hamiltonian(Configuration(v1, (2, 1, 3)), p) == 2 * b
-    v2 = TreeShape(2, 2)
-    assert hamiltonian(Configuration(v2, (2,) * 7), p) == 6 * c
-
-
-def test_energy_difference_is_twice_the_ball_sum():
-    """Edge sums versus ball sums: each edge lies in exactly one ball and the
-    ball energy halves it, so H(sigma) - H(phi) = 2 * sum of ball differences."""
-    p = LambdaParams(0.3, -1.2, 0.9)
-    shape = TreeShape(2, 2)
-    ball_list = balls(shape)
-    rng = random.Random(99)
-    for _ in range(200):
-        sigma = Configuration(shape, tuple(rng.choice(SPINS) for _ in range(7)))
-        phi = Configuration(shape, tuple(rng.choice(SPINS) for _ in range(7)))
-        ball_sum = 0.0
-        for center, (c1, c2) in ball_list:
-            ball_sum += ball_energy(sigma.spins[center],
-                                    (sigma.spins[c1], sigma.spins[c2]), p)
-            ball_sum -= ball_energy(phi.spins[center],
-                                    (phi.spins[c1], phi.spins[c2]), p)
-        difference = hamiltonian(sigma, p) - hamiltonian(phi, p)
-        assert abs(difference - 2.0 * ball_sum) < 1e-12
+    for i in range(inner.shape.vertex_count()):
+        assert inner.shape.vertex_at(i) == shape.vertex_at(i)
+        assert inner.spins[i] == sigma.spins[i]
 
 
 def test_ball_energy_catalogue_membership():
     # all 27 center/children combinations land exactly on one of the six values
     p = LambdaParams(0.25, -0.5, 1.75)
-    catalogue = ball_energy_catalogue(p)
+    catalogue = _catalogue(p.a, p.b, p.c)
     assert catalogue == (p.a, (p.a + p.b) / 2, (p.a + p.c) / 2,
                          p.b, (p.b + p.c) / 2, p.c)
     seen = set()
     for center, c1, c2 in product(SPINS, repeat=3):
-        u = ball_energy(center, (c1, c2), p)
-        assert u in catalogue
+        u = ball_energy(center, c1, c2, p)
+        assert u == catalogue[ball_entry(center, (c1, c2))]
         seen.add(u)
     assert seen == set(catalogue)
     assert min_ball_energy(p) == min(catalogue)
-    with pytest.raises(ValueError):
-        ball_energy(1, (1, 2, 3), p)
 
 
 def test_ball_energy_named_values():
     p = LambdaParams(-3.0, 2.0, 7.0)
-    assert ball_energy(1, (3, 3), p) == p.a
-    assert ball_energy(1, (2, 3), p) == (p.a + p.b) / 2
-    assert ball_energy(2, (2, 2), p) == p.c
+    catalogue = _catalogue(p.a, p.b, p.c)
+    assert catalogue[ball_entry(1, (3, 3))] == p.a
+    assert catalogue[ball_entry(1, (2, 3))] == (p.a + p.b) / 2
+    assert catalogue[ball_entry(2, (2, 2))] == p.c
 
 
 def test_averages_stay_exact_at_the_ends_of_the_float_range():
     # (x + y) / 2 unless the sum overflows; halving first would lose subnormals
     tiny = LambdaParams(5e-324, 5e-324, 0.0)
-    assert ball_energy_catalogue(tiny)[1] == ball_energy(1, (2, 3), tiny) == 5e-324
+    assert _catalogue(5e-324, 5e-324, 0.0)[1] == ball_energy(1, 2, 3, tiny) == 5e-324
+    # halved first, (a + b) / 2 would be 0, the one minimal entry
+    assert classify_region(LambdaParams(5e-324, 5e-324, 1.0)).minimal_energy == 5e-324
+    assert minimal_entries(5e-324, 5e-324, 1.0, 0.0) == (True, True, False, True, False, False)
     huge = LambdaParams(-1.7e308, -1e308, 0.0)
-    assert ball_energy_catalogue(huge) == (-1.7e308, -1.35e308, -8.5e307,
-                                           -1e308, -5e307, 0.0)
-    for center, c1, c2 in product(SPINS, repeat=3):
-        assert ball_energy(center, (c1, c2), huge) in ball_energy_catalogue(huge)
+    assert _catalogue(-1.7e308, -1e308, 0.0) == (-1.7e308, -1.35e308, -8.5e307,
+                                                 -1e308, -5e307, 0.0)
+    assert minimal_entries(-1.7e308, -1e308, 0.0, 0.0) == (True,) + (False,) * 5
     assert classify_region(huge).active_regions == ("A1",)
     assert classify_region(huge).minimal_energy == -1.7e308
 
 
 def test_ball_energy_is_its_catalogue_entry():
     # value and type, for int couplings that no float equals as well: an
-    # entry that is a coupling itself stays that int
+    # entry that is a coupling itself stays that int, and so does the
+    # minimal energy read off it
     values = (0, 1, -1, 10 ** 308, -10 ** 308)
     for t in product(values, repeat=3):
-        p = LambdaParams(*t)
-        catalogue = ball_energy_catalogue(p)
-        for center, c1, c2 in product(SPINS, repeat=3):
-            energy = ball_energy(center, (c1, c2), p)
-            entry = catalogue[ball_entry(center, (c1, c2))]
-            assert energy == entry and type(energy) is type(entry), (t, center, c1, c2)
+        catalogue = _catalogue(*t)
+        for entry, coupling in ((0, t[0]), (3, t[1]), (5, t[2])):
+            assert catalogue[entry] == coupling and type(catalogue[entry]) is int, t
+        energy = classify_region(LambdaParams(*t)).minimal_energy
+        assert energy == min(catalogue) and type(energy) is type(min(catalogue)), t
     # floats are the average of the ball's two couplings, bit for bit
     rng = random.Random(3)
     floats = (0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.0, -2.5)
     for _ in range(200):
         p = LambdaParams(*(rng.choice(floats) * rng.choice((1.0, rng.random()))
                            for _ in range(3)))
+        catalogue = _catalogue(p.a, p.b, p.c)
         for center, c1, c2 in product(SPINS, repeat=3):
-            u, v = lambda_value(center, c1, p), lambda_value(center, c2, p)
-            mean = (u + v) / 2.0 if math.isfinite(u + v) else u / 2.0 + v / 2.0
-            assert math.copysign(1.0, ball_energy(center, (c1, c2), p)) == \
-                math.copysign(1.0, mean)
-            assert ball_energy(center, (c1, c2), p) == mean, (p, center, c1, c2)
+            entry, mean = catalogue[ball_entry(center, (c1, c2))], ball_energy(center, c1, c2, p)
+            assert math.copysign(1.0, entry) == math.copysign(1.0, mean)
+            assert entry == mean, (p, center, c1, c2)
 
 
 def test_int_couplings_decide_as_their_float_values():
@@ -199,8 +162,8 @@ def test_int_couplings_decide_as_their_float_values():
     # does not fall outside its own rounded min + tol
     p = LambdaParams(10 ** 308, 10 ** 308, 0)
     assert classify_region(p).active_regions == ("A6",)
-    assert ball_energy(1, (2, 3), p) == 1e308  # (a + b) / 2
-    assert ball_energy(1, (3, 3), p) == 10 ** 308  # a itself, the catalogue's U1
+    assert _catalogue(p.a, p.b, p.c)[1] == 1e308  # (a + b) / 2
+    assert _catalogue(p.a, p.b, p.c)[0] == 10 ** 308  # a itself, the catalogue's U1
     assert len(brute_force_minima(p, 1)) == 3
     assert minimal_entries(10 ** 308, 10 ** 308, 0, 0.0) == (False,) * 5 + (True,)
     values = (0, 1, -1, 10 ** 308, -10 ** 308, 2 ** 1023, -2 ** 1023)
@@ -210,9 +173,8 @@ def test_int_couplings_decide_as_their_float_values():
             assert classify_region(exact, tol).active_regions == \
                 classify_region(rounded, tol).active_regions, (t, tol)
             assert ground._minimal_balls(exact, tol) is ground._minimal_balls(rounded, tol)
-        # the energies themselves may round apart from the float triple's
-        for center, c1, c2 in product(SPINS, repeat=3):
-            assert math.isfinite(ball_energy(center, (c1, c2), exact)), t
+        # the entries themselves may round apart from the float triple's
+        assert all(map(math.isfinite, _catalogue(*t))), t
 
 
 def test_classify_strict_interiors():
@@ -245,7 +207,7 @@ def test_classify_min_matches_ball_scan():
     rng = random.Random(11)
     for _ in range(50):
         p = LambdaParams(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        best = min(ball_energy(s, (c1, c2), p)
+        best = min(ball_energy(s, c1, c2, p)
                    for s, c1, c2 in product(SPINS, repeat=3))
         assert classify_region(p).minimal_energy == best
 

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from lambda_tree.tree import ROOT, TreeCoord, TreeShape, balls, successors
+from lambda_tree.tree import TreeCoord, TreeShape, binary_ball_values, successors
+from oracles import position, vertices
 
 
 def test_root_identity():
-    assert ROOT.level == 0
-    assert ROOT.path == ()
-    assert str(ROOT) == "0"
+    root = TreeCoord(())
+    assert root.level == 0
+    assert str(root) == "0"
+    assert TreeCoord.parse("0") == root
 
 
 def test_parse_str_roundtrip():
@@ -36,11 +38,10 @@ def test_parse_cuts_a_long_input_in_its_message():
 
 
 def test_parent_child_inverse():
+    # a child appends its branch index, so dropping it gives the parent
     x = TreeCoord((2, 1, 2))
-    assert x.child(1).parent() == x
-    assert x.parent().path == (2, 1)
-    with pytest.raises(ValueError):
-        ROOT.parent()
+    assert x.child(1).path == (2, 1, 2, 1)
+    assert TreeCoord(x.child(2).path[:-1]) == x
     with pytest.raises(ValueError):
         x.child(0)
 
@@ -51,29 +52,27 @@ def test_level_and_vertex_counts_order_two():
         assert shape.level_size(m) == 2 ** m
         assert len(shape.level_vertices(m)) == 2 ** m
     assert shape.vertex_count() == 2 ** 5 - 1
-    assert len(shape.vertices()) == shape.vertex_count()
 
 
 def test_canonical_order_and_index_of():
+    # vertex_at inverts the canonical order: level_vertices level by level
     for depth in range(5):
         shape = TreeShape(2, depth)
-        verts = shape.vertices()
+        verts = vertices(shape)
+        assert len(verts) == shape.vertex_count()
         # level-major: levels never decrease along the canonical order
         assert [v.level for v in verts] == sorted(v.level for v in verts)
         for i, v in enumerate(verts):
-            assert shape.index_of(v) == i
-            assert shape.vertex_at(i) == v  # vertex_at inverts index_of
+            assert position(v) == i
+            assert shape.vertex_at(i) == v
         for i in (-1, len(verts)):
             with pytest.raises(ValueError):
                 shape.vertex_at(i)
-    outside = TreeCoord((1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        TreeShape(2, 3).index_of(outside)
 
 
 def test_contains():
     shape = TreeShape(2, 2)
-    assert shape.contains(ROOT)
+    assert shape.contains(TreeCoord(()))
     assert shape.contains(TreeCoord((2, 1)))
     assert not shape.contains(TreeCoord((3,)))      # branch index beyond k
     assert not shape.contains(TreeCoord((1, 1, 1)))  # too deep
@@ -88,14 +87,15 @@ def test_successors():
 
 
 def test_balls_cover_edges_exactly_once():
+    # the balls of the positions themselves are (center, child 1, child 2)
     shape = TreeShape(2, 3)
-    verts = shape.vertices()
-    all_balls = balls(shape)
+    verts = vertices(shape)
+    all_balls = list(binary_ball_values(range(shape.vertex_count())))
     # one ball per non-leaf vertex, centers in canonical order
-    assert [center for center, _ in all_balls] == \
+    assert [center for center, _, _ in all_balls] == \
         list(range(TreeShape(2, 2).vertex_count()))
     covered = []
-    for center, children in all_balls:
+    for center, *children in all_balls:
         assert [verts[c] for c in children] == successors(verts[center], shape)
         covered.extend((center, child) for child in children)
     assert sorted(covered) == sorted(shape.edges())
@@ -103,10 +103,10 @@ def test_balls_cover_edges_exactly_once():
 
 def test_edges_count():
     shape = TreeShape(2, 3)
-    verts = shape.vertices()
+    verts = vertices(shape)
     assert len(shape.edges()) == shape.vertex_count() - 1
     for parent, child in shape.edges():
-        assert verts[child].parent() == verts[parent]
+        assert verts[child].path[:-1] == verts[parent].path
 
 
 def test_positions_follow_the_paths():
@@ -115,23 +115,22 @@ def test_positions_follow_the_paths():
     # holds positions 2^m - 1 .. 2^(m+1) - 2
     for depth in range(5):
         shape = TreeShape(2, depth)
-        verts = shape.vertices()
+        verts = vertices(shape)
         for i, x in enumerate(verts):
-            assert shape.index_of(x) == i
+            assert position(x) == i
             if x.level:
-                assert shape.index_of(x.parent()) == (i - 1) // 2
+                assert position(TreeCoord(x.path[:-1])) == (i - 1) // 2
             if x.level < depth:
                 for c in (1, 2):
-                    assert shape.index_of(x.child(c)) == 2 * i + c
+                    assert position(x.child(c)) == 2 * i + c
         for m in range(depth + 1):
-            assert [shape.index_of(x) for x in shape.level_vertices(m)] == \
+            assert [position(x) for x in shape.level_vertices(m)] == \
                 list(shape.level_positions(m)) == list(range(2 ** m - 1, 2 ** (m + 1) - 1))
-        assert shape.edges() == [(shape.index_of(x.parent()), i)
+        assert shape.edges() == [(position(TreeCoord(x.path[:-1])), i)
                                  for i, x in enumerate(verts) if x.level]
-        if depth:
-            assert [(c, list(kids)) for c, kids in balls(shape)] == [
-                (shape.index_of(x), [shape.index_of(y) for y in successors(x, shape)])
-                for x in verts if x.level < depth]
+        assert list(binary_ball_values(range(shape.vertex_count()))) == [
+            (position(x), *(position(y) for y in successors(x, shape)))
+            for x in verts if x.level < depth]
 
 
 def test_shape_validation():
@@ -148,5 +147,3 @@ def test_shape_validation():
         TreeShape(2, 2).level_size(3)
     with pytest.raises(ValueError, match=r"level 3 outside 0\.\.2"):
         TreeShape(2, 2).level_vertices(3)
-    with pytest.raises(ValueError):
-        balls(TreeShape(2, 0))
