@@ -14,12 +14,12 @@ canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2). For b <= 9
 it has one positive root. For b > 9 it has one, two or three, counted
 exactly from the sign of one integer: the quartic T of _ti_count, on the
 weights as the integers of _integers, the same integers D is read from.
-No tolerance enters the count; the floats a_can and b_can only locate
-the roots. The tangency points x1 < x2 (with thresholds eps_1 < eps_2,
-where a root is double) split (0, inf) into the brackets (0, x1),
-(x1, x2), (x2, inf), each holding at most one root; every root is found
-by sign bisection inside its bracket and then polished by Newton steps
-on f(u) - u.
+No tolerance enters the count, and none enters the roots: each is the
+float nearest an exact root, ties to even, found by _nearest_float from
+exact signs of the integer polynomials on the same integers (the cubic
+itself, and its derivative where the count is two or three). The floats
+a_can and b_can give the thresholds eps_1 < eps_2, where a root is
+double, and locate no root.
 
 Proper 2-periodic measures solve u = f(f(u)) but not u = f(u). The exact
 quotient num(f∘f - id) / num(f - id) is a quadratic A*u^2 + B*u + C with
@@ -32,21 +32,21 @@ in (x, y, z) = (xw, yw, zw), evaluated exactly on _integers; the sign of
 D decides existence. The composed-map division that derives this closed
 form is a test oracle and is not run here.
 
-count_ti_roots and two_periodic_report find and check the roots, and
-are the only builders of CanonicalParams, FixedPointReport and
-PeriodicReport. A sweep row prints no root, so it is built from the two
-exact counts alone: the canonical parameters and, past b = 9, the
-thresholds and the sign of T, then the integers behind A, B, C and D.
+count_ti_roots and two_periodic_report find the roots, and alone
+construct CanonicalParams, FixedPointReport and PeriodicReport. A sweep
+row prints no root, so it is built from the two exact counts alone: the
+canonical parameters and, past b = 9, the thresholds and the sign of T,
+then the integers behind A, B, C and D.
 """
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, InternalConsistencyError, _echo_number
+from .errors import DomainError, _echo_number
 from .model import LambdaParams, edge_weight, finite_number
 
-_FIXED_POINT_RESIDUAL = 1e-9  # relative to max(1, u)
+_INF_BITS = 0x7FF << 52  # the bit pattern of inf, which _float_bits reads as 2^1024
 _MODERATE_WEIGHTS = (2.0 ** -256, 2.0 ** 256)  # weights used as given, not rescaled
 
 INVARIANT_LINE_NOTE = ("invariant-line analysis only: first ratio component "
@@ -87,7 +87,7 @@ class FixedPointReport:
     regime: str                        # "unique" | "two" | "three"
     thresholds: tuple[float, float] | None  # (eps1, eps2) when b_can > 9
     phase_transition: bool
-    canonical: CanonicalParams         # the (a_can, b_can) the roots came from
+    canonical: CanonicalParams         # the weights' (a_can, b_can)
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,6 @@ def _edge_weights(p: LambdaParams) -> tuple[float, float, float]:
 
 def weights_from(p: LambdaParams) -> BoltzmannWeights:
     return BoltzmannWeights(*_edge_weights(p))
-
-
-def _line_map(u: float, xw: float, yw: float, zw: float) -> float:
-    """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
-    return ((xw * u + 2.0 * yw) / (yw * u + (xw + zw))) ** 2
 
 
 def _moderate(xw: float, yw: float, zw: float) -> tuple[float, float, float]:
@@ -172,33 +167,6 @@ def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
     return x1, x2, eps(x1), eps(x2)
 
 
-def _cubic_ratio(a: float, b: float, x: float) -> float:
-    """a*x*((b+x)/(1+x))^2, which is above 1 exactly where the reduced
-    cubic a*x*(b+x)^2 - (1+x)^2 is positive, and stays in range wherever
-    that comparison is close."""
-    r = (b + x) / (1.0 + x)
-    return a * x * r * r
-
-
-def _bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
-    """The root of a*x*(b+x)^2 - (1+x)^2 in (lo, hi), where its sign changes.
-
-    The sign is read from _cubic_ratio against 1. Midpoints are geometric
-    while the bracket spans more than a factor of two, so roots anywhere
-    in the float range take a few dozen steps, and arithmetic after that;
-    the bracket shrinks to adjacent floats.
-    """
-    lo_above = _cubic_ratio(a, b, lo) > 1.0
-    while True:
-        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if (_cubic_ratio(a, b, mid) > 1.0) == lo_above:
-            lo = mid
-        else:
-            hi = mid
-
-
 def _integers(xw: float, yw: float, zw: float) -> tuple[int, int, int, int]:
     """(x, y, z, d): the weights as the integers x/d, y/d, z/d over the
     largest of their denominators. Floats are integers over powers of two,
@@ -230,81 +198,94 @@ def _ti_count(x: int, y: int, z: int) -> int:
     return 3 if t > 0 else 2 if t == 0 else 1
 
 
-def _canonical_roots(a_can: float, b_can: float, count: int):
-    """Positive roots of the reduced cubic plus the regime verdict.
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
-    Returns (roots_x, regime, thresholds) for count distinct positive
-    roots, the weights' exact count: unique for b <= 9, and for b > 9
-    three, one, or two at an exact tangency. Three roots are bisected in
-    the brackets (0, x1), (x1, x2), (x2, inf) when the bisection's sign
-    test tells them apart at x1 and x2. Otherwise one root is bisected,
-    past x2 when a_can is nearer eps1 (in ratio) and short of x1 when
-    nearer eps2, and the tangency point on the other side stands for the
-    count's remaining roots, which floats cannot separate: the double root
-    of regime two, or two of the three.
+
+def _float_bits(i: int) -> tuple[int, int]:
+    """(m, e) with m * 2^e the value of the float with bit pattern i, for
+    0 <= i <= _INF_BITS."""
+    e, m = divmod(i, 1 << 52)
+    return (m + (1 << 52), e - 1075) if e else (m, -1074)
+
+
+def _nearest_float(side) -> float:
+    """The float nearest a positive root, ties to even, as float(Fraction)
+    rounds it, but inf past the largest float; side(n, d) is the sign of
+    n/d minus the root, for integers n and d > 0.
+
+    Bisects the half-steps of the nonnegative floats, in increasing order:
+    2i is the float with bit pattern i, 2i + 1 the midpoint above it. The
+    first half-step at or past the root is the nearest float itself, or a
+    midpoint, which rounds down unless the root is on it.
     """
-    a, b = a_can, b_can
-    # a*x*(b+x)^2 < (1+x)^2 below lo and > above hi (bounds on (1+x)^2 and
-    # (b+x)^2 for x <= 1 and x >= 1)
-    lo = 0.5 * min(1.0, 1.0 / a / (b + 1.0) / (b + 1.0))
-    hi = 2.0 * max(1.0, 4.0 / a)
-    if b <= 9:
-        return (_bisect_cubic_root(a, b, lo, hi),), "unique", None
-    x1, x2, eps1, eps2 = ti_thresholds(b)
-    if count == 3 and _cubic_ratio(a, b, x1) > 1.0 > _cubic_ratio(a, b, x2):
-        roots = tuple(_bisect_cubic_root(a, b, *bracket)
-                      for bracket in ((lo, x1), (x1, x2), (x2, hi)))
-    elif a / eps1 < eps2 / a:
-        roots = (x1,) * (count - 1) + (_bisect_cubic_root(a, b, x2, hi),)
-    else:
-        roots = (_bisect_cubic_root(a, b, lo, x1),) + (x2,) * (count - 1)
-    return roots, ("unique", "two", "three")[count - 1], (eps1, eps2)
+    lo, hi, at_hi = 0, 2 * _INF_BITS, 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        m, e = _float_bits(mid // 2)
+        m, e = 2 * m + mid % 2, e - 1
+        at = side(m << e, 1) if e >= 0 else side(m, 1 << -e)
+        if at >= 0:
+            hi, at_hi = mid, at
+        else:
+            lo = mid
+    bits = hi // 2
+    if hi % 2 and at_hi == 0 and bits % 2:  # on the midpoint: to even
+        bits += 1
+    return math.ldexp(*_float_bits(bits)) if bits < _INF_BITS else math.inf
+
+
+def _quadratic_side(a: int, b: int, c: int, k: int):
+    """side(n, d) of _nearest_float for the k-th (1 or 2) real root of
+    a*u^2 + b*u + c with a > 0, which falls up to its vertex -b/(2a) and
+    rises after: the sign of the value and the side of the vertex."""
+    def side(n: int, d: int) -> int:
+        value = _sign((a * n + b * d) * n + c * d * d)
+        vertex = 2 * a * n + b * d
+        return (-value if vertex <= 0 else 1) if k == 1 else (value if vertex >= 0 else -1)
+    return side
+
+
+def _ti_sides(x: int, y: int, z: int, count: int) -> list:
+    """The sides of _nearest_float for the count fixed points, in order.
+
+    They are the positive roots of P(u) = u*(y*u + x + z)^2 - (x*u + 2*y)^2
+    = p0*u^3 + p1*u^2 + p2*u + p3, which is negative up to its first root
+    and positive past its last. One root is where P turns positive. Where
+    there are more, P rises up to rho1 < rho2, the roots of P', falls
+    between them and rises after: three roots lie one in each run, and
+    of two, the double one is rho1 or rho2 as P is negative or positive
+    at the inflection point -p1/(3*p0) between them.
+    """
+    p0, p1, p2, p3 = y * y, 2 * y * (x + z) - x * x, (x + z) ** 2 - 4 * x * y, -4 * y * y
+
+    def p(n: int, d: int) -> int:
+        return _sign(((p0 * n + p1 * d) * n + p2 * d * d) * n + p3 * d ** 3)
+
+    if count == 1:
+        return [p]
+    rho1, rho2 = (_quadratic_side(3 * p0, 2 * p1, p2, k) for k in (1, 2))
+    sides = [lambda n, d: p(n, d) if rho1(n, d) <= 0 else 1,
+             lambda n, d: -1 if rho1(n, d) < 0 else -p(n, d) if rho2(n, d) <= 0 else 1,
+             lambda n, d: p(n, d) if rho2(n, d) >= 0 else -1]
+    if count == 2:
+        del sides[1 if p(-p1, 3 * p0) < 0 else 2]
+    return sides
 
 
 def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
     """Translation-invariant fixed points on the invariant line, in
-    increasing order, found and polished on the moderated weights, each
-    checked against u = f(u)."""
-    a_can, b_can, (mx, my, mz) = _canonical(w.xw, w.yw, w.zw)
-    count = _ti_count(*_integers(w.xw, w.yw, w.zw)[:3]) if b_can > 9 else 1
-    roots_x, regime, thresholds = _canonical_roots(a_can, b_can, count)
-    scale = 2.0 * my / mx
-    u_roots = []
-    for x in roots_x:
-        start = x * scale
-        u = _polish_fixed_point(start, mx, my, mz)
-        residual = abs(u - _line_map(u, mx, my, mz))
-        if not residual <= _FIXED_POINT_RESIDUAL * max(1.0, u):
-            # Newton can step off a near-double root that the bisection
-            # point already meets
-            if not (abs(start - _line_map(start, mx, my, mz))
-                    <= _FIXED_POINT_RESIDUAL * max(1.0, start)):
-                raise InternalConsistencyError(
-                    f"fixed-point residual {residual:.3e} at u={u}")
-            u = start
-        u_roots.append(u)
-    return FixedPointReport(tuple(sorted(u_roots)), regime, thresholds,
-                            regime != "unique", CanonicalParams(a_can, b_can))
-
-
-def _polish_fixed_point(u: float, xw: float, yw: float, zw: float) -> float:
-    """A few Newton steps on g(u) = f(u) - u."""
-    den0 = xw + zw
-    for _ in range(4):
-        num = xw * u + 2.0 * yw  # f(u) = (num/den)^2, as in _line_map
-        den = yw * u + den0
-        ratio = num / den
-        g = ratio * ratio - u
-        dg = 2.0 * ratio * (xw * den - num * yw) / (den * den) - 1.0
-        if dg == 0.0:
-            break
-        step = g / dg
-        if not math.isfinite(step) or abs(step) > 0.5 * max(1.0, abs(u)):
-            break
-        u -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(u)):
-            break
-    return u
+    increasing order, each the float nearest an exact root."""
+    a_can, b_can, _ = _canonical(w.xw, w.yw, w.zw)
+    x, y, z, _ = _integers(w.xw, w.yw, w.zw)
+    count, thresholds = 1, None
+    if b_can > 9:
+        count, thresholds = _ti_count(x, y, z), ti_thresholds(b_can)[2:]
+    # each root is below (xw/yw + 2)^2, and a_can = 2*(yw/xw)^3 is a positive
+    # float, so none rounds to inf; a tiny one rounds to 0.0
+    roots = tuple(_nearest_float(side) for side in _ti_sides(x, y, z, count))
+    return FixedPointReport(roots, ("unique", "two", "three")[count - 1], thresholds,
+                            count > 1, CanonicalParams(a_can, b_can))
 
 
 def _quadratic_numerators(x: int, y: int, z: int) -> tuple[int, int, int, int]:
@@ -338,9 +319,10 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     quadratic having two distinct positive roots. Neither is a
     fixed point of f: a fixed point that solves the quadratic has
     f' = -1 there, where u = f(f(u)) has a triple root and D = 0. So
-    where the pair exists both roots are reported, each checked against
-    u = f(f(u)) on the moderated weights, as f is. A, B, C or D past the
-    float range is reported as None.
+    where the pair exists both roots are reported, each the float
+    nearest its exact root, located by the signs of a*u^2 + b*u + c and
+    of its vertex side. A, B, C or D past the float range is reported as
+    None.
     """
     x, y, z, d = _integers(w.xw, w.yw, w.zw)
     a, b, c, disc = _quadratic_numerators(x, y, z)
@@ -348,21 +330,9 @@ def two_periodic_report(w: BoltzmannWeights) -> PeriodicReport:
     disc_f = _as_float(disc, d ** 8)
     if not disc > 0:
         return PeriodicReport(quad, disc_f, (), False)
-    # the roots are the same for any common factor of a, b and c; a power
-    # of two near their size keeps the floats in range and, where quad is
-    # in range, gives the same roots bit for bit
-    norm = 2 ** max(a, abs(b), c).bit_length()
-    af, bf, cf = a / norm, b / norm, c / norm
-    q = (math.sqrt(disc / (norm * norm)) - bf) / 2.0  # B < 0: no cancellation
-    roots = tuple(sorted((q / af, cf / q)))
+    roots = tuple(_nearest_float(_quadratic_side(a, b, c, k)) for k in (1, 2))
     if not (0.0 < roots[0] and roots[1] < math.inf):
         raise DomainError(f"2-periodic roots of {w} are out of float range")
-    mx, my, mz = _moderate(w.xw, w.yw, w.zw)
-    for r in roots:
-        if not (abs(r - _line_map(_line_map(r, mx, my, mz), mx, my, mz))
-                < _FIXED_POINT_RESIDUAL * max(1.0, r)):
-            raise InternalConsistencyError(
-                f"2-periodic residual too large at root {r}")
     return PeriodicReport(quad, disc_f, roots, True)
 
 

@@ -14,15 +14,13 @@ recurrence the long way. Test files import them as `from oracles import ...`.
 - `vertex_normalizer` is the per-vertex factor of the partition-function
   recurrence Z_{m+1} = A_m * Z_m.
 - `positive_root_count` counts the distinct positive roots of an exact
-  polynomial by Sturm's theorem in Fractions; `canonical_cubic_root_count`
-  applies it to the reduced cubic a*x*(b+x)^2 - (1+x)^2 at two floats,
-  and `ti_polynomial_root_count` to the weights' fixed-point cubic.
+  polynomial by Sturm's theorem in Fractions; `ti_polynomial_root_count`
+  applies it to the weights' fixed-point cubic.
   `ti_quartic_root_count` reads the same count off the sign of
   `ti_quartic`, the canonical discriminant factor Q times -2*x^3*y as a
   quartic in the weights, the rule `solver._ti_count` runs on integers.
-- `bisect_cubic_root` is the reduced cubic's sign bisection with its own
-  sign closure, which `solver._bisect_cubic_root`, on the shared
-  `solver._cubic_ratio`, must match bit for bit.
+- `line_map` is the invariant-line map f in floats, the map whose fixed
+  points and 2-cycles the solver's exact roots are checked against.
 - `sweep_to_csv_by_cell` and `sweep_to_jsonl_by_cell` write sweep rows one
   named cell at a time, the layout `solver.sweep_to_csv` and
   `cli.sweep_to_jsonl` must reproduce byte for byte.
@@ -65,6 +63,11 @@ from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights, _integers,
                                 _quadratic_numerators, sweep, sweep_to_csv,
                                 weights_from)
 from lambda_tree.tree import TreeCoord, TreeShape
+
+
+def line_map(u: float, xw: float, yw: float, zw: float) -> float:
+    """The invariant-line map f(u) = ((xw*u + 2*yw)/(yw*u + xw + zw))^2."""
+    return ((xw * u + 2.0 * yw) / (yw * u + (xw + zw))) ** 2
 
 
 def exact_line_map(w: BoltzmannWeights) -> RationalFn:
@@ -189,13 +192,6 @@ def positive_root_count(coeffs: list) -> int:
     return variations(q[0] for q in chain) - variations(q[-1] for q in chain)
 
 
-def canonical_cubic_root_count(a: float, b: float) -> int:
-    """Distinct positive roots of a*x*(b+x)^2 - (1+x)^2 at the floats a
-    and b, read as exact fractions."""
-    af, bf = Fraction(a), Fraction(b)
-    return positive_root_count([Fraction(-1), af * bf * bf - 2, 2 * af * bf - 1, af])
-
-
 def ti_polynomial_root_count(w: BoltzmannWeights) -> int:
     """Distinct translation-invariant fixed points of the weights: positive
     roots of u*(yw*u + xw + zw)^2 - (xw*u + 2*yw)^2, exactly."""
@@ -221,25 +217,6 @@ def ti_quartic_root_count(w: BoltzmannWeights) -> int:
     Q = 4(a_can+1)^2 and T < 0."""
     t = ti_quartic(w)
     return 3 if t > 0 else 2 if t == 0 else 1
-
-
-def bisect_cubic_root(a: float, b: float, lo: float, hi: float) -> float:
-    """The root of a*x*(b+x)^2 - (1+x)^2 in (lo, hi), where its sign
-    changes: geometric midpoints while hi > 2*lo, arithmetic ones after,
-    down to adjacent floats."""
-    def above(x: float) -> bool:
-        r = (b + x) / (1.0 + x)
-        return a * x * r * r > 1.0
-
-    lo_above = above(lo)
-    while True:
-        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if above(mid) == lo_above:
-            lo = mid
-        else:
-            hi = mid
 
 
 def fmt_cell(v) -> str:

@@ -18,12 +18,10 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, fields_from_ratios,
 from lambda_tree.ground import (REPRESENTATIVE_PARAMS, brute_force_minima,
                                 generators_for, realize, sample_family)
 from lambda_tree.model import LambdaParams
-from lambda_tree.solver import (BoltzmannWeights, _canonical_roots, _line_map,
-                                count_ti_roots, ti_thresholds,
+from lambda_tree.solver import (BoltzmannWeights, count_ti_roots, ti_thresholds,
                                 two_periodic_report)
 from lambda_tree.tree import TreeShape
-from oracles import (canonical_cubic_root_count, case_identity_check,
-                     periodic_quadratic)
+from oracles import case_identity_check, line_map, periodic_quadratic
 
 _ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -61,6 +59,9 @@ def test_criterion_1():
 
 @criterion(2, "root-count regimes across the (a, b) grid")
 def test_criterion_2():
+    # each grid point as the weights (1, yw, zw) with a_can = 2*yw^3 and
+    # b_can = (1 + zw)/(2*yw^2); the points with no positive zw have no
+    # weights
     start = time.perf_counter()
     checked = 0
     for j in range(50):
@@ -68,6 +69,10 @@ def test_criterion_2():
         thresholds = ti_thresholds(b) if b > 9.0 else None
         for i in range(50):
             a = 1e-3 + i * (0.999 / 49.0)
+            yw = (a / 2.0) ** (1.0 / 3.0)
+            zw = 2.0 * b * yw * yw - 1.0
+            if not zw > 0:
+                continue
             if thresholds is None:
                 expected = 1
             else:
@@ -75,11 +80,11 @@ def test_criterion_2():
                 if min(abs(a - e1), abs(a - e2)) <= 1e-8:
                     continue  # don't score points on a regime boundary
                 expected = 3 if e1 < a < e2 else 1
-            roots, _, _ = _canonical_roots(a, b, canonical_cubic_root_count(a, b))
+            roots = count_ti_roots(BoltzmannWeights(1.0, yw, zw)).ti_roots
             assert len(roots) == expected, (a, b, roots)
             checked += 1
     elapsed = time.perf_counter() - start
-    assert checked > 2400
+    assert checked > 2350
     assert elapsed < 5.0, f"grid took {elapsed:.2f}s"
 
 
@@ -128,8 +133,8 @@ def test_criterion_3():
         assert len(report.proper_roots) == 2
         for r in report.proper_roots:
             assert r > 0
-            fr = _line_map(r, w.xw, w.yw, w.zw)
-            assert abs(r - _line_map(fr, w.xw, w.yw, w.zw)) < 1e-9
+            fr = line_map(r, w.xw, w.yw, w.zw)
+            assert abs(r - line_map(fr, w.xw, w.yw, w.zw)) < 1e-9
             assert abs(r - fr) > 1e-6
 
 

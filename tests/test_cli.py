@@ -16,8 +16,9 @@ import pytest
 from lambda_tree import cli, ground, solver
 from lambda_tree.cli import build_parser, main
 from lambda_tree.errors import InternalConsistencyError
-from oracles import (bisect_cubic_root, clear_caches, sweep_to_csv_by_cell,
-                     sweep_to_jsonl_by_cell, ti_polynomial_root_count)
+from oracles import (clear_caches, line_map, sweep_to_csv_by_cell,
+                     sweep_to_jsonl_by_cell, ti_polynomial_root_count,
+                     ti_quartic_root_count)
 
 
 def _run_json(capsys, argv):
@@ -211,8 +212,7 @@ def test_solve_rejects_nonpositive_weight(capsys):
 
 
 def test_solve_cycle_far_from_one(capsys):
-    # the 2-cycle runs between u ~ 1e-12 and u ~ 1e12, so residuals are
-    # judged relative to the root's size
+    # the 2-cycle runs between u ~ 1e-12 and u ~ 1e12
     payload = _run_json(capsys, ["solve", "--xw", "1e-3", "--yw", "1e3",
                                  "--zw", "1e-3"])
     assert len(payload["translation_invariant"]["roots"]) == 1
@@ -224,9 +224,9 @@ def test_solve_cycle_far_from_one(capsys):
 
 
 def test_solve_keeps_the_bisection_point_at_a_tangency(capsys):
-    # a_can sits 1.3e-13 relative below eps1, next to a tangency where
-    # Newton's step once landed at residual 1.7e-3 (exit 4); every root
-    # printed meets the gate
+    # a_can sits 1.3e-13 relative below eps1, next to a tangency where a
+    # Newton step once landed at residual 1.7e-3 (exit 4); the root the
+    # exact bisection prints is fixed by the map
     xw, yw, zw = 1.0, 0.1727345328512528, 0.10808465425866465
     payload = _run_json(capsys, ["solve", "--xw", repr(xw), "--yw", repr(yw),
                                  "--zw", repr(zw)])
@@ -236,7 +236,7 @@ def test_solve_keeps_the_bisection_point_at_a_tangency(capsys):
         [float(format(u, ".15g")) for u in roots]
     assert roots
     for u in roots:
-        assert abs(u - solver._line_map(u, xw, yw, zw)) <= 1e-9 * max(1.0, u), u
+        assert abs(u - line_map(u, xw, yw, zw)) <= 1e-9 * max(1.0, u), u
 
 
 def test_solve_counts_exactly_next_to_a_threshold(capsys):
@@ -252,18 +252,18 @@ def test_solve_counts_exactly_next_to_a_threshold(capsys):
     assert ti["phase_transition"] is False
 
 
-def test_solve_prints_the_tangency_point_for_roots_floats_cannot_separate(capsys):
-    # three fixed points exactly, two of them closer than the bisection's
-    # sign test can tell apart, so the tangency point stands for both;
-    # Newton steps off it, and the point itself, which meets the gate, is
-    # printed. In the first, a_can is one ulp above eps1. In the second,
-    # a_can is three ulps above the float eps2: the floats (a_can, b_can)
-    # have one root, and the count is the weights' own
+def test_solve_separates_three_roots_next_to_a_tangency(capsys):
+    # three fixed points exactly, two of them about 1e-7 relative apart,
+    # which a float sign test of the reduced cubic once could not tell
+    # apart; exact signs separate them, and each prints as the float
+    # nearest its root. In the first, a_can is one ulp above eps1. In the
+    # second, a_can is three ulps above the float eps2: the floats
+    # (a_can, b_can) have one root, and the count is the weights' own
     for w, printed in (
             (solver.BoltzmannWeights(1.0, 0.16190538300905066, 0.0796367441077308),
-             [0.40828842935344, 0.40828842935344, 23.9952813455985]),
+             [0.408288408206683, 0.408288450500198, 23.9952813455985]),
             (solver.BoltzmannWeights(1.0, 0.07561048727600549, 2.3293272373093323),
-             [0.00212113373928046, 43.4256141951587, 43.4256141951587])):
+             [0.00212113373928046, 43.4256138227172, 43.4256145676002])):
         payload = _run_json(capsys, ["solve", "--xw", "1", "--yw", repr(w.yw),
                                      "--zw", repr(w.zw)])
         assert ti_polynomial_root_count(w) == 3
@@ -271,7 +271,7 @@ def test_solve_prints_the_tangency_point_for_roots_floats_cannot_separate(capsys
         assert ti["regime"] == "three" and ti["phase_transition"] is True
         assert ti["roots"] == printed
         for u in solver.count_ti_roots(w).ti_roots:
-            fu = solver._line_map(u, w.xw, w.yw, w.zw)
+            fu = line_map(u, w.xw, w.yw, w.zw)
             assert abs(u - fu) <= 1e-9 * max(1.0, u), u
 
 
@@ -285,9 +285,30 @@ def test_solve_reports_both_points_of_a_narrow_cycle(capsys):
     assert per["exists"] is True
     assert per["proper_roots"] == [1.41779049175744, 1.41779066621927]
     for r in solver.two_periodic_report(w).proper_roots:
-        fr = solver._line_map(r, w.xw, w.yw, w.zw)
-        assert abs(r - solver._line_map(fr, w.xw, w.yw, w.zw)) < 1e-9 * max(1.0, r)
+        fr = line_map(r, w.xw, w.yw, w.zw)
+        assert abs(r - line_map(fr, w.xw, w.yw, w.zw)) < 1e-9 * max(1.0, r)
         assert r != fr
+
+
+def test_solve_fuzz_exits_0_or_2(capsys):
+    # seeded weights up to e^±700: solve prints as many fixed points as
+    # the weights have, or exits 2 where a printed field leaves the float
+    # range; never 4, and never a traceback
+    rng = random.Random(36)
+    exits = Counter()
+    for s in (3, 24, 100, 240, 400, 700):
+        for _ in range(50):
+            w = solver.BoltzmannWeights(*(math.exp(rng.uniform(-s, s)) for _ in range(3)))
+            rc = main(["solve", "--xw", repr(w.xw), "--yw", repr(w.yw), "--zw", repr(w.zw)])
+            captured = capsys.readouterr()
+            assert rc in (0, 2), (w, captured.err)
+            if rc == 0:
+                roots = json.loads(captured.out)["translation_invariant"]["roots"]
+                assert len(roots) == ti_quartic_root_count(w), w
+            else:
+                assert captured.err.startswith("error: ") and captured.out == "", w
+            exits[rc] += 1
+    assert exits[0] > 100 and exits[2] > 50
 
 
 def test_two_periodic_fields_past_float_range(tmp_path, capsys):
@@ -425,10 +446,15 @@ def _banded_sweep_configs(rng: random.Random, count: int) -> list:
     return configs
 
 
+def _no_root(*args):
+    raise AssertionError("a sweep row needs no root")
+
+
 def test_sweep_output_matches_the_oracle_path(tmp_path, monkeypatch):
-    # the shipped bisection and row writers (solver's CSV writer and
-    # cli's JSON Lines writer) against the oracles, in one run:
-    # byte-identical files, with no stored digest to depend on libm
+    # the shipped row writers (solver's CSV writer and cli's JSON Lines
+    # writer) against the oracles, in one run, with the root finder
+    # failing on any call: byte-identical files, with no stored digest to
+    # depend on libm
     configs = _banded_sweep_configs(random.Random(11), 40)
 
     def outputs(tag):
@@ -444,7 +470,7 @@ def test_sweep_output_matches_the_oracle_path(tmp_path, monkeypatch):
         return texts
 
     shipped = outputs("shipped")
-    monkeypatch.setattr(solver, "_bisect_cubic_root", bisect_cubic_root)
+    monkeypatch.setattr(solver, "_nearest_float", _no_root)
     monkeypatch.setattr(cli, "sweep_to_csv", sweep_to_csv_by_cell)
     monkeypatch.setattr(cli, "sweep_to_jsonl", sweep_to_jsonl_by_cell)
     assert outputs("oracle") == shipped
@@ -925,8 +951,8 @@ def test_sweep_out_over_its_own_config(tmp_path, capsys):
 
 def test_internal_consistency_error_exits_4_and_writes_nothing(tmp_path, capsys,
                                                                 monkeypatch):
-    # solve: a map whose fixed points fail the residual check; sweep, which
-    # never evaluates the map: the exact count of its third point failing
+    # solve: the root finder failing; sweep, which finds no root: the
+    # exact count of its third point failing
     quadratic_numerators, calls = solver._quadratic_numerators, []
 
     def fail_third(xw, yw, zw):
@@ -935,10 +961,13 @@ def test_internal_consistency_error_exits_4_and_writes_nothing(tmp_path, capsys,
             raise InternalConsistencyError("third point")
         return quadratic_numerators(xw, yw, zw)
 
+    def fail_root(side):
+        raise InternalConsistencyError("no root")
+
     out = tmp_path / "out.txt"
     for argv, name, patch, err in (
-            (["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"], "_line_map",
-             lambda u, xw, yw, zw: u + 1.0, "error: fixed-point residual"),
+            (["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"], "_nearest_float",
+             fail_root, "error: no root"),
             (_out_argv(tmp_path, "sweep csv"), "_quadratic_numerators",
              fail_third, "error: third point")):
         with monkeypatch.context() as m:
@@ -953,42 +982,25 @@ def test_internal_consistency_error_exits_4_and_writes_nothing(tmp_path, capsys,
                 assert out.read_bytes() == b"old text\n"
 
 
-def test_failed_catalog_and_periodic_checks_exit_4(capsys, monkeypatch):
-    # a hand catalog certified at another region's coupling, and a quadratic
-    # whose roots are half the true 2-periodic ones, each fail their own
+def test_failed_catalog_check_exits_4(capsys, monkeypatch):
+    # a hand catalog certified at another region's coupling fails its
     # check: the library raises and the command prints nothing on stdout
-    quadratic_numerators = solver._quadratic_numerators
-
-    def halved_roots(x, y, z):
-        a, b, c, disc = quadratic_numerators(x, y, z)
-        return 4 * a, 2 * b, c, 4 * disc
-
-    w = solver.BoltzmannWeights(0.2, 1.0, 0.2)  # two proper 2-periodic roots
-    for patch, call, argv, err in (
-            (lambda m: m.setitem(ground.REPRESENTATIVE_PARAMS, "A2",
-                                 ground.REPRESENTATIVE_PARAMS["A6"]),
-             lambda: ground.generators_for("A2"), ["ground", "--region", "A2"],
-             "error: catalog generator (1, 2) fails at ball"),
-            (lambda m: m.setattr(solver, "_quadratic_numerators", halved_roots),
-             lambda: solver.two_periodic_report(w),
-             ["solve", "--xw", "0.2", "--yw", "1", "--zw", "0.2"],
-             "error: 2-periodic residual too large")):
-        with monkeypatch.context() as m:
-            clear_caches()  # no catalog certified before the patch is read
-            patch(m)
-            with pytest.raises(InternalConsistencyError):
-                call()
-            assert main(argv) == 4
-            captured = capsys.readouterr()
-            assert captured.err.startswith(err)
-            assert captured.out == ""
+    with monkeypatch.context() as m:
+        clear_caches()  # no catalog certified before the patch is read
+        m.setitem(ground.REPRESENTATIVE_PARAMS, "A2", ground.REPRESENTATIVE_PARAMS["A6"])
+        with pytest.raises(InternalConsistencyError):
+            ground.generators_for("A2")
+        assert main(["ground", "--region", "A2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: catalog generator (1, 2) fails at ball")
+        assert captured.out == ""
     clear_caches()
 
 
 def test_sweep_finds_no_root(tmp_path, capsys, monkeypatch):
-    # a sweep row prints counts, not roots: with the root finders and the
-    # map failing on any call, both formats print the same bytes; the grid
-    # holds one, three and two-periodic points
+    # a sweep row prints counts, not roots: with the root finder and the
+    # sign tests it bisects on failing on any call, both formats print
+    # the same bytes; the grid holds one, three and two-periodic points
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({
         "axes": [{"name": "xw", "start": 0.2, "stop": 3.0, "step": 0.4},
@@ -1001,11 +1013,8 @@ def test_sweep_finds_no_root(tmp_path, capsys, monkeypatch):
     assert {row["ti_count"] for row in rows} == {1, 3}
     assert {row["two_periodic"] for row in rows} == {True, False}
 
-    def fail(*args):
-        raise AssertionError("a sweep row needs no root")
-
-    for name in ("_line_map", "_bisect_cubic_root", "_polish_fixed_point"):
-        monkeypatch.setattr(solver, name, fail)
+    for name in ("_nearest_float", "_ti_sides", "_quadratic_side"):
+        monkeypatch.setattr(solver, name, _no_root)
     assert [_printed(capsys, argv) for argv in argvs] == printed
 
 

@@ -11,9 +11,9 @@ from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
                                push_forward)
 from lambda_tree.ground import brute_force_minima
 from lambda_tree.model import SPINS, LambdaParams, _catalogue, coupling_rows
-from lambda_tree.solver import _line_map, weights_from
+from lambda_tree.solver import weights_from
 from lambda_tree.tree import TreeCoord, TreeShape, successors
-from oracles import position, probabilities, vertex_normalizer, vertices
+from oracles import line_map, position, probabilities, vertex_normalizer, vertices
 
 # the depths whose full 3^|V_depth| enumeration stays within 2^15 states,
 # small enough for the per-state oracle below, and the seeded draws per
@@ -171,7 +171,7 @@ def test_push_forward_on_equal_children_is_ti_map():
         u = (math.exp(rng.uniform(-3, 3)), math.exp(rng.uniform(-3, 3)))
         assert push_forward([u, u], p) == pytest.approx(_ti_map(u, w), rel=4e-15)
         assert push_forward([(1.0, u[1])] * 2, p)[1] == pytest.approx(
-            _line_map(u[1], w.xw, w.yw, w.zw), rel=4e-15)
+            line_map(u[1], w.xw, w.yw, w.zw), rel=4e-15)
 
 
 def test_push_forward_rejects_bad_input():

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,18 +17,11 @@ from lambda_tree.solver import (SWEEP_COLUMNS, BoltzmannWeights,
                                 CanonicalParams, count_ti_roots, sweep,
                                 sweep_to_csv, ti_thresholds,
                                 two_periodic_report, weights_from)
-from oracles import (bisect_cubic_root, canonical_cubic_root_count,
-                     case_identity_check, identity_corpus_text,
+from oracles import (case_identity_check, identity_corpus_text, line_map,
                      periodic_quadratic, printed_case_d, quadratic_by_division,
                      sweep_to_csv_by_cell, sweep_to_jsonl_by_cell,
                      ti_polynomial_root_count, ti_quartic,
                      ti_quartic_root_count)
-
-
-def _roots_at(a: float, b: float):
-    """solver._canonical_roots at the floats (a, b), given their exact
-    count as the Sturm oracle reads it."""
-    return solver._canonical_roots(a, b, canonical_cubic_root_count(a, b))
 
 
 def _random_weights(rng: random.Random) -> BoltzmannWeights:
@@ -84,7 +78,7 @@ def test_two_component_map():
     w2 = weights_from(p)
     u2 = 1.9
     assert push_forward([(1.0, u2)] * 2, p)[1] == pytest.approx(
-        solver._line_map(u2, w2.xw, w2.yw, w2.zw), rel=1e-14)
+        line_map(u2, w2.xw, w2.yw, w2.zw), rel=1e-14)
 
 
 def test_canonical_params_and_scaling():
@@ -102,16 +96,14 @@ def test_cubic_roots_are_map_fixed_points():
     for _ in range(40):
         w = _random_weights(rng)
         a, b, _ = solver._canonical(w.xw, w.yw, w.zw)
-        roots_x, _, _ = _roots_at(a, b)
-        assert len(roots_x) >= 1
-        scale = 2.0 * w.yw / w.xw
-        for x in roots_x:
-            u = x * scale
-            assert solver._line_map(u, w.xw, w.yw, w.zw) == pytest.approx(u, rel=1e-6)
-        # and back: reported fixed points satisfy the cubic
         report = count_ti_roots(w)
         assert report.canonical == CanonicalParams(a, b)
+        assert len(report.ti_roots) >= 1
+        # the reported fixed points are fixed by the map and, reduced by
+        # x = u*xw/(2*yw), solve the canonical cubic
+        scale = 2.0 * w.yw / w.xw
         for u in report.ti_roots:
+            assert line_map(u, w.xw, w.yw, w.zw) == pytest.approx(u, rel=1e-12)
             x = u / scale
             assert a * x * (b + x) ** 2 == pytest.approx((1 + x) ** 2, rel=1e-9)
 
@@ -139,58 +131,142 @@ def test_threshold_ordering():
 
 
 def test_root_count_regimes():
-    roots, regime, thr = _roots_at(0.025, 10.0)
-    assert regime == "unique" and len(roots) == 1
-    assert thr == (pytest.approx(0.03125), pytest.approx(0.032))
+    # at b = 10 the tangency points are x1 = 2 and x2 = 5, where a_can is
+    # eps1 = 1/32 and eps2 = 4/125; u = x*2*yw/xw
+    report = count_ti_roots(_weights_for_canonical(0.025, 10.0))
+    assert report.regime == "unique" and len(report.ti_roots) == 1
+    assert report.thresholds == (pytest.approx(0.03125), pytest.approx(0.032))
 
-    roots, regime, _ = _roots_at(0.031625, 10.0)
-    assert regime == "three" and len(roots) == 3
+    report = count_ti_roots(_weights_for_canonical(0.031625, 10.0))
+    assert report.regime == "three" and len(report.ti_roots) == 3
 
-    # at b = 10 the tangency points are x1 = 2 and x2 = 5, and eps1 = 1/32
-    # is a float, so a_can = 0.03125 is exactly tangent; eps2 = 4/125 is
-    # not, and the float 0.032 lies just above it
-    roots, regime, _ = _roots_at(0.03125, 10.0)
-    assert regime == "two" and len(roots) == 2
-    assert roots[0] == 2.0  # the tangency point x1 is the double root
-    roots, regime, _ = _roots_at(0.032, 10.0)
-    assert regime == "unique" and len(roots) == 1 and roots[0] < 2.0
+    # (4, 1, 1) is exactly tangent, a_can = 1/32 and b_can = 10: the
+    # reduced cubic is (x - 2)^2 (x - 8)/32, so the double root x1 = 2 is
+    # u = 1 and the simple root is u = 4, both floats
+    report = count_ti_roots(BoltzmannWeights(4.0, 1.0, 1.0))
+    assert report.regime == "two" and report.ti_roots == (1.0, 4.0)
+    # the double root can be the larger one too: at (4.5, 1, 1.5) the
+    # fixed-point cubic is (u - 1/4)(u - 4)^2
+    report = count_ti_roots(BoltzmannWeights(4.5, 1.0, 1.5))
+    assert report.regime == "two" and report.ti_roots == (0.25, 4.0)
+    # past eps2 the one root lies below the tangency point x1
+    w = _weights_for_canonical(0.0325, 10.0)
+    report = count_ti_roots(w)
+    assert report.regime == "unique" and len(report.ti_roots) == 1
+    assert report.ti_roots[0] < 2.0 * 2.0 * w.yw / w.xw
 
-    roots, regime, thr = _roots_at(0.5, 4.0)
-    assert regime == "unique" and thr is None and len(roots) == 1
+    report = count_ti_roots(_weights_for_canonical(0.5, 4.0))
+    assert report.regime == "unique" and report.thresholds is None
+    assert len(report.ti_roots) == 1
 
     # the canonical parameters are positive: _canonical refuses any other
     with pytest.raises(DomainError):
         solver._canonical(1e300, 1e-300, 1.0)
 
 
-def test_bisection_matches_the_closure_oracle(monkeypatch):
-    # the bisection visits the oracle's midpoints in the same order, so
-    # over the same brackets it returns the same floats
-    _, _, eps1, eps2 = ti_thresholds(9.1)
-    cases = [(0.025, 10.0), (0.031625, 10.0), (0.03125, 10.0), (0.032, 10.0),
-             (0.5, 4.0), (0.037, 8.9), (0.5 * (eps1 + eps2), 9.1)]
-    rng = random.Random(0)
-    for _ in range(5000):
-        w = BoltzmannWeights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
-        cases.append(solver._canonical(w.xw, w.yw, w.zw)[:2])
-    cases = [(a, b, canonical_cubic_root_count(a, b)) for a, b in cases]
-    shipped = [solver._canonical_roots(*case) for case in cases]
-    monkeypatch.setattr(solver, "_bisect_cubic_root", bisect_cubic_root)
-    assert [solver._canonical_roots(*case) for case in cases] == shipped
-    # regime "two" at the exact tangency eps1 = 0.03125; the float 0.032
-    # lies just above eps2 = 4/125
-    assert [len(roots) for roots, _, _ in shipped[:4]] == [1, 3, 2, 1]
-    assert {regime for _, regime, _ in shipped[7:]} == {"unique", "three"}
-
-
 def test_root_count_straddles_the_b_boundary():
     # crossing b = 9 with a_can mid-window flips unique -> three
-    below = _roots_at(0.037, 8.9)
-    assert below[1] == "unique" and len(below[0]) == 1
+    below = count_ti_roots(_weights_for_canonical(0.037, 8.9))
+    assert below.regime == "unique" and len(below.ti_roots) == 1
     x1, x2, eps1, eps2 = ti_thresholds(9.1)
-    mid = 0.5 * (eps1 + eps2)
-    above = _roots_at(mid, 9.1)
-    assert above[1] == "three" and len(above[0]) == 3
+    above = count_ti_roots(_weights_for_canonical(0.5 * (eps1 + eps2), 9.1))
+    assert above.regime == "three" and len(above.ti_roots) == 3
+
+
+def _linear_side(root: Fraction):
+    """side(n, d) of solver._nearest_float for the root itself."""
+    def side(n: int, d: int) -> int:
+        diff = n * root.denominator - root.numerator * d
+        return (diff > 0) - (diff < 0)
+    return side
+
+
+def test_nearest_float_rounds_to_nearest_ties_to_even():
+    nearest = solver._nearest_float
+    tiny, big = math.ulp(0.0), sys.float_info.max
+    # a root that is a float comes back as itself, subnormal or largest
+    for r in (1.0, 0.1, 4.0, tiny, 3 * tiny, sys.float_info.min, 1e300, big):
+        assert nearest(_linear_side(Fraction(r))) == r
+    # on a midpoint, to the even neighbour: down from 1 + 2^-53 to 1, and
+    # up from 1 + 3*2^-53 to 1 + 2^-51; likewise at subnormals
+    half = Fraction(1, 2 ** 53)
+    assert nearest(_linear_side(1 + half)) == 1.0
+    assert nearest(_linear_side(1 + 3 * half)) == 1.0 + 2.0 ** -51
+    assert nearest(_linear_side(Fraction(3 * tiny) / 2)) == 2 * tiny
+    # just off a midpoint, to the nearer one
+    assert nearest(_linear_side(1 + half + Fraction(1, 2 ** 200))) == 1.0 + 2.0 ** -52
+    assert nearest(_linear_side(1 + 3 * half - Fraction(1, 2 ** 200))) == 1.0 + 2.0 ** -52
+    # below half the smallest subnormal, or on it, the root rounds to 0.0
+    # as float(Fraction) rounds it; from half an ulp past the largest
+    # float on, it rounds to inf, where float(Fraction) raises
+    for root in (Fraction(tiny) / 3, Fraction(tiny) / 2):
+        assert nearest(_linear_side(root)) == 0.0 == float(root)
+    assert nearest(_linear_side(Fraction(tiny) / 2 + Fraction(1, 2 ** 1200))) == tiny
+    ulp = Fraction(math.ulp(big))
+    assert nearest(_linear_side(Fraction(big) + ulp / 4)) == big
+    for root in (Fraction(big) + ulp / 2, Fraction(2) ** 1030):
+        assert nearest(_linear_side(root)) == math.inf
+    # seeded rationals across the float range round as float(Fraction)
+    rng = random.Random(3)
+    for _ in range(300):
+        num = rng.getrandbits(rng.randint(1, 200)) + 1
+        root = Fraction(num, rng.getrandbits(rng.randint(1, 200)) + 1) * \
+            Fraction(2) ** rng.randint(-1100, 800)
+        assert nearest(_linear_side(root)) == float(root), root
+
+
+def _ti_polynomial(w: BoltzmannWeights, u: Fraction) -> Fraction:
+    """u*(yw*u + xw + zw)^2 - (xw*u + 2*yw)^2, whose positive roots are the
+    translation-invariant fixed points."""
+    x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
+    return u * (y * u + x + z) ** 2 - (x * u + 2 * y) ** 2
+
+
+def _cycle_quadratic(w: BoltzmannWeights, u: Fraction) -> Fraction:
+    """A*u^2 + B*u + C of the module docstring's closed form, in Fractions."""
+    x, y, z = Fraction(w.xw), Fraction(w.yw), Fraction(w.zw)
+    alpha = x * x + x * y + y * z
+    gamma = x * x + 2 * x * (y + z) + z * z
+    s = x * (x + z) - 2 * y * y
+    return alpha ** 2 * u * u + (2 * alpha * gamma - s * s) * u + gamma ** 2
+
+
+def _rounds_to(poly, w: BoltzmannWeights, r: float) -> bool:
+    """Whether poly changes sign or vanishes on [(r- + r)/2, (r + r+)/2],
+    the reals that round to r, with r- and r+ its float neighbours."""
+    lo = (Fraction(math.nextafter(r, 0.0)) + Fraction(r)) / 2 if r > 0 else Fraction(0)
+    hi = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+    return poly(w, lo) * poly(w, hi) <= 0
+
+
+def test_printed_roots_are_the_nearest_floats():
+    # every fixed point and cycle point is the float nearest an exact
+    # root: the reals that round to it hold a sign change of the exact
+    # polynomial. The reals of distinct floats are disjoint, so with as
+    # many distinct floats as roots each holds one root
+    assert count_ti_roots(BoltzmannWeights(4.0, 1.0, 1.0)).ti_roots == (1.0, 4.0)
+    assert count_ti_roots(
+        BoltzmannWeights(1.0, 0.07561048727600549, 2.3293272373093323)).ti_roots == \
+        (0.0021211337392804614, 43.425613822717246, 43.425614567600235)
+    rng = random.Random(36)
+    counts, cycles, refused = set(), 0, 0
+    for s in (3, 24, 100):
+        for _ in range(400):
+            w = BoltzmannWeights(*(math.exp(rng.uniform(-s, s)) for _ in range(3)))
+            try:
+                roots = count_ti_roots(w).ti_roots
+                cycle = two_periodic_report(w).proper_roots
+            except DomainError:
+                refused += 1
+                continue
+            assert len(roots) == ti_quartic_root_count(w), w
+            assert list(roots) == sorted(set(roots)), w
+            assert all(_rounds_to(_ti_polynomial, w, r) for r in roots), w
+            assert len(cycle) in (0, 2) and list(cycle) == sorted(set(cycle)), w
+            assert all(_rounds_to(_cycle_quadratic, w, r) for r in cycle), w
+            counts.add(len(roots))
+            cycles += bool(cycle)
+    assert counts == {1, 3} and cycles > 100 and refused < 50
 
 
 def test_count_ti_roots_symmetric_point():
@@ -206,9 +282,9 @@ def test_ti_roots_are_period_two_points_as_well():
     for _ in range(30):
         w = _random_weights(rng)
         for u in count_ti_roots(w).ti_roots:
-            fu = solver._line_map(u, w.xw, w.yw, w.zw)
+            fu = line_map(u, w.xw, w.yw, w.zw)
             assert abs(u - fu) < 2e-9
-            assert abs(u - solver._line_map(fu, w.xw, w.yw, w.zw)) < 1e-8
+            assert abs(u - line_map(fu, w.xw, w.yw, w.zw)) < 1e-8
 
 
 def test_phase_flag_tracks_regime():
@@ -248,8 +324,8 @@ def test_equal_edge_weights_two_cycle():
     assert report.discriminant == pytest.approx(9.95622912, rel=1e-9)
     r1, r2 = report.proper_roots
     assert 0 < r1 < r2
-    assert solver._line_map(r1, w.xw, w.yw, w.zw) == pytest.approx(r2, rel=1e-9)
-    assert solver._line_map(r2, w.xw, w.yw, w.zw) == pytest.approx(r1, rel=1e-9)
+    assert line_map(r1, w.xw, w.yw, w.zw) == pytest.approx(r2, rel=1e-9)
+    assert line_map(r2, w.xw, w.yw, w.zw) == pytest.approx(r1, rel=1e-9)
     # coexists with a unique translation-invariant point
     fp = count_ti_roots(w)
     assert fp.regime == "unique"
@@ -364,7 +440,7 @@ def test_threshold_draws_count_exactly():
         assert report.regime == regimes[count], (w, delta)
         seen["far" if abs(delta) >= 1e-14 else "near"].add(count)
         for u in report.ti_roots:
-            fu = solver._line_map(u, w.xw, w.yw, w.zw)
+            fu = line_map(u, w.xw, w.yw, w.zw)
             assert abs(u - fu) <= 1e-9 * max(1.0, u), (w, u)
     assert seen["far"] == {1, 3} and seen["near"] >= {1, 3}
 
@@ -418,9 +494,9 @@ def _float_or_none(value: Fraction) -> float | None:
 
 def test_a_common_factor_of_the_weights_changes_no_verdict():
     # weights shifted by e^300 or more are rescaled by a power of two before
-    # the canonical parameters, the roots and the properness check; every
-    # verdict matches the unshifted weights', and A, B, C, D stay the
-    # caller's
+    # the canonical parameters, and the roots depend on their ratios
+    # alone; every verdict matches the unshifted weights', and A, B, C, D
+    # stay the caller's
     rng = random.Random(20)
     compared = 0
     for span in (3, 12):
@@ -666,8 +742,9 @@ def test_cycle_points_past_the_float_range_are_a_domain_error():
 
 
 def test_sweep_and_solve_output_is_pinned_byte_for_byte():
-    # the text of the seeded corpus as the reports printed it before the
-    # sweep computed its rows on plain floats
+    # the text of the seeded corpus, with each printed root the float
+    # nearest an exact root; the sweep bytes and error lines are those the
+    # reports printed before the sweep computed its rows on plain floats
     text = identity_corpus_text()
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "05a39df59ddb3ba1a9e999cb815e660a232cc9613981fe427a8f812528beb6ac"
+        "3594e2bd429f19b1133aef53211c3a8d0e67f8c969b8685f7b8718d5755117f5"
