@@ -266,6 +266,10 @@ def _sweep_points(config: dict):
     for i, name in enumerate(axis_names):
         if name in axis_names[:i]:
             raise ValueError(f"sweep axis {name!r} is given more than once")
+    for name in fixed:
+        if name in axis_names:
+            raise ValueError(f"sweep variable {_cut(repr(name))} is both an axis "
+                             f"and a fixed entry")
     # every point has the same names, so an alias to a name not yet set,
     # then a missing name, is reported once, in that order
     known = set(axis_names)

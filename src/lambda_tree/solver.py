@@ -10,16 +10,18 @@ the one-dimensional map is
 
 Translation-invariant measures correspond to u = f(u); reducing by
 x = u*xw/(2*yw) turns that into the cubic a*x*(b+x)^2 = (1+x)^2 in the
-canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2). For b <= 9
-it has one positive root. For b > 9 it has one, two or three, counted
-exactly from the sign of one integer: the quartic T of _ti_count, on the
-weights as the integers of _integers, the same integers D is read from.
-No tolerance enters the count, and none enters the roots: each is the
-float nearest an exact root, ties to even, found by _nearest_float from
-exact signs of the integer polynomials on the same integers (the cubic
-itself, and its derivative where the count is two or three). The floats
-a_can and b_can give the thresholds eps_1 < eps_2, where a root is
-double, and locate no root.
+canonical parameters a = 2*yw^3/xw^3, b = xw*(xw+zw)/(2*yw^2). Everything
+is read off the weights as the integers of _integers, the same integers D
+is read from. The floats a_can and b_can are int / int on them, so each
+is correctly rounded. For b <= 9, an integer comparison, the cubic has one
+positive root. For b > 9 it has one, two or three, counted exactly from
+the sign of one integer: the quartic T of _ti_count. No tolerance enters
+the count, and none enters the roots: each is the float nearest an exact
+root, ties to even, found by _nearest_float from exact signs of the
+integer polynomials on the same integers (the cubic itself, and its
+derivative where the count is two or three). Where the float b_can is
+above 9 it gives the thresholds eps_1 < eps_2, where a root is double;
+it locates no root.
 
 Proper 2-periodic measures solve u = f(f(u)) but not u = f(u). The exact
 quotient num(f∘f - id) / num(f - id) is a quadratic A*u^2 + B*u + C with
@@ -35,8 +37,8 @@ form is a test oracle and is not run here.
 count_ti_roots and two_periodic_report find the roots, and alone
 construct CanonicalParams, FixedPointReport and PeriodicReport. A sweep
 row prints no root, so it is built from the two exact counts alone: the
-canonical parameters and, past b = 9, the thresholds and the sign of T,
-then the integers behind A, B, C and D.
+canonical parameters, the thresholds past b_can = 9, the count of
+_ti_count, then the integers behind A, B, C and D.
 """
 
 import math
@@ -47,7 +49,6 @@ from .errors import DomainError, _echo_number
 from .model import LambdaParams, edge_weight, finite_number
 
 _INF_BITS = 0x7FF << 52  # the bit pattern of inf, which _float_bits reads as 2^1024
-_MODERATE_WEIGHTS = (2.0 ** -256, 2.0 ** 256)  # weights used as given, not rescaled
 
 INVARIANT_LINE_NOTE = ("invariant-line analysis only: first ratio component "
                        "pinned to 1; solutions off the line are out of scope")
@@ -112,42 +113,6 @@ def weights_from(p: LambdaParams) -> BoltzmannWeights:
     return BoltzmannWeights(*_edge_weights(p))
 
 
-def _moderate(xw: float, yw: float, zw: float) -> tuple[float, float, float]:
-    """The weights themselves while each lies in [2^-256, 2^256]; otherwise
-    the three times the power of two that puts yw in [1, 2). The canonical
-    parameters, the map's fixed points and the 2-periodic roots depend on
-    the weights only through their ratios, and a power of two scales a
-    float exactly, so a common factor of e^300 or more changes no verdict.
-    The weights come back as given if the rescale would leave the positive
-    floats."""
-    lo, hi = _MODERATE_WEIGHTS
-    if lo <= xw <= hi and lo <= yw <= hi and lo <= zw <= hi:
-        return xw, yw, zw
-    shift = 1 - math.frexp(yw)[1]
-    try:
-        v = (math.ldexp(xw, shift), math.ldexp(yw, shift), math.ldexp(zw, shift))
-    except OverflowError:
-        return xw, yw, zw
-    return v if v[0] and v[1] and v[2] else (xw, yw, zw)  # none underflows to 0
-
-
-def _canonical(xw: float, yw: float, zw: float):
-    """(a_can, b_can, v): the canonical parameters, computed on the
-    moderated weights v = _moderate(xw, yw, zw); a DomainError names
-    BoltzmannWeights(xw, yw, zw)."""
-    v = _moderate(xw, yw, zw)
-    mx, my, mz = v
-    try:
-        a_can = 2.0 * my ** 3 / mx ** 3
-        b_can = mx * (mx + mz) / (2.0 * my ** 2)
-    except (OverflowError, ZeroDivisionError):
-        a_can = b_can = math.nan  # rejected below
-    if not (0.0 < a_can < math.inf and 0.0 < b_can < math.inf):
-        raise DomainError(f"canonical parameters of {BoltzmannWeights(xw, yw, zw)} "
-                          f"are not positive finite floats")
-    return a_can, b_can, v
-
-
 def ti_thresholds(b_can: float) -> tuple[float, float, float, float]:
     """(x1, x2, eps1, eps2) for b_can > 9: x_i are the roots of
     x^2 + (3-b)x + b = 0 and eps_i = (1/x_i)*((1+x_i)/(b+x_i))^2."""
@@ -177,9 +142,27 @@ def _integers(xw: float, yw: float, zw: float) -> tuple[int, int, int, int]:
     return x, y, z, d
 
 
+def _canonical(x: int, y: int, z: int, weights: tuple) -> tuple[float, float]:
+    """(a_can, b_can) = (2y^3/x^3, x(x+z)/(2y^2)) on the integers of
+    _integers, each correctly rounded by int / int, which raises only where
+    the true value overflows. A DomainError, naming the float weights
+    (xw, yw, zw), where either overflows or a_can rounds to 0.0; b_can
+    rounds to 0.0 only past y/x = 2^537, where a_can overflows."""
+    try:
+        a_can = 2 * y ** 3 / x ** 3
+        b_can = x * (x + z) / (2 * y * y)
+    except OverflowError:
+        a_can = 0.0  # refused below
+    if not a_can:
+        raise DomainError(f"canonical parameters of {BoltzmannWeights(*weights)} "
+                          f"are not positive finite floats")
+    return a_can, b_can
+
+
 def _ti_count(x: int, y: int, z: int) -> int:
     """Distinct translation-invariant fixed points of the integer weights
-    (x, y, z), past b = 9: 3, 2 or 1 as T is positive, zero or negative.
+    (x, y, z): 1 where b = x(x+z)/(2y^2) <= 9, and past it 3, 2 or 1 as T
+    is positive, zero or negative.
 
     T = -2x^3y*Q(a, b) at the weights' exact canonical values, with Q the
     factor 4a^2b^3 - ab^2 - 18ab + 27a + 4 = 4b^3(a - eps1)(a - eps2) of
@@ -188,12 +171,11 @@ def _ti_count(x: int, y: int, z: int) -> int:
     Q < 0, one where Q > 0, and a double and a simple one where Q = 0, as
     the only triple root is at (b, a) = (9, 1/27), which no rational
     weights reach. T is homogeneous, so the common denominator leaves its
-    sign alone. For every b <= 9 but that cusp, T < 0: callers count 1
-    where the float b_can <= 9, which assumes no float b_can rounds down
-    to 9 or below from a true b within the few ulps above 9 where T can
-    be positive.
+    sign alone.
     """
     s = x + z
+    if x * s <= 18 * y * y:
+        return 1
     t = s * (s * (x * x - 4 * y * s) + 36 * x * y * y) - 4 * y * (2 * x ** 3 + 27 * y ** 3)
     return 3 if t > 0 else 2 if t == 0 else 1
 
@@ -276,11 +258,10 @@ def _ti_sides(x: int, y: int, z: int, count: int) -> list:
 def count_ti_roots(w: BoltzmannWeights) -> FixedPointReport:
     """Translation-invariant fixed points on the invariant line, in
     increasing order, each the float nearest an exact root."""
-    a_can, b_can, _ = _canonical(w.xw, w.yw, w.zw)
     x, y, z, _ = _integers(w.xw, w.yw, w.zw)
-    count, thresholds = 1, None
-    if b_can > 9:
-        count, thresholds = _ti_count(x, y, z), ti_thresholds(b_can)[2:]
+    a_can, b_can = _canonical(x, y, z, (w.xw, w.yw, w.zw))
+    thresholds = ti_thresholds(b_can)[2:] if b_can > 9 else None
+    count = _ti_count(x, y, z)
     # each root is below (xw/yw + 2)^2, and a_can = 2*(yw/xw)^3 is a positive
     # float, so none rounds to inf; a tiny one rounds to 0.0
     roots = tuple(_nearest_float(side) for side in _ti_sides(x, y, z, count))
@@ -374,12 +355,10 @@ def _sweep_point(point) -> SweepRow:
     else:
         xw, yw, zw = point.xw, point.yw, point.zw
         abc = (None, None, None, None)
-    a_can, b_can, _ = _canonical(xw, yw, zw)
     x, y, z, d = _integers(xw, yw, zw)
-    count, eps1, eps2 = 1, None, None
-    if b_can > 9:
-        eps1, eps2 = ti_thresholds(b_can)[2:]
-        count = _ti_count(x, y, z)
+    a_can, b_can = _canonical(x, y, z, (xw, yw, zw))
+    eps1, eps2 = ti_thresholds(b_can)[2:] if b_can > 9 else (None, None)
+    count = _ti_count(x, y, z)
     _, b, _, disc = _quadratic_numerators(x, y, z)
     exists = disc > 0
     return SweepRow(*abc, xw, yw, zw, a_can, b_can, count, eps1, eps2,

@@ -514,6 +514,20 @@ def test_sweep_rejects_mixed_families(tmp_path, capsys):
     assert main(["sweep", "--config", str(config)]) == 2
 
 
+def test_sweep_rejects_a_fixed_entry_that_names_an_axis(tmp_path, capsys):
+    # a fixed value, or an alias, would replace every value of the axis
+    config = tmp_path / "grid.json"
+    out = tmp_path / "rows.csv"
+    axes = [{"name": "a", "start": 0.0, "stop": 2.0, "step": 1.0}]
+    for fixed in ({"b": 0.0, "c": 0.0, "a": 1.0}, {"b": 0.0, "c": 0.0, "a": "b"}):
+        config.write_text(json.dumps({"axes": axes, "fixed": fixed}))
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: sweep variable 'a' is both an axis and a fixed entry\n"
+        assert captured.out == "" and not out.exists()
+
+
 def test_consistency_pass_and_perturb(capsys):
     payload = _run_json(capsys, ["consistency", "--a", "0.5", "--b", "-0.3",
                                  "--c", "1.2"])

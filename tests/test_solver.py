@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lambda_tree import solver
-from lambda_tree.cli import sweep_to_jsonl
+from lambda_tree.cli import main, sweep_to_jsonl
 from lambda_tree.errors import DomainError
 from lambda_tree.gibbs import push_forward
 from lambda_tree.model import LambdaParams
@@ -95,7 +95,8 @@ def test_cubic_roots_are_map_fixed_points():
     rng = random.Random(101)
     for _ in range(40):
         w = _random_weights(rng)
-        a, b, _ = solver._canonical(w.xw, w.yw, w.zw)
+        x, y, z = map(Fraction, (w.xw, w.yw, w.zw))
+        a, b = float(2 * y ** 3 / x ** 3), float(x * (x + z) / (2 * y * y))
         report = count_ti_roots(w)
         assert report.canonical == CanonicalParams(a, b)
         assert len(report.ti_roots) >= 1
@@ -159,9 +160,9 @@ def test_root_count_regimes():
     assert report.regime == "unique" and report.thresholds is None
     assert len(report.ti_roots) == 1
 
-    # the canonical parameters are positive: _canonical refuses any other
-    with pytest.raises(DomainError):
-        solver._canonical(1e300, 1e-300, 1.0)
+    # b_can is past the float range here, so the weights are refused
+    with pytest.raises(DomainError, match="canonical parameters .* not positive finite"):
+        count_ti_roots(BoltzmannWeights(1e300, 1e-300, 1.0))
 
 
 def test_root_count_straddles_the_b_boundary():
@@ -493,10 +494,9 @@ def _float_or_none(value: Fraction) -> float | None:
 
 
 def test_a_common_factor_of_the_weights_changes_no_verdict():
-    # weights shifted by e^300 or more are rescaled by a power of two before
-    # the canonical parameters, and the roots depend on their ratios
-    # alone; every verdict matches the unshifted weights', and A, B, C, D
-    # stay the caller's
+    # the canonical parameters and the roots depend on the weights' ratios
+    # alone; every verdict of weights shifted by up to e^700 matches the
+    # unshifted weights', and A, B, C, D stay the caller's
     rng = random.Random(20)
     compared = 0
     for span in (3, 12):
@@ -519,9 +519,60 @@ def test_a_common_factor_of_the_weights_changes_no_verdict():
                 assert shifted_per.quad[1] == _float_or_none(periodic_quadratic(w)[1])
                 compared += 1
     assert compared > 500
-    # inside [2^-256, 2^256] the weights are used as given
-    w = BoltzmannWeights(2.0 ** 256, 3.0, 2.0 ** -256)
-    assert solver._moderate(w.xw, w.yw, w.zw) == (w.xw, w.yw, w.zw)
+    # a power of two scales a float exactly, so it leaves the exact ratios,
+    # hence the correctly rounded canonical parameters, bit for bit alone
+    base = BoltzmannWeights(1.5, 3.0, 0.7)
+    for shift in (-1000, -300, 256, 300, 1000):
+        w = BoltzmannWeights(*(math.ldexp(v, shift) for v in (1.5, 3.0, 0.7)))
+        assert count_ti_roots(w).canonical == count_ti_roots(base).canonical
+
+
+def test_canonical_parameters_are_correctly_rounded(capsys):
+    # a_can and b_can are the weights' exact values rounded to the nearest
+    # float, in the sweep row and the report alike, and the count is the
+    # sign of T, on log-uniform weights up to e^+-700, where solve either
+    # answers or refuses the weights (exit 2), and never fails a check
+    rng = random.Random(37)
+    answered = 0
+    for s in (3, 24, 100, 240, 400, 700):
+        for _ in range(300):
+            w = BoltzmannWeights(*(math.exp(rng.uniform(-s, s)) for _ in range(3)))
+            rc = main(["solve", "--xw", repr(w.xw), "--yw", repr(w.yw), "--zw", repr(w.zw)])
+            capsys.readouterr()
+            try:
+                row = sweep([w])[0]
+            except DomainError:
+                assert rc == 2, w
+                continue
+            assert rc == 0, w
+            x, y, z = map(Fraction, (w.xw, w.yw, w.zw))
+            can = count_ti_roots(w).canonical
+            assert (can.a_can, can.b_can) == \
+                (float(2 * y ** 3 / x ** 3), float(x * (x + z) / (2 * y * y))), w
+            assert (row.a_can, row.b_can) == (can.a_can, can.b_can), w
+            assert row.ti_count == ti_quartic_root_count(w), w
+            answered += 1
+    assert 1200 < answered < 1800
+    # b is exactly 9 at (3, 1, 3), and 9 + 3*2^-52 at (3, 1, 3 + 2^-51),
+    # which b_can rounds to 9.0: the count reads b off the integers, the
+    # thresholds read b_can, and neither point has a transition
+    for w in (BoltzmannWeights(3.0, 1.0, 3.0), BoltzmannWeights(3.0, 1.0, 3.0 + 2.0 ** -51)):
+        x, y, z = map(Fraction, (w.xw, w.yw, w.zw))
+        assert (x * (x + z) / (2 * y * y) > 9) == (w.zw > 3.0)
+        report, row = count_ti_roots(w), sweep([w])[0]
+        assert report.canonical.b_can == row.b_can == 9.0
+        assert report.regime == "unique" and report.thresholds is None
+        assert row.ti_count == ti_quartic_root_count(w) == 1 and row.eps1 is None
+    # the rescale these weights once went through underflowed zw to 0, so
+    # their canonical parameters were refused; on the integers they fit
+    w = BoltzmannWeights(3.275197766064382e+135, 2.266537919840976e+234, 6.02696690974e-313)
+    row = sweep([w])[0]
+    x, y, z = map(Fraction, (w.xw, w.yw, w.zw))
+    assert (row.a_can, row.b_can) == \
+        (float(2 * y ** 3 / x ** 3), float(x * (x + z) / (2 * y * y)))
+    assert row.ti_count == ti_quartic_root_count(w) == 1
+    assert row.two_periodic and row.eps1 is None
+    assert count_ti_roots(w).canonical == CanonicalParams(row.a_can, row.b_can)
 
 
 def test_out_of_float_range_is_a_domain_error():
@@ -743,8 +794,9 @@ def test_cycle_points_past_the_float_range_are_a_domain_error():
 
 def test_sweep_and_solve_output_is_pinned_byte_for_byte():
     # the text of the seeded corpus, with each printed root the float
-    # nearest an exact root; the sweep bytes and error lines are those the
+    # nearest an exact root and each a_can and b_can its exact value
+    # correctly rounded; the sweep bytes and error lines are those the
     # reports printed before the sweep computed its rows on plain floats
     text = identity_corpus_text()
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "3594e2bd429f19b1133aef53211c3a8d0e67f8c969b8685f7b8718d5755117f5"
+        "42ed3e3e697e0cfe8d54ff24138cdf938e59f2f06dae9676a8bb58b2ec9630a2"
