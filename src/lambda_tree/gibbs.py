@@ -16,8 +16,7 @@ finite_volume_measure) accept only q = 3.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, product, repeat
-from operator import add, mul, truediv
+from itertools import cycle, product
 
 from .errors import CapacityError, DomainError, _echo_number
 from .model import SPINS, LambdaParams, check_tolerance, coupling_rows, edge_weight
@@ -25,9 +24,12 @@ from .tree import TreeCoord, TreeShape, successors
 
 _MAX_VERTICES = 13
 _MAX_STATES = 3 ** _MAX_VERTICES
+# the 2^depth leaves of the deepest truncation within the cap, where
+# |V_depth| = 2^(depth+1) - 1: each log weight adds that many field terms
+_MAX_LEAVES = 2 ** ((_MAX_VERTICES + 1).bit_length() - 2)
 _OVERFLOW_LOG = 700.0  # exp overflows just above this, and underflows below -745
-_BAD_LOG_WEIGHT = ("a log weight is NaN or +inf: a boundary field is NaN or +inf, "
-                   "or a sum of fields leaves the float range")
+_BAD_LOG_WEIGHT = ("a log weight is NaN or +inf: beta*H or a boundary field is NaN "
+                   "or +inf, or their sum leaves the float range")
 
 
 def _check_q(value) -> None:
@@ -118,28 +120,27 @@ def _log_weights(p: LambdaParams, shape: TreeShape, field_at) -> list[float]:
     """beta*H + sum over W_depth of field_at(x)[spin] for each configuration
     of V_depth, in product order over the canonical vertex order.
 
-    Prefixes grow one vertex at a time, yet each state sees a per-state
-    loop's additions in its order (edges by child index, times beta, then
-    fields by vertex index), so the floats are the same as that loop's.
+    Edge energies grow by prefixes, one vertex at a time (edges by child
+    index); then one pass per state forms (((beta*e + f_0) + f_1) + ...)
+    with the last level's fields in vertex order, whose spin tuples repeat
+    in product order since those spins vary fastest. Each state sees a
+    per-state loop's additions in its order, so the floats are that loop's.
     """
     check_enumerable(shape)
-    nverts = shape.vertex_count()
-
-    def by_spin(values, v: int, length: int):
-        # values[spin of vertex v] for each configuration of `length` vertices
-        stride = 3 ** (length - 1 - v)
-        return cycle([x for x in values for _ in range(stride)])
-
     lam = coupling_rows(p)
     energies = [0.0] * 3
     for parent, child in shape.edges():
-        rows = by_spin(lam, parent, child)
+        stride = 3 ** (child - 1 - parent)  # run of one parent spin in the prefixes
+        rows = cycle([row for row in lam for _ in range(stride)])
         energies = [e + c for e, row in zip(energies, rows) for c in row]
-    log_weights = list(map(mul, repeat(p.beta), energies))
-    for v, x in zip(shape.level_positions(shape.depth),
-                    shape.level_vertices(shape.depth)):
-        log_weights = list(map(add, log_weights, by_spin(field_at(x), v, nverts)))
-    return log_weights
+    # padded to the _MAX_LEAVES = 4 terms the pass unpacks, so a larger cap
+    # fails to unpack rather than drop a field; x + 0.0 is x for every float
+    # but -0.0, which turns to 0.0, and exp cannot tell the two apart
+    fields = [field_at(x) for x in shape.level_vertices(shape.depth)]
+    fields += [(0.0,)] * (_MAX_LEAVES - len(fields))
+    b = p.beta
+    return [(((b * e + f0) + f1) + f2) + f3
+            for e, (f0, f1, f2, f3) in zip(energies, cycle(list(product(*fields))))]
 
 
 def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
@@ -171,7 +172,7 @@ def finite_volume_measure(p: LambdaParams, q: int, shape: TreeShape,
     if not 0.0 < partition < math.inf:
         raise DomainError(f"the partition function is out of float range: "
                           f"log Z = {shift + math.log(total):.15g}")
-    values = tuple(map(truediv, weights, repeat(total)))
+    values = tuple([w / total for w in weights])
     return FiniteVolumeMeasure(shape.vertex_count(), values, partition)
 
 
@@ -193,8 +194,9 @@ def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
 
     The marginal is itself a depth-(n-1) measure, with fields on W_{n-1}
     g_x(s) = sum over y in S(x) of log sum_t exp(beta*lam(s,t) + h_{t,y}),
-    so both sides enumerate only the 3^|V_{n-1}| states of V_{n-1}. q must
-    be 3.
+    so both sides enumerate only the 3^|V_{n-1}| states of V_{n-1}, each in
+    _log_weights' one pass per state: beta*H, then h or g on W_{n-1} in
+    vertex order (four of them at depth 3). q must be 3.
     """
     _check_q(q)
     if shape.depth < 1:
@@ -204,12 +206,12 @@ def is_consistent(p: LambdaParams, q: int, shape: TreeShape, h: BoundaryFields,
 
     def logsumexp(terms: list[float]) -> float:
         top = max(terms)
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
 
     def folded(x: TreeCoord) -> tuple[float, ...]:
         children = [h.at(y) for y in successors(x, shape)]
-        return tuple(sum(logsumexp([b + hv for b, hv in zip(row, hy)]) for hy in children)
-                     for row in blam)
+        return tuple([sum([logsumexp([b + hv for b, hv in zip(row, hy)]) for hy in children])
+                      for row in blam])
 
     inner = TreeShape(2, shape.depth - 1)
     own = _normalized(_log_weights(p, inner, h.at))

@@ -38,6 +38,10 @@ recurrence the long way. Test files import them as `from oracles import ...`.
 - `identity_corpus_text` is the text of `sweep` and `solve` on a seeded
   corpus of points, which a test pins by its sha256; it needs no pytest,
   so any interpreter can hash it.
+- `oracle_inputs` draws seeded parameters with consistent boundary fields,
+  and a copy of each with one field moved, for the finite-volume tests.
+  `finite_volume_corpus_text` is, like `identity_corpus_text`, the text of
+  measures and consistency reports on such inputs, pinned by its sha256.
 - `clear_caches` clears every functools cache of the package, found by
   walking the globals of its modules, so no test keeps a list of them.
 """
@@ -54,7 +58,9 @@ from itertools import product
 import lambda_tree
 from lambda_tree.cli import cmd_solve, sweep_to_jsonl
 from lambda_tree.errors import InternalConsistencyError, LambdaTreeError
-from lambda_tree.gibbs import boltzmann_matrix
+from lambda_tree.gibbs import (BoundaryFields, FieldRatios, boltzmann_matrix,
+                               fields_from_ratios, finite_volume_measure,
+                               is_consistent, measure_to_csv, propagate_ratios)
 from lambda_tree.ground import LevelSequence, _check_spins
 from lambda_tree.model import (SPINS, Configuration, LambdaParams, check_tolerance,
                                coupling_rows, min_ball_energy)
@@ -273,6 +279,59 @@ def identity_corpus_text() -> str:
                 xw=w.xw, yw=w.yw, zw=w.zw, a=None, b=None, c=None, beta=None)))
         except (LambdaTreeError, ValueError) as e:
             parts.append(f"{type(e).__name__}: {e}\n")
+    return "".join(parts)
+
+
+def oracle_inputs(seed: int, depths, draws: int):
+    """Per draw at each depth: params, shape and recursion-built fields from
+    log-uniform leaf ratios, under a random gauge, plus a copy with one
+    field on W_{n-1} moved (None at depth 0)."""
+    rng = random.Random(seed)
+    for depth in depths:
+        shape = TreeShape(2, depth)
+        for _ in range(draws):
+            p = LambdaParams(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                             rng.uniform(-1, 1), beta=rng.uniform(0.25, 2.0))
+            leaf = FieldRatios(3, {v: tuple(math.exp(rng.uniform(-3, 3))
+                                            for _ in range(2))
+                                   for v in shape.level_vertices(depth)})
+            # any common shift of a vertex's fields (a gauge) is immaterial
+            h = fields_from_ratios(propagate_ratios(leaf, shape, p))
+            gauge = rng.uniform(-2, 2)
+            h = BoundaryFields(3, {x: tuple(v + gauge for v in vec)
+                                   for x, vec in h.fields.items()})
+            if not depth:
+                yield p, shape, h, None
+                continue
+            fields = dict(h.fields)
+            x = rng.choice(shape.level_vertices(depth - 1))
+            vec = list(fields[x])
+            vec[rng.randrange(3)] += math.exp(rng.uniform(-6, 1))
+            fields[x] = tuple(vec)
+            yield p, shape, h, BoundaryFields(3, fields)
+
+
+def finite_volume_corpus_text() -> str:
+    """For each of oracle_inputs' 16 draws per depth 0 to 3: the measure CSV
+    up to depth 2, and from depth 1 on the is_consistent reports of the
+    fields and of their moved copy, as JSON with the deviation's repr; then
+    the CSVs of two measures on V_1 whose peak log weights of about +705
+    and -720 take the shifted branch."""
+    parts = []
+    for p, shape, h, bent in oracle_inputs(38, (0, 1, 2, 3), 16):
+        if shape.depth < 3:
+            parts.append(measure_to_csv(finite_volume_measure(p, 3, shape, h)))
+        if bent is None:
+            continue
+        for fields in (h, bent):
+            report = is_consistent(p, 3, shape, fields)
+            parts.append(json.dumps({"max_deviation": report.max_deviation,
+                                     "pass": report.passed}) + "\n")
+    shape = TreeShape(2, 1)
+    for triple in ((352.5, 352.0, 351.0), (-360.0, -361.0, -362.0)):
+        h = BoundaryFields(3, {x: triple for x in shape.level_vertices(1)})
+        parts.append(measure_to_csv(finite_volume_measure(
+            LambdaParams(0.3, -0.2, 0.1), 3, shape, h)))
     return "".join(parts)
 
 

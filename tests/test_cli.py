@@ -710,17 +710,20 @@ def test_measure_partition_out_of_float_range(capsys):
 
 
 def test_measure_rejects_a_non_finite_log_weight(tmp_path, capsys):
-    # 1e308 + 1e308 is +inf; a sum of fields at -inf everywhere gives Z = 0
+    # 1e308 + 1e308 is +inf, in a sum of fields or in beta*H with no
+    # --fields at all; a sum of fields at -inf everywhere gives Z = 0
+    bad = ("a log weight is NaN or +inf: beta*H or a boundary field is NaN "
+           "or +inf, or their sum leaves the float range")
     fields = tmp_path / "fields.json"
-    for raw, message in (
-            ({"1": [1e308, 1e308, 0], "2": [1e308, 0, 0]},
-             "a log weight is NaN or +inf: a boundary field is NaN or +inf, "
-             "or a sum of fields leaves the float range"),
-            ({"1": [-1e308] * 3, "2": [-1e308] * 3},
+    flat = ["measure", "--a", "0", "--b", "0", "--c", "0", "--fields", str(fields)]
+    for raw, argv, message in (
+            ({"1": [1e308, 1e308, 0], "2": [1e308, 0, 0]}, flat, bad),
+            ({}, ["measure", "--a", "1e308", "--b", "0", "--c", "0",
+                  "--beta", "10", "--depth", "1"], bad),
+            ({"1": [-1e308] * 3, "2": [-1e308] * 3}, flat,
              "the partition function is out of float range: log Z = -inf")):
         fields.write_text(json.dumps(raw))
-        assert main(["measure", "--a", "0", "--b", "0", "--c", "0",
-                     "--fields", str(fields)]) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import product
@@ -13,7 +14,8 @@ from lambda_tree.ground import brute_force_minima
 from lambda_tree.model import SPINS, LambdaParams, _catalogue, coupling_rows
 from lambda_tree.solver import weights_from
 from lambda_tree.tree import TreeCoord, TreeShape, successors
-from oracles import line_map, position, probabilities, vertex_normalizer, vertices
+from oracles import (finite_volume_corpus_text, line_map, oracle_inputs, position,
+                     probabilities, vertex_normalizer, vertices)
 
 # the depths whose full 3^|V_depth| enumeration stays within 2^15 states,
 # small enough for the per-state oracle below, and the seeded draws per
@@ -58,35 +60,6 @@ def _marginalized_deviation(p, shape, h):
         key = spins[:inner_shape.vertex_count()]
         marginal[key] = marginal.get(key, 0.0) + prob
     return max(abs(marginal[spins] - prob) for spins, prob in inner.items())
-
-
-def _oracle_inputs(seed: int):
-    """Per oracle draw: params and recursion-built fields from log-uniform
-    leaf ratios, plus a copy with one field on W_{n-1} moved (None at
-    depth 0)."""
-    rng = random.Random(seed)
-    for depth in _ORACLE_DEPTHS:
-        shape = TreeShape(2, depth)
-        for _ in range(_ORACLE_DRAWS):
-            p = LambdaParams(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                             rng.uniform(-1, 1), beta=rng.uniform(0.25, 2.0))
-            leaf = FieldRatios(3, {v: tuple(math.exp(rng.uniform(-3, 3))
-                                            for _ in range(2))
-                                   for v in shape.level_vertices(depth)})
-            # any common shift of a vertex's fields (a gauge) is immaterial
-            h = fields_from_ratios(propagate_ratios(leaf, shape, p))
-            gauge = rng.uniform(-2, 2)
-            h = BoundaryFields(3, {x: tuple(v + gauge for v in vec)
-                                   for x, vec in h.fields.items()})
-            if not depth:
-                yield p, shape, h, None
-                continue
-            fields = dict(h.fields)
-            x = rng.choice(shape.level_vertices(depth - 1))
-            vec = list(fields[x])
-            vec[rng.randrange(3)] += math.exp(rng.uniform(-6, 1))
-            fields[x] = tuple(vec)
-            yield p, shape, h, BoundaryFields(3, fields)
 
 
 def _zero_fields(shape: TreeShape) -> BoundaryFields:
@@ -353,16 +326,37 @@ def _sorted_row_csv(by_spins: dict) -> str:
         [row % (*spins, prob) for spins, prob in rows])
 
 
+def _edge_cases():
+    """At depths 0 to 2: couplings and fields of -0.0, one leaf field of
+    -inf, and fields that differ only in their last bit."""
+    odd = 1.7  # 0x1.b333333333333p+0, whose last bit is 1
+    apart = (odd, math.nextafter(odd, 0.0), odd)
+    for depth in _ORACLE_DEPTHS:
+        shape = TreeShape(2, depth)
+        leaves = shape.level_vertices(depth)
+        p = LambdaParams(0.3, -0.2, 0.1, beta=0.7)
+        yield (LambdaParams(-0.0, -0.0, -0.0), shape,
+               BoundaryFields(3, {v: (-0.0,) * 3 for v in leaves}))
+        fields = {v: (0.25, -0.5, 0.125) for v in leaves}
+        fields[leaves[-1]] = (0.25, -math.inf, 0.125)
+        yield p, shape, BoundaryFields(3, fields)
+        yield p, shape, BoundaryFields(3, {v: apart[i % 3:] + apart[:i % 3]
+                                           for i, v in enumerate(leaves)})
+
+
 def test_measure_matches_per_state_oracle():
-    # the prefix enumeration adds in the per-state loop's order, so the
-    # probabilities and the partition function agree bit for bit, and the
-    # product-order values give the sorted rows' CSV byte for byte
-    cases = [(p, shape, h) for p, shape, h, _ in _oracle_inputs(21)]
+    # the prefix energies and the one pass per state add in the per-state
+    # loop's order, so the probabilities and the partition function agree
+    # bit for bit, and the product-order values give the sorted rows' CSV
+    # byte for byte; also for zeros of either sign, a -inf field, and
+    # fields one bit apart
+    cases = [(p, shape, h) for p, shape, h, _ in oracle_inputs(21, _ORACLE_DEPTHS, _ORACLE_DRAWS)]
     # peak log weights of about +705 and -720 take the shifted branch
     shape = TreeShape(2, 1)
     for triple in ((352.5, 352.0, 351.0), (-360.0, -361.0, -362.0)):
         cases.append((LambdaParams(0.3, -0.2, 0.1), shape,
                       BoundaryFields(3, {v: triple for v in shape.level_vertices(1)})))
+    cases += _edge_cases()
     for p, shape, h in cases:
         mu = finite_volume_measure(p, 3, shape, h)
         expected, partition = _per_state_measure(p, shape, h)
@@ -374,7 +368,7 @@ def test_measure_matches_per_state_oracle():
 
 
 def test_consistency_matches_marginalization_oracle():
-    for p, shape, h, bent in _oracle_inputs(22):
+    for p, shape, h, bent in oracle_inputs(22, _ORACLE_DEPTHS, _ORACLE_DRAWS):
         if not shape.depth:
             continue
         for fields, passes in ((h, True), (bent, False)):
@@ -383,6 +377,30 @@ def test_consistency_matches_marginalization_oracle():
             assert report.passed is passes
             assert (expected <= 1e-10) is passes
             assert abs(report.max_deviation - expected) <= 1e-12
+
+
+def test_consistency_depth_three_reports_the_moved_field_deviation():
+    # recursion-built fields on V_3 are consistent, so the marginal of the
+    # depth-3 measure is the depth-2 measure of the unmoved fields, whichever
+    # field on W_2 is moved; both depth-2 measures come from the per-state
+    # oracle, which shares no code with is_consistent
+    inner = TreeShape(2, 2)
+    for p, shape, h, bent in oracle_inputs(23, (3,), 3):
+        report = is_consistent(p, 3, shape, bent)
+        unmoved, _ = _per_state_measure(p, inner, h)
+        moved, _ = _per_state_measure(p, inner, bent)
+        expected = max(abs(unmoved[s] - moved[s]) for s in unmoved)
+        assert not report.passed and expected > 1e-10
+        assert abs(report.max_deviation - expected) <= 1e-12
+
+
+def test_finite_volume_output_is_pinned_byte_for_byte():
+    # measure CSVs at depths 0 to 2, two on the shifted branch, and
+    # consistency reports at depths 1 to 3; a change in the order of a log
+    # weight's additions moves some byte
+    text = finite_volume_corpus_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3a0e747851e1f9b43493d16b896d126fd837060deed8b0862b5e1d9c305fd95c"
 
 
 def test_only_three_spins_are_accepted():
